@@ -19,24 +19,23 @@
 #   overhead  Figure 7 bare vs observability layer on (BENCH_2.json).
 #   faults    Figure 7 bare vs zero-rate fault plan (BENCH_3.json).
 #   isolate   Figure 7 bare vs isolation-reachable-but-off (BENCH_4.json).
-#   memo      Figure 7 bare vs sweep-fork memoization (BENCH_5.json).
 #   fleet     Figure 7 bare vs two loopback fleet nodes (BENCH_7.json):
 #             the socket transport's coordination overhead.
 #   sync      Figure 7 with a file-backed journal: per-record group commit
 #             (-journal-sync point, the default) vs buffer-until-Close
 #             (BENCH_8.json) — the durability default's measured price.
 #
-# Iteration modes (one in-process series of $ITERS iterations, timed
+# Iteration mode (one in-process series of $ITERS iterations, timed
 # per-iteration via the harness -iters flag, warmup-segmented):
-#   steady    Figure 7 bare + memoized with steady-state bootstrap CIs
-#             and a significance-tested memo_vs_bare comparison
-#             (BENCH_6.json).
-#   gate      Figure 7 bare only, fewer iterations: the CI regression
-#             gate's input. Run twice on the same SHA, the two reports
-#             must `benchgate diff` clean; a slowed build must not.
+#   gate      Figure 7 bare: the CI regression gate's input. Run twice
+#             on the same SHA, the two reports must `benchgate diff`
+#             clean; a slowed build must not.
 #
-# Env knobs: COUNT (reps, default 5), ITERS (iterations, default 12 for
-# steady / 8 for gate), GATE_PATTERN (override the gate benchmark set).
+# BENCH_5.json and BENCH_6.json record the sweep-fork memoization layer,
+# which has since been deleted; no mode regenerates them.
+#
+# Env knobs: COUNT (reps, default 5), ITERS (iterations, default 8),
+# GATE_PATTERN (override the gate benchmark set).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -60,10 +59,6 @@ isolate)
     OUT=${1:-BENCH_4.json}
     PATTERN='BenchmarkFig7EDP$|BenchmarkFig7EDPIsolateOff$'
     ;;
-memo)
-    OUT=${1:-BENCH_5.json}
-    PATTERN='BenchmarkFig7EDP$|BenchmarkFig7EDPMemo$'
-    ;;
 fleet)
     OUT=${1:-BENCH_7.json}
     PATTERN='BenchmarkFig7EDP$|BenchmarkFig7EDPFleet$'
@@ -72,12 +67,6 @@ sync)
     OUT=${1:-BENCH_8.json}
     PATTERN='BenchmarkFig7EDPJournalSyncPoint$|BenchmarkFig7EDPJournalSyncClose$'
     ;;
-steady)
-    OUT=${1:-BENCH_6.json}
-    PATTERN='BenchmarkFig7EDP$|BenchmarkFig7EDPMemo$'
-    ITERS=${ITERS:-12}
-    ITERS_MODE=1
-    ;;
 gate)
     OUT=${1:-BENCH_GATE.json}
     PATTERN=${GATE_PATTERN:-'BenchmarkFig7EDP$'}
@@ -85,7 +74,7 @@ gate)
     ITERS_MODE=1
     ;;
 *)
-    echo "bench.sh: unknown mode '$MODE' (figures|overhead|faults|isolate|memo|fleet|sync|steady|gate)" >&2
+    echo "bench.sh: unknown mode '$MODE' (figures|overhead|faults|isolate|fleet|sync|gate)" >&2
     exit 2
     ;;
 esac

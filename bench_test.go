@@ -154,30 +154,6 @@ func BenchmarkFig7EDPIsolateOff(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7EDPMemo regenerates Figure 7 with sweep-fork memoization
-// enabled: each (benchmark, collector) heap sweep runs its largest-heap
-// point first as the recording leader and forks the remaining points from
-// the recorded shared execution prefix (vm/memo.go). The delta against
-// BenchmarkFig7EDP is the memoization win on the hottest figure path;
-// bench.sh's memo mode records both in BENCH_5.json. The iteration fails
-// if the store never hits — the speedup must come from real prefix reuse,
-// not a silently disabled path.
-func BenchmarkFig7EDPMemo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		r := experiments.NewRunner(io.Discard)
-		r.Quick = true
-		r.Memo = vm.NewMemoStore(0)
-		if err := r.RunFigure("fig7"); err != nil {
-			b.Fatal(err)
-		}
-		if s := r.Memo.Stats(); s.Hits == 0 {
-			b.Fatalf("memo store never hit: %+v", s)
-		}
-		logIter(b, time.Since(t0))
-	}
-}
-
 // BenchmarkFig7EDPFleet regenerates Figure 7 through the socket transport:
 // every point dispatched to one of two loopback executor nodes and its
 // result gob carried back over TCP. The nodes persist across iterations;

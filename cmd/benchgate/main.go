@@ -1,8 +1,8 @@
 // benchgate turns raw `go test -bench` output into statistically sound
 // BENCH_*.json evidence and gates CI on significant regressions.
 //
-//	go test -bench ... | benchgate report -mode memo -count 5 -out BENCH_5.json
-//	benchgate report -mode steady -count 1 -iters iters.jsonl -out BENCH_6.json < bench.out
+//	go test -bench ... | benchgate report -mode fleet -count 5 -out BENCH_7.json
+//	benchgate report -mode gate -count 1 -iters iters.jsonl -out BENCH_GATE.json < bench.out
 //	benchgate diff old.json new.json -budget 2 -alpha 0.05
 //
 // report parses benchmark output strictly (malformed lines and short
@@ -58,7 +58,7 @@ func usage() {
   benchgate report -mode MODE [-count N] [-iters FILE] [-out FILE] [-command CMD] < bench-output
   benchgate diff OLD.json NEW.json [-budget PCT] [-alpha A] [-seed N]
 
-report modes: figures overhead faults isolate memo steady gate
+report modes: figures overhead faults isolate fleet sync gate
 diff exits 1 when a same-environment regression is statistically
 significant and above budget, 2 on usage/parse errors, 0 otherwise.
 `)

@@ -64,14 +64,6 @@ var modes = map[string]modeSpec{
 			{"pr3_BenchmarkFig7EDP_fastest_rep", 3821362947, "BENCH_3.json fastest BenchmarkFig7EDP repetition", "BenchmarkFig7EDPIsolateOff", crossMachineNote},
 		},
 	},
-	"memo": {
-		description: "Sweep-fork memoization on the Fig. 7 hot path: bare vs the segment-trace memo store enabled (the benchmark fails unless the store hits). The memo_vs_bare comparison is significance-tested; the frozen BENCH_4 median rides along as an environment-tagged legacy baseline whose ratio_vs_now is the historical speedup claim (acceptance floor 2x on the machine that recorded it). Figures are byte-identical with the store on or off — the determinism suite enforces it.",
-		comparisons: []comparisonSpec{{"memo_vs_bare", "BenchmarkFig7EDPMemo", "BenchmarkFig7EDP"}},
-		legacy: []legacySpec{
-			{"pr4_BenchmarkFig7EDP_median", 4020391040, "BENCH_4.json median BenchmarkFig7EDP repetition", "BenchmarkFig7EDPMemo", crossMachineNote},
-			{"pr4_BenchmarkFig7EDP_median_vs_bare", 4020391040, "BENCH_4.json median BenchmarkFig7EDP repetition", "BenchmarkFig7EDP", crossMachineNote},
-		},
-	},
 	"fleet": {
 		description: "Distributed-execution coordination overhead on the Fig. 7 hot path: bare (in-process) vs every point dispatched to two loopback executor nodes over the socket transport (framing, gob encode/decode, scheduling, loopback TCP; the benchmark fails unless points actually flowed through the fleet). The fleet_vs_bare comparison is Mann–Whitney-tested with a bootstrap CI on the effect. Figures are byte-identical either way — the cross-node determinism gate enforces it — so this number is pure transport cost, amortized across real campaigns by node parallelism that a single-machine loopback run deliberately does not exploit.",
 		comparisons: []comparisonSpec{{"fleet_vs_bare", "BenchmarkFig7EDPFleet", "BenchmarkFig7EDP"}},
@@ -80,10 +72,6 @@ var modes = map[string]modeSpec{
 		description: "Journal durability pricing on the Fig. 7 hot path: a real file-backed journal under the default per-record group commit (-journal-sync point) vs the legacy buffer-until-Close policy. The sync_point_vs_close comparison is Mann–Whitney-tested with a bootstrap CI on the effect; the fsync cost is only a claim when significant. This is the measured basis for shipping per-point sync as the default.",
 		comparisons: []comparisonSpec{{"sync_point_vs_close", "BenchmarkFig7EDPJournalSyncPoint", "BenchmarkFig7EDPJournalSyncClose"}},
 	},
-	"steady": {
-		description: "Steady-state benchmark evidence for the Fig. 7 hot path: each benchmark ran as one in-process series with per-iteration timings (-iters), segmented into warmup and steady state by changepoint detection; median/min/max/stddev and the bootstrap percentile CI summarize the steady segment only. The memo_vs_bare comparison is Mann–Whitney-tested on the steady samples with a bootstrap CI on the effect. A speedup or overhead number from this file is a claim only when its comparison is significant and the environments match.",
-		comparisons: []comparisonSpec{{"memo_vs_bare", "BenchmarkFig7EDPMemo", "BenchmarkFig7EDP"}},
-	},
 	"gate": {
 		description: "CI regression-gate evidence: one in-process series of the Fig. 7 benchmark with per-iteration timings, warmup-segmented, with a bootstrap CI on the steady-state median. Produced twice per gate run (same SHA must diff clean; a slowed build must not).",
 	},
@@ -91,7 +79,7 @@ var modes = map[string]modeSpec{
 
 func runReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	mode := fs.String("mode", "", "report mode: figures|overhead|faults|isolate|memo|fleet|sync|steady|gate")
+	mode := fs.String("mode", "", "report mode: figures|overhead|faults|isolate|fleet|sync|gate")
 	count := fs.Int("count", 0, "required repetitions per benchmark (0 = don't enforce)")
 	itersPath := fs.String("iters", "", "per-iteration JSONL file emitted by the harness -iters flag")
 	out := fs.String("out", "", "output file (default stdout)")
@@ -103,7 +91,7 @@ func runReport(args []string) error {
 	}
 	spec, ok := modes[*mode]
 	if !ok {
-		return fmt.Errorf("unknown mode %q (figures|overhead|faults|isolate|memo|fleet|sync|steady|gate)", *mode)
+		return fmt.Errorf("unknown mode %q (figures|overhead|faults|isolate|fleet|sync|gate)", *mode)
 	}
 
 	parsed, err := benchstat.Parse(os.Stdin)

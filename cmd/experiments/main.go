@@ -45,7 +45,6 @@ import (
 	"jvmpower/internal/fleet"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/supervisor"
-	"jvmpower/internal/vm"
 )
 
 // main delegates to run so that every deferred cleanup — CPU/heap profile
@@ -70,8 +69,6 @@ func run() int {
 		journalFile = flag.String("journal", "", "append one JSONL event per characterization point to this file")
 		httpAddr    = flag.String("http", "", "serve live /metrics, /debug/vars, and /debug/pprof on this address")
 		faults      = flag.String("faults", "", "fault-injection plan, e.g. drop=0.05,glitch=0.001,seed=7 (see internal/faultinject)")
-		memo        = flag.Bool("memo", false, "sweep-fork memoization: heap sweeps share their execution prefix (figures are byte-identical either way)")
-		memoBudget  = flag.Int64("memo-budget", 0, "memo store byte budget (0 = GOMEMLIMIT/4 when set, else 256 MiB)")
 		reps        = flag.Int("reps", 1, "repetitions per point; >1 enables quorum selection with MAD outlier rejection")
 		pointTO     = flag.Duration("point-timeout", 0, "wall-time budget per characterization attempt (0 = unbounded)")
 		resume      = flag.Bool("resume", false, "replay -journal to skip points a previous run completed (requires -journal and -cache)")
@@ -121,8 +118,6 @@ func run() int {
 			return fail(errors.New("-daemon needs -http ADDR (the job API), -journal FILE (the durable job log), and -cache DIR (the point store recovery resumes from)"))
 		case *resume:
 			return fail(errors.New("-daemon recovers incomplete jobs from its journal automatically; -resume is the one-shot path"))
-		case *memo:
-			return fail(errors.New("-memo is per-run and in-process; the daemon's per-job runners cannot share it"))
 		case *faults != "":
 			return fail(errors.New("-daemon takes fault plans per campaign (the \"faults\" field of the job spec), not globally"))
 		case *serveNode != "":
@@ -210,11 +205,6 @@ func run() int {
 	r.Metrics = reg
 	r.Reps = *reps
 	r.PointTimeout = *pointTO
-	if *memo {
-		r.Memo = vm.NewMemoStore(*memoBudget)
-	} else if *memoBudget != 0 {
-		return fail(errors.New("-memo-budget requires -memo"))
-	}
 
 	if *faults != "" {
 		plan, err := faultinject.Parse(*faults)
@@ -292,9 +282,6 @@ func run() int {
 		r.Fleet = coord
 		r.BreakerThreshold = *breakerK
 		fmt.Fprintf(os.Stderr, "experiments: fleet active: %d node(s)\n", len(strings.Split(*nodes, ",")))
-		if r.Memo != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -memo is inert under -nodes (the store is in-process; nodes cannot share it)")
-		}
 	}
 
 	if *isolate > 0 {
@@ -321,9 +308,6 @@ func run() int {
 		r.Supervisor = sup
 		r.BreakerThreshold = *breakerK
 		fmt.Fprintf(os.Stderr, "experiments: isolation active: %d worker(s)\n", *isolate)
-		if r.Memo != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -memo is inert under -isolate (the store is in-process; workers cannot share it)")
-		}
 	} else if *breakerK != 0 && *nodes == "" {
 		return fail(errors.New("-breaker requires -isolate or -nodes (breakers count executor deaths)"))
 	}

@@ -3,7 +3,7 @@
 // in the evaluation section and reports PASS/NEAR/OFF per anchor, with the
 // tolerance bands used. This is the executable form of EXPERIMENTS.md.
 //
-//	go run ./cmd/validate            # full-scale anchors (minutes)
+//	go run ./cmd/validate            # full-scale anchors (seconds)
 //	go run ./cmd/validate -quick     # scaled-down workloads (fast, looser)
 package main
 

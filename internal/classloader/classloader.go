@@ -101,18 +101,6 @@ func (l *Loader) LoadedCount() int {
 // Stats returns cumulative loader statistics.
 func (l *Loader) Stats() Stats { return l.stats }
 
-// Clone returns an independent deep copy of the loader (loaded set and
-// stats; the program is shared, immutable input). Used by sweep-prefix
-// snapshots.
-func (l *Loader) Clone() *Loader {
-	return &Loader{
-		prog:         l.prog,
-		loaded:       append([]bool(nil), l.loaded...),
-		mergedSystem: l.mergedSystem,
-		stats:        l.stats,
-	}
-}
-
 // EnsureLoaded loads a class if needed, resolving its superclass chain
 // first, and returns one Report per class actually loaded (superclasses
 // first). It returns nil when the class is already loaded.

@@ -11,7 +11,6 @@ import (
 	"jvmpower/internal/gc"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 )
 
@@ -49,31 +48,6 @@ type RunConfig struct {
 	// was burning, instead of letting the abandoned simulation run to
 	// completion.
 	Cancel <-chan struct{}
-	// Sweep, when non-nil, opts this run into sweep-fork memoization: a
-	// heap-size sweep's points share their config-invariant execution
-	// prefix through Sweep.Store (see vm/memo.go). Leaders record; later
-	// points replay. Figures are byte-identical with or without it — the
-	// determinism suite enforces that.
-	Sweep *SweepContext
-}
-
-// SweepContext identifies one point's place in a heap-size sweep group:
-// points that differ only in VM.HeapSize. The dispatcher runs the group's
-// leader (largest heap — longest invariant prefix) first, recording; the
-// rest replay whatever prefix fits their heap.
-type SweepContext struct {
-	// Store holds recorded traces, shared across the sweep (and across
-	// sweeps — it is byte-budgeted LRU).
-	Store *vm.MemoStore
-	// Key is the group's config-invariant identity: every field of the
-	// point except heap size. Characterize appends the run seed and
-	// profile identity itself.
-	Key string
-	// Leader marks the recording run; followers replay.
-	Leader bool
-	// GroupHeaps lists the group's heap sizes, so the leader can place
-	// boundary snapshots where each follower's fits limit lands.
-	GroupHeaps []units.ByteSize
 }
 
 // Result bundles the decomposition with the meter (ground truth, thermal
@@ -86,10 +60,6 @@ type Result struct {
 	// FaultCounts tallies injected faults by "site.class" (nil unless a
 	// fault plan was active and fired).
 	FaultCounts map[string]int64
-	// Memo reports the run's memoization outcome: "" (memo off),
-	// "recorded" (sweep leader), "hit" (prefix replayed), or "miss" (no
-	// usable trace; ran fully live).
-	Memo string
 }
 
 // Characterize executes one characterization run to completion and returns
@@ -133,10 +103,9 @@ func Characterize(cfg RunConfig) (Result, error) {
 	}
 	defer machine.ReleaseResources()
 	machine.SetCancel(cfg.Cancel)
-	memo, runErr := runMaybeMemoized(cfg, machine)
-	if runErr != nil {
+	if err := machine.RunProfile(cfg.Profile); err != nil {
 		return Result{}, fmt.Errorf("core: running %s on %s/%s heap %v: %w",
-			cfg.Profile.Name, cfg.VM.Flavor, machine.Collector().Name(), cfg.VM.HeapSize, runErr)
+			cfg.Profile.Name, cfg.VM.Flavor, machine.Collector().Name(), cfg.VM.HeapSize, err)
 	}
 	dec := analysis.Build(
 		cfg.Profile.Name,
@@ -153,39 +122,5 @@ func Characterize(cfg RunConfig) (Result, error) {
 		GCStats:       machine.Collector().Stats(),
 		LoadedClasses: machine.Loader().LoadedCount(),
 		FaultCounts:   meter.FaultCounts(),
-		Memo:          memo,
 	}, nil
-}
-
-// runMaybeMemoized executes the profile, routing through the sweep-fork
-// memo layer when the run opted in. The returned memo tag is the Result's
-// Memo field. Memoization changes nothing measurable: a leader's recording
-// is passive, and a follower's replayed slices are the exact slices its
-// own live run would have emitted.
-func runMaybeMemoized(cfg RunConfig, machine *vm.VM) (string, error) {
-	sw := cfg.Sweep
-	if sw == nil || sw.Store == nil {
-		return "", machine.RunProfile(cfg.Profile)
-	}
-	// The store key extends the group key with the run seed (quorum
-	// repetitions run distinct seeds and must pair leader with follower)
-	// and the profile identity (a runner's Quick scaling changes the
-	// profile without changing the point).
-	key := fmt.Sprintf("%s|%s|%d|%d", sw.Key, cfg.Profile.Name, cfg.Profile.TotalBytecodes, cfg.VM.Seed)
-	if sw.Leader {
-		trace := machine.StartRecording(sw.GroupHeaps)
-		err := machine.RunProfile(cfg.Profile)
-		if err == nil && trace != nil {
-			sw.Store.Store(key, trace)
-		}
-		return "recorded", err
-	}
-	if trace, ok := sw.Store.Lookup(key); ok {
-		hit, err := machine.RunProfileFrom(cfg.Profile, trace)
-		if hit {
-			return "hit", err
-		}
-		return "miss", err
-	}
-	return "miss", machine.RunProfile(cfg.Profile)
 }

@@ -78,15 +78,6 @@ type Runner struct {
 	// the figures treat as abortive.
 	Ctx context.Context
 
-	// Memo, when non-nil, turns on sweep-fork memoization: RunAll groups
-	// its points into heap-size sweeps, runs each group's largest-heap
-	// point first as the recording leader, and lets the rest replay the
-	// shared execution prefix out of the store (see vm/memo.go and
-	// core.SweepContext). Figure output is byte-identical with or without
-	// it. Ignored under a Supervisor: the store is in-process, and
-	// isolated workers cannot share it.
-	Memo *vm.MemoStore
-
 	// Supervisor, when non-nil, routes every computed point to a supervised
 	// worker subprocess (see isolate.go) instead of computing in-process.
 	// Under isolation PointTimeout is enforced by the supervisor with a
@@ -103,8 +94,7 @@ type Runner struct {
 	// computing in-process or on a local supervised worker. Points shard
 	// by figure and sweep group, idle nodes steal under skew, and node
 	// deaths feed the same per-figure circuit breakers isolation uses.
-	// Takes precedence over Supervisor; Memo is inert (the store is
-	// in-process and remote nodes cannot share it).
+	// Takes precedence over Supervisor.
 	Fleet *fleet.Coordinator
 
 	// Shared, when non-nil, coalesces in-flight computations with other
@@ -122,7 +112,6 @@ type Runner struct {
 	mu     sync.Mutex
 	cache  map[pointKey]*flight
 	resume map[pointKey]bool
-	sweeps map[pointKey]sweepInfo
 
 	faultMu sync.Mutex
 	faults  []FaultRecord
@@ -253,7 +242,6 @@ func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.
 		Metrics: r.Metrics,
 		Faults:  r.Faults,
 		Cancel:  stop,
-		Sweep:   r.sweepFor(p),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s/%s/%dMB on %s: %w",
@@ -268,33 +256,12 @@ func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.
 // points finish, but no new ones start. Tolerable failures (injected
 // faults, panics, timeouts) do not stop the sweep: their errors stay
 // cached and degrade into missing cells when a figure pulls them.
-//
-// With Memo enabled (and no Supervisor — isolated workers cannot share an
-// in-process store) the points are first grouped into heap-size sweeps and
-// dispatched in two phases: every group's leader (largest heap), then the
-// rest, so followers find their group's trace recorded. Phase order only
-// moves work between the phases — results, and therefore figures, are
-// byte-identical either way.
 func (r *Runner) RunAll(points []Point) error {
 	start := time.Now()
-	var firstErr error
-	if r.Memo != nil && r.Supervisor == nil {
-		leaders, rest := r.splitSweeps(points)
-		firstErr = r.runPool(leaders)
-		if firstErr == nil {
-			firstErr = r.runPool(rest)
-		}
-		r.publishMemoStats()
-	} else {
-		firstErr = r.runPool(points)
-	}
-	r.Metrics.Counter("experiments.runall.calls").Inc()
-	r.Metrics.Gauge("experiments.runall.wall_seconds").Add(time.Since(start).Seconds())
-	return firstErr
-}
-
-// runPool runs one batch of points on a worker pool.
-func (r *Runner) runPool(points []Point) error {
+	defer func() {
+		r.Metrics.Counter("experiments.runall.calls").Inc()
+		r.Metrics.Gauge("experiments.runall.wall_seconds").Add(time.Since(start).Seconds())
+	}()
 	if len(points) == 0 {
 		return nil
 	}
@@ -346,113 +313,6 @@ dispatch:
 	wg.Wait()
 	r.Metrics.Gauge("experiments.workers.count").Set(float64(workers))
 	return firstErr
-}
-
-// sweepInfo is one point's registered place in a heap-size sweep group.
-type sweepInfo struct {
-	key    string // group identity: the point key minus heap size
-	leader bool
-	heaps  []units.ByteSize
-}
-
-// splitSweeps registers every multi-heap sweep group found in points and
-// partitions the list into recording leaders and everything else. Points
-// whose group has a single heap size get no sweep context — there is
-// nothing to share.
-func (r *Runner) splitSweeps(points []Point) (leaders, rest []Point) {
-	type group struct {
-		heapsMB  map[int]bool
-		leaderMB int
-	}
-	groups := make(map[string]*group)
-	for _, p := range points {
-		gk := sweepGroupKey(p.key())
-		g := groups[gk]
-		if g == nil {
-			g = &group{heapsMB: make(map[int]bool)}
-			groups[gk] = g
-		}
-		g.heapsMB[p.HeapMB] = true
-		if p.HeapMB > g.leaderMB {
-			g.leaderMB = p.HeapMB
-		}
-	}
-	r.mu.Lock()
-	if r.sweeps == nil {
-		r.sweeps = make(map[pointKey]sweepInfo)
-	}
-	for _, p := range points {
-		k := p.key()
-		if _, ok := r.sweeps[k]; ok {
-			continue
-		}
-		gk := sweepGroupKey(k)
-		g := groups[gk]
-		if len(g.heapsMB) < 2 {
-			continue
-		}
-		heaps := make([]units.ByteSize, 0, len(g.heapsMB))
-		for mb := range g.heapsMB {
-			heaps = append(heaps, units.ByteSize(mb)*units.MB)
-		}
-		sort.Slice(heaps, func(i, j int) bool { return heaps[i] < heaps[j] })
-		r.sweeps[k] = sweepInfo{key: gk, leader: p.HeapMB == g.leaderMB, heaps: heaps}
-	}
-	r.mu.Unlock()
-	for _, p := range points {
-		if info, ok := r.sweepInfoFor(p.key()); ok && info.leader {
-			leaders = append(leaders, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	return leaders, rest
-}
-
-// sweepGroupKey is the config-invariant group identity: every pointKey
-// field except the heap size.
-func sweepGroupKey(k pointKey) string {
-	return fmt.Sprintf("%s|%d|%s|%s|%t|%t",
-		k.bench, k.flavor, k.collector, k.platform, k.s10, k.fanOff)
-}
-
-func (r *Runner) sweepInfoFor(k pointKey) (sweepInfo, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	info, ok := r.sweeps[k]
-	return info, ok
-}
-
-// sweepFor builds the point's core.SweepContext, or nil when memoization
-// is off, the point runs isolated, or the point is not part of a
-// registered multi-heap sweep.
-func (r *Runner) sweepFor(p Point) *core.SweepContext {
-	if r.Memo == nil || r.Supervisor != nil {
-		return nil
-	}
-	info, ok := r.sweepInfoFor(p.key())
-	if !ok {
-		return nil
-	}
-	return &core.SweepContext{
-		Store:      r.Memo,
-		Key:        info.key,
-		Leader:     info.leader,
-		GroupHeaps: info.heaps,
-	}
-}
-
-// publishMemoStats exports the memo store's counters as gauges.
-func (r *Runner) publishMemoStats() {
-	if r.Memo == nil || r.Metrics == nil {
-		return
-	}
-	s := r.Memo.Stats()
-	r.Metrics.Gauge("experiments.memo.hits").Set(float64(s.Hits))
-	r.Metrics.Gauge("experiments.memo.misses").Set(float64(s.Misses))
-	r.Metrics.Gauge("experiments.memo.evictions").Set(float64(s.Evictions))
-	r.Metrics.Gauge("experiments.memo.entries").Set(float64(s.Entries))
-	r.Metrics.Gauge("experiments.memo.bytes").Set(float64(s.Bytes))
 }
 
 // JikesHeapsMB returns the heap sweep for a suite: the paper uses fixed

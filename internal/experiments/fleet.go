@@ -51,6 +51,14 @@ func (r *Runner) ObserveNodeEvent(node, event, detail string) {
 	}
 }
 
+// sweepGroupKey is a point's heap-sweep identity: every pointKey field
+// except the heap size. Folded into the fleet shard key, it places a
+// figure's heap sweep on one node.
+func sweepGroupKey(k pointKey) string {
+	return fmt.Sprintf("%s|%d|%s|%s|%t|%t",
+		k.bench, k.flavor, k.collector, k.platform, k.s10, k.fanOff)
+}
+
 // computeFleet produces one point's result on a remote fleet node. The
 // result is persisted to the disk cache exactly as the other paths would,
 // so fleet and local campaigns interoperate through the same cache. Node

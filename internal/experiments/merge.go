@@ -27,8 +27,9 @@ import (
 //     lexicographically smallest wins so ties resolve without reference to
 //     arrival order;
 //   - the survivors are emitted sorted by point identity with the volatile
-//     fields (source, duration, attempts, memo) dropped or canonicalized —
-//     Source becomes "merged".
+//     fields (source, duration, attempts) dropped or canonicalized —
+//     Source becomes "merged" — and any field mergeEvent does not read,
+//     such as the "memo" tag older journals carry, dropped.
 //
 // Merging the same shards in any order therefore produces byte-identical
 // output, which TestMergeJournalsOrderIndependent pins.

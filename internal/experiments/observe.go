@@ -37,9 +37,6 @@ import (
 //	runall.calls / runall.wall_seconds        counter/gauge
 //	figures.run / figures.errors              counter
 //	figure.<name>.seconds                     gauge    per-figure wall time
-//	memo.hits / memo.misses / memo.evictions  gauge    sweep-fork memo store
-//	memo.entries / memo.bytes                 gauge    (set after each RunAll
-//	                                                   when -memo is on)
 //	diskcache.corrupt                         counter  cache entries that
 //	                                                   failed envelope
 //	                                                   verification and were
@@ -73,10 +70,6 @@ type PointEvent struct {
 	// Attempts counts characterization attempts across retries and quorum
 	// repetitions; omitted for cache-served points.
 	Attempts int `json:"attempts,omitempty"`
-	// Memo reports the sweep-fork memoization outcome ("recorded", "hit",
-	// or "miss"); omitted when memoization is off or the point was served
-	// from a cache.
-	Memo string `json:"memo,omitempty"`
 }
 
 // FaultEvent is the journal record of a permanently failed, degraded
@@ -99,16 +92,12 @@ func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
 	start := time.Now()
 	source := "computed"
 	attempts := 0
-	memo := ""
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
 			err = fmt.Errorf("experiments: panic computing %s: %v", p, v)
 		}
-		if res != nil {
-			memo = res.Memo
-		}
-		r.observePoint(p, source, time.Since(start), attempts, memo, err)
+		r.observePoint(p, source, time.Since(start), attempts, err)
 	}()
 	if cached, ok := r.loadPoint(k); ok {
 		source = "disk"
@@ -147,7 +136,7 @@ func (r *Runner) computePoint(p Point, k pointKey) (*core.Result, string, int, e
 }
 
 // observePoint records one completed point in the registry and journal.
-func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts int, memo string, err error) {
+func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts int, err error) {
 	if r.Metrics != nil {
 		if source == "disk" || source == "resume" {
 			r.Metrics.Counter("experiments.diskcache.hits").Inc()
@@ -173,7 +162,6 @@ func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts 
 			Source:     source,
 			DurationMS: float64(d) / float64(time.Millisecond),
 			Attempts:   attempts,
-			Memo:       memo,
 		}
 		if err != nil {
 			ev.Outcome = "error"

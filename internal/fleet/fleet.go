@@ -7,9 +7,8 @@
 // in whatever order points finish.
 //
 // The coordinator shards work by a caller-supplied shard key (the
-// experiments layer uses figure|sweep-group, so a figure's points land on
-// one node and share its sweep-fork memo locality) and steals across nodes
-// under skew: an idle node takes a shard-coherent batch from the tail of
+// experiments layer uses figure|sweep-group, so a figure's heap sweep lands
+// on one node) and steals across nodes under skew: an idle node takes a shard-coherent batch from the tail of
 // the longest queue, degrading to single points when queues run shallow.
 // Failure handling mirrors the supervisor: a per-frame read deadline is the
 // heartbeat watchdog (an open-but-silent connection classifies as

@@ -9,8 +9,7 @@ import (
 
 // Scheduling. Placement is shard-affine: a shard key (the experiments layer
 // uses figure|sweep-group) hashes to a preferred node, so a figure's heap
-// sweep lands together and shares that node's sweep-fork memo locality.
-// Affinity is advisory, not binding — an idle node steals from the longest
+// sweep lands together on one node. Affinity is advisory, not binding — an idle node steals from the longest
 // queue, taking the shard-coherent batch at its tail (figure granularity)
 // and degrading to single points as queues run shallow (point granularity
 // under skew). All functions here run under Coordinator.mu.

@@ -14,7 +14,6 @@ package heap
 
 import (
 	"sync"
-	"unsafe"
 
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/units"
@@ -72,9 +71,8 @@ const refArenaChunk = 16384
 // Zeroing fresh chunks is the single largest line in the experiment-scale
 // CPU profile; reuse removes it.
 //
-// This is a plain capped stack rather than a sync.Pool: memo snapshots keep
-// hundreds of megabytes of cloned chunks live, the resulting GC cycles
-// flush a sync.Pool, and every flushed chunk comes back as a fresh large
+// This is a plain capped stack rather than a sync.Pool: every Go GC cycle
+// flushes a sync.Pool, and a flushed chunk comes back as a fresh large
 // allocation the runtime re-zeroes — exactly the cost pooling exists to
 // avoid. The cap bounds idle retention; overflow falls to the GC.
 var chunkPool struct {
@@ -82,8 +80,8 @@ var chunkPool struct {
 	free [][]Object
 }
 
-// maxPooledChunks caps idle chunk retention (at ~1.5 MB a chunk, a few
-// hundred MB — below the memo store's own default budget).
+// maxPooledChunks caps idle chunk retention (at 768 KiB a chunk, at most
+// 192 MiB).
 const maxPooledChunks = 256
 
 func getChunk() []Object {
@@ -114,9 +112,8 @@ func putChunk(c []Object) {
 // slice-headed fields): outgoing references live inline or at an offset
 // into the heap's ref arena, reached through RefsIn, and interpreter int
 // payloads live in a side table (IntsOf/SetInts). That halves the memory
-// traffic of zeroing, copying, and snapshot-cloning table chunks, and
-// makes the chunks invisible to Go's garbage collector — which matters
-// once memo snapshots keep hundreds of megabytes of them live.
+// traffic of zeroing and reusing table chunks, and makes the chunks
+// invisible to Go's garbage collector, which need not scan them.
 type Object struct {
 	Kind  Kind
 	Flags uint8
@@ -193,8 +190,8 @@ func New() *Heap {
 
 // Release returns the heap's table chunks to the shared chunk pool. Call it
 // once, when the run that owns the heap has extracted everything it needs;
-// the heap must not be used afterwards. Heaps that escape into long-lived
-// snapshots are simply never released.
+// the heap must not be used afterwards. A heap that is never released
+// only forgoes chunk reuse.
 func (h *Heap) Release() {
 	if h.released {
 		return
@@ -323,46 +320,6 @@ func (h *Heap) ForEach(fn func(Ref, *Object)) {
 			fn(Ref(i), o)
 		}
 	}
-}
-
-// Clone returns a deep copy of the heap: table contents, ref arena,
-// free-slot chain, and counters. Because objects address their spilled
-// references by arena offset rather than by pointer, the copy is three flat
-// memmoves (chunks, arena, ints) with no per-object fix-up pass, and
-// neither heap observes mutations made through the other. Used by
-// sweep-prefix snapshots, which fork later sweep points from a shared
-// execution prefix.
-func (h *Heap) Clone() *Heap {
-	c := &Heap{
-		n:          h.n,
-		freeHead:   h.freeHead,
-		arena:      append([]Ref(nil), h.arena...),
-		liveCount:  h.liveCount,
-		liveBytes:  h.liveBytes,
-		allocCount: h.allocCount,
-		allocBytes: h.allocBytes,
-	}
-	c.chunks = make([][]Object, len(h.chunks))
-	for i, src := range h.chunks {
-		dst := getChunk()
-		copy(dst, src)
-		c.chunks[i] = dst
-	}
-	if h.ints != nil {
-		c.ints = make(map[Ref][]int32, len(h.ints))
-		for r, s := range h.ints {
-			c.ints[r] = append([]int32(nil), s...)
-		}
-	}
-	return c
-}
-
-// MemoryFootprint estimates the heap's real (host) memory use: object-table
-// chunks plus the ref arena. Memo-store budget accounting uses it to bound
-// how much snapshot state a sweep may retain.
-func (h *Heap) MemoryFootprint() int64 {
-	const objBytes = int64(unsafe.Sizeof(Object{}))
-	return int64(len(h.chunks))*chunkSize*objBytes + int64(cap(h.arena))*4
 }
 
 // SetAddr relocates an object to a new simulated address (copying GC).

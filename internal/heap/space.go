@@ -63,17 +63,6 @@ func (s *BumpSpace) Region() Region { return s.region }
 // Reset discards all allocations (e.g. after evacuating a semi-space).
 func (s *BumpSpace) Reset() { s.cursor = s.region.Base }
 
-// RestoreUsed positions the cursor used bytes past the base — the
-// sweep-prefix restore path, which rebuilds a bump space to the exact state
-// a recorded allocation sequence left it in. used must not exceed the
-// extent.
-func (s *BumpSpace) RestoreUsed(used units.ByteSize) {
-	if used < 0 || uint64(used) > s.region.Limit-s.region.Base {
-		panic(fmt.Sprintf("heap: RestoreUsed(%v) outside %s extent %v", used, s.Name, s.Extent()))
-	}
-	s.cursor = s.region.Base + uint64(used)
-}
-
 // FreeListSpace is a block-structured segregated-fit allocator, as used by
 // mark-sweep collectors (and by MMTk's mark-sweep space, which the Jikes
 // plans build on): the region is carved into 32 KB blocks, each block is
@@ -275,81 +264,6 @@ func (s *FreeListSpace) FreeCell(addr uint64, size uint32) {
 	s.freeCellBytes -= units.ByteSize(blockSize) - cell
 	b.class = -1
 	s.freeBlocks = append(s.freeBlocks, base)
-}
-
-// FreeListState is a compact snapshot of a FreeListSpace's allocation
-// state, trimmed at the block frontier: cell states and block metadata
-// beyond the cursor are identically zero (no block has ever been carved
-// there), so capturing them would copy megabytes of zeroes per snapshot —
-// which, per the CPU profile, cost more than the memoization it enabled.
-// Used by the sweep-prefix capture path (internal/gc), which lays the
-// state back over a possibly different-sized region via Instantiate.
-type FreeListState struct {
-	name          string
-	base          uint64
-	cursorOff     uint64 // cursor - base
-	stacks        [classCount][]uint64
-	cellState     []uint8     // [: cursorOff >> minCellShift]
-	blocks        []blockInfo // blocks at or below the frontier
-	freeBlocks    []uint64
-	usedBytes     units.ByteSize
-	freeCellBytes units.ByteSize
-}
-
-// CaptureState deep-copies the space's allocation state up to its block
-// frontier.
-func (s *FreeListSpace) CaptureState() *FreeListState {
-	off := s.cursor - s.region.Base
-	st := &FreeListState{
-		name:          s.Name,
-		base:          s.region.Base,
-		cursorOff:     off,
-		cellState:     append([]uint8(nil), s.cellState[:off>>minCellShift]...),
-		blocks:        append([]blockInfo(nil), s.blocks[:(off+blockSize-1)>>blockShift]...),
-		freeBlocks:    append([]uint64(nil), s.freeBlocks...),
-		usedBytes:     s.usedBytes,
-		freeCellBytes: s.freeCellBytes,
-	}
-	for k := range s.stacks {
-		st.stacks[k] = append([]uint64(nil), s.stacks[k]...)
-	}
-	return st
-}
-
-// SizeBytes estimates the state's host-memory footprint (budget accounting).
-func (st *FreeListState) SizeBytes() int64 {
-	n := int64(len(st.cellState)) + int64(len(st.blocks))*8 + int64(len(st.freeBlocks))*8 + 256
-	for k := range st.stacks {
-		n += int64(len(st.stacks[k])) * 8
-	}
-	return n
-}
-
-// Instantiate lays the captured state over a (possibly different-sized)
-// region with the same base. Only meaningful while the captured frontier
-// fits inside the new region — the sweep-prefix restore path checks
-// PrefixFits before calling.
-func (st *FreeListState) Instantiate(region Region) *FreeListSpace {
-	if region.Base != st.base {
-		panic("heap: Instantiate requires an identical base address")
-	}
-	if st.cursorOff > region.Limit-region.Base {
-		panic("heap: Instantiate frontier outside the new region")
-	}
-	s := NewFreeListSpace(st.name, region)
-	s.cursor = region.Base + st.cursorOff
-	for k, stack := range st.stacks {
-		// Headroom beyond the captured length: the restored space's stacks
-		// grow immediately (every fresh block pushes its cells), and an
-		// exact-capacity copy would pay growslice on the first push.
-		s.stacks[k] = append(make([]uint64, 0, len(stack)+len(stack)/2+64), stack...)
-	}
-	copy(s.cellState, st.cellState)
-	copy(s.blocks, st.blocks)
-	s.freeBlocks = append(s.freeBlocks, st.freeBlocks...)
-	s.usedBytes = st.usedBytes
-	s.freeCellBytes = st.freeCellBytes
-	return s
 }
 
 // Used reports bytes in live cells.

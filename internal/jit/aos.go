@@ -93,29 +93,3 @@ func (a *AOS) PendingCompiles() int { return len(a.queue) }
 func (a *AOS) Compiles() (baseline, opt int64) {
 	return a.baselineCompiles, a.optCompiles
 }
-
-// Clone returns an independent deep copy of the AOS: counters, tiers and
-// the pending compile queue. Used by sweep-prefix snapshots.
-func (a *AOS) Clone() *AOS {
-	c := &AOS{
-		HotThresholdBytecodes: a.HotThresholdBytecodes,
-		executed:              make(map[classfile.MethodID]int64, len(a.executed)),
-		tier:                  make(map[classfile.MethodID]Tier, len(a.tier)),
-		queued:                make(map[classfile.MethodID]bool, len(a.queued)),
-		baselineCompiles:      a.baselineCompiles,
-		optCompiles:           a.optCompiles,
-	}
-	for m, v := range a.executed {
-		c.executed[m] = v
-	}
-	for m, t := range a.tier {
-		c.tier[m] = t
-	}
-	for m, q := range a.queued {
-		c.queued[m] = q
-	}
-	if len(a.queue) > 0 {
-		c.queue = append([]classfile.MethodID(nil), a.queue...)
-	}
-	return c
-}

@@ -40,14 +40,6 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	return v.runProfile(p, nil)
-}
-
-// runProfile is the batch loop. A non-nil resume means the VM's state has
-// been restored to the boundary before segment resume.seg (sweep-prefix
-// replay, memo.go): the prologue is skipped and the loop picks up there
-// with the carried loop state.
-func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 	nSeg := p.TotalBytecodes / segmentBytecodes
 	if nSeg < 1 {
 		nSeg = 1
@@ -78,16 +70,18 @@ func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 		hot = append(hot, classfile.MethodID(i))
 	}
 
-	// Loop state lives in a struct so boundary snapshots can capture it and
-	// a resumed run can carry it back in (memo.go).
-	var st loopState
-	startSeg := int64(0)
+	// First-invocation schedule: startup burst, then a ramp over the first
+	// 40% of segments.
+	if err := v.firstInvoke(v.prog.Entry); err != nil {
+		return err
+	}
+	invokeIdx := 0
 	invokeNext := func(k int) error {
-		for ; k > 0 && st.invokeIdx < nM; st.invokeIdx++ {
-			if v.invoked[st.invokeIdx] {
+		for ; k > 0 && invokeIdx < nM; invokeIdx++ {
+			if v.invoked[invokeIdx] {
 				continue
 			}
-			if err := v.firstInvoke(classfile.MethodID(st.invokeIdx)); err != nil {
+			if err := v.firstInvoke(classfile.MethodID(invokeIdx)); err != nil {
 				return err
 			}
 			k--
@@ -95,41 +89,29 @@ func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 		return nil
 	}
 	startup := int(p.StartupMethodFrac * float64(nM))
-	if resume != nil {
-		st = resume.loop
-		startSeg = resume.seg
-	} else {
-		// First-invocation schedule: startup burst, then a ramp over the
-		// first 40% of segments.
-		if err := v.firstInvoke(v.prog.Entry); err != nil {
-			return err
-		}
-		if err := invokeNext(startup); err != nil {
-			return err
-		}
+	if err := invokeNext(startup); err != nil {
+		return err
 	}
 	rampSegs := nSeg * 4 / 10
 	if rampSegs < 1 {
 		rampSegs = 1
 	}
 	rampPerSeg := float64(nM-startup) / float64(rampSegs)
+	var rampAcc float64
 
 	hotBC := int64(float64(segmentBytecodes) * p.HotBytecodeShare)
 	coldBC := segmentBytecodes - hotBC
 	perHot := hotBC / int64(len(hot))
+	var mutAcc float64
 
-	if v.rec != nil {
-		v.rec.prologueDone(v, st, allocPerSeg)
-	}
-
-	for seg := startSeg; seg < nSeg; seg++ {
+	for seg := int64(0); seg < nSeg; seg++ {
 		if v.cancelRequested() {
 			return ErrCancelled
 		}
 		if seg > 0 && seg <= int64(rampSegs) {
-			st.rampAcc += rampPerSeg
-			n := int(st.rampAcc)
-			st.rampAcc -= float64(n)
+			rampAcc += rampPerSeg
+			n := int(rampAcc)
+			rampAcc -= float64(n)
 			if err := invokeNext(n); err != nil {
 				return err
 			}
@@ -165,16 +147,9 @@ func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 		if err := v.allocSegment(allocPerSeg, &p); err != nil {
 			return fmt.Errorf("vm: %s segment %d: %w", p.Name, seg, err)
 		}
-		st.mutAcc += p.PtrStoresPerKBC * float64(segmentBytecodes) / 1000
-		for ; st.mutAcc >= 1; st.mutAcc-- {
+		mutAcc += p.PtrStoresPerKBC * float64(segmentBytecodes) / 1000
+		for ; mutAcc >= 1; mutAcc-- {
 			v.mutatePointer()
-		}
-
-		if v.rec != nil && v.rec.active {
-			// The observation that parameterizes replay-time locality
-			// recomputes, captured at the same state MutatorLocality below
-			// reads (nothing mutates the collector in between).
-			v.rec.curObs = v.rec.ps.PrefixObserve()
 		}
 
 		// Application slice for the segment.
@@ -210,7 +185,7 @@ func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 		if mlp == 0 {
 			mlp = 1.4
 		}
-		v.emit(component.App, cpu.Slice{
+		v.exec.Execute(component.App, cpu.Slice{
 			Instructions:       appInstr,
 			Reads:              int64(accesses * 0.65),
 			Writes:             int64(accesses * 0.35),
@@ -227,13 +202,6 @@ func (v *VM) runProfile(p BehaviorProfile, resume *resumePoint) error {
 			}
 			v.drainCompileQueue(compileDrainPerSegment)
 		}
-
-		if v.rec != nil {
-			v.rec.endSegment(v, seg, st)
-		}
-	}
-	if v.rec != nil {
-		v.rec.finish(v, nSeg, st)
 	}
 	// Any still-queued recompilations would have run during the tail of a
 	// real execution; drain them so compile accounting is complete.
@@ -248,9 +216,6 @@ func (v *VM) allocSegment(bytes int64, p *BehaviorProfile) error {
 	avg := int64(p.AvgObjectBytes)
 	for done := int64(0); done < bytes; {
 		size := uint32(avg/2 + int64(v.rng()%uint64(avg))) // [avg/2, 1.5avg)
-		if v.rec != nil {
-			v.rec.noteAlloc(size)
-		}
 		maxRefs := int(2*p.RefsPerObject) + 1
 		nrefs := int(v.rng() % uint64(maxRefs))
 		if _, err := v.allocAppObject(size, nrefs, p.LongLivedFrac, p.LiveTarget); err != nil {

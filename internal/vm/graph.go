@@ -171,9 +171,6 @@ func (v *VM) mutatePointer() {
 	ti := int(v.rng() % numTables)
 	table := v.tables[ti]
 	if table == heap.Null {
-		if v.rec != nil {
-			v.rec.noteAlloc(64)
-		}
 		r, err := v.col.Alloc(heap.KindObject, 0, 64, 4)
 		if err != nil {
 			return // heap exhausted; the caller's next alloc will surface it

@@ -122,10 +122,6 @@ type VM struct {
 	// cancel, when non-nil, is polled between execution segments; closing
 	// it makes RunProfile return ErrCancelled at the next segment boundary.
 	cancel <-chan struct{}
-
-	// rec, when non-nil, captures the batch engine's segment trace for
-	// sweep-fork memoization (memo.go). Armed by StartRecording.
-	rec *recorder
 }
 
 // New builds a VM for prog, wiring its collector's collection reports and
@@ -279,10 +275,10 @@ func (v *VM) onCollection(r gc.CollectionReport) {
 	}
 	if len(r.Phases) > 0 {
 		for _, pw := range r.Phases {
-			v.emit(component.GC, workSlice(pw.Work, ws, 1.0))
+			v.exec.Execute(component.GC, workSlice(pw.Work, ws, 1.0))
 		}
 	} else {
-		v.emit(component.GC, workSlice(r.Work, ws, 1.0))
+		v.exec.Execute(component.GC, workSlice(r.Work, ws, 1.0))
 	}
 	v.gcEmitted++
 }
@@ -302,7 +298,7 @@ func (v *VM) ensureLoaded(id classfile.ClassID) error {
 		return err
 	}
 	for _, r := range reports {
-		v.emit(component.ClassLoader,
+		v.exec.Execute(component.ClassLoader,
 			workSlice(r.Work, 24*(r.FileBytes+r.MetadataBytes), classloader.LoadICacheMissPerKInst))
 		// Runtime metadata is immortal and lives outside the collected
 		// heap (Jikes keeps it in an immortal space; Kaffe's lives beyond
@@ -333,7 +329,7 @@ func (v *VM) compile(m classfile.MethodID, tier jit.Tier) {
 	if ws < 128*units.KB {
 		ws = 128 * units.KB
 	}
-	v.emit(comp, workSlice(w, ws, jit.CompileICacheMissPerKInst))
+	v.exec.Execute(comp, workSlice(w, ws, jit.CompileICacheMissPerKInst))
 	v.aos.SetTier(m, tier)
 }
 
@@ -380,7 +376,7 @@ func (v *VM) drainCompileQueue(max int) {
 // controllerTick emits the AOS controller thread's periodic bookkeeping
 // (the component the paper monitored and found under 1% of execution).
 func (v *VM) controllerTick() {
-	v.emit(component.Scheduler, cpu.Slice{
+	v.exec.Execute(component.Scheduler, cpu.Slice{
 		Instructions: 22_000,
 		Reads:        5_500,
 		Writes:       1_600,
