@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
+.PHONY: build test vet race check ci perfbench-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -16,24 +16,31 @@ vet:
 
 # race exercises the concurrent machinery under the race detector: the
 # experiment dispatcher (RunAll workers, singleflight coalescing), the
-# metrics registry's atomic instruments, the supervisor's worker pool
-# (watchdogs, kills, restarts) with its framed protocol, the fleet
-# coordinator (socket transport, work stealing, requeue, node breakers),
-# and the job queue (admission, quotas, drain, concurrent submitters).
-# The experiments package runs the full determinism suite (isolated,
-# fleet, resume, daemon) under the detector, which took 563 s on a 2-vCPU
-# host, close to go test's default 10m per-package limit, hence the
-# explicit timeout.
+# metrics registry's atomic instruments, the supervisor (one queue over
+# local workers and TCP nodes: watchdogs, kills, requeue, restarts,
+# executor breakers, drain) with its framed protocol, and the job queue
+# (admission, quotas, drain, concurrent submitters). The experiments
+# package runs the full determinism suite (isolated, fleet, resume,
+# daemon) under the detector, which took 563 s on a 2-vCPU host, close to
+# go test's default 10m per-package limit, hence the explicit timeout.
 race:
-	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/metrics/... ./internal/supervisor/... ./internal/pointproto/... ./internal/fleet/... ./internal/jobqueue/...
+	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/metrics/... ./internal/supervisor/... ./internal/pointproto/... ./internal/jobqueue/...
 
 # check is the tier-1 gate: everything must pass before a change lands.
 check: build vet test race
 
 # ci mirrors .github/workflows/ci.yml locally: the tier-1 gate plus the
-# full-scale paper-anchor check, a short fuzz smoke over every native fuzz
-# target and the shell-level smokes (fleet, crash, daemon).
-ci: build vet test race validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
+# benchmark module's check, the full-scale paper-anchor check, a short
+# fuzz smoke over every native fuzz target and the shell-level smokes
+# (fleet, crash, daemon).
+ci: build vet test race perfbench-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
+
+# perfbench-check vets and tests the repo benchmark (perfbench/, its own Go
+# module, which `go build ./...` never compiles), so a change to an API it
+# imports fails here rather than when the benchmark next runs. Its tests
+# include the recorded seed-1 output digests of each workload.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # validate runs cmd/validate at full scale: the configurations behind the
 # paper's 15 quantitative anchors, each checked against its tolerance band.
@@ -67,8 +74,8 @@ fuzz-smoke:
 # fleet-smoke is the shell-level distributed smoke: the real binary runs a
 # quick Figure 6 campaign across two loopback `-serve-node` executors and
 # the output is diffed against the in-process run (byte-identical or fail).
-# The in-repo twin, TestFleetByteIdentical, adds steals and an injected
-# disconnect on top.
+# The in-repo twin, TestFleetByteIdentical, adds shuffled completion and an
+# injected disconnect on top.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

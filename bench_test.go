@@ -20,11 +20,11 @@ import (
 	"jvmpower/internal/cpu"
 	"jvmpower/internal/experiments"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/gc"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
+	"jvmpower/internal/supervisor"
 	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
@@ -157,12 +157,12 @@ func BenchmarkFig7EDPIsolateOff(b *testing.B) {
 // BenchmarkFig7EDPFleet regenerates Figure 7 through the socket transport:
 // every point dispatched to one of two loopback executor nodes and its
 // result gob carried back over TCP. The nodes persist across iterations;
-// the coordinator is fresh per iteration (its success memo would otherwise
-// turn later iterations into pure dedupe hits). The delta against
-// BenchmarkFig7EDP prices the coordination overhead — framing, gob,
-// scheduling, loopback TCP — on the hottest figure path; bench.sh's fleet
-// mode records both in BENCH_7.json. The iteration fails unless points
-// actually flowed through the fleet.
+// the supervisor is fresh per iteration, like the Runner, so each
+// iteration also pays for dialing and handshaking its nodes, as a CLI run
+// does. The delta against BenchmarkFig7EDP prices the coordination
+// overhead — framing, gob, scheduling, loopback TCP — on the hottest
+// figure path; bench.sh's fleet mode records both in BENCH_7.json. The
+// iteration fails unless points actually flowed through the nodes.
 func BenchmarkFig7EDPFleet(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var dones []chan struct{}
@@ -183,7 +183,7 @@ func BenchmarkFig7EDPFleet(b *testing.B) {
 		dones = append(dones, done)
 		go func() {
 			defer close(done)
-			_ = fleet.Serve(ctx, ln, fleet.ServeConfig{Handler: experiments.HandleSpec, Stderr: io.Discard})
+			_ = supervisor.Serve(ctx, ln, supervisor.ServeConfig{Handler: experiments.HandleSpec, Stderr: io.Discard})
 		}()
 	}
 	b.ResetTimer()
@@ -193,15 +193,18 @@ func BenchmarkFig7EDPFleet(b *testing.B) {
 		r.Quick = true
 		reg := metrics.NewRegistry()
 		r.Metrics = reg
-		coord := fleet.New(fleet.Config{Nodes: addrs, Metrics: reg, Stderr: io.Discard})
-		r.Fleet = coord
-		err := r.RunFigure("fig7")
-		coord.Close()
+		sup, err := supervisor.New(supervisor.Config{Nodes: addrs, Metrics: reg, Stderr: io.Discard})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if reg.Counter("fleet.points").Value() == 0 {
-			b.Fatal("no points flowed through the fleet")
+		r.Supervisor = sup
+		err = r.RunFigure("fig7")
+		sup.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if reg.Counter("supervisor.points.ok").Value() == 0 {
+			b.Fatal("no points flowed through the nodes")
 		}
 		logIter(b, time.Since(t0))
 	}

@@ -14,7 +14,7 @@
 //	experiments -all -metrics m.json -journal j.jsonl
 //	experiments -all -http localhost:6060   # live /metrics + /debug/pprof
 //	experiments -all -isolate 4             # points run in worker subprocesses
-//	experiments -serve-node :9310                     # run a fleet executor node
+//	experiments -serve-node :9310                     # run a remote executor node
 //	experiments -all -nodes host1:9310,host2:9310     # distribute points across nodes
 //	experiments -merge-journals a.jsonl,b.jsonl -journal merged.jsonl
 //	experiments -all -journal j.jsonl -journal-sync interval=2s
@@ -42,7 +42,6 @@ import (
 
 	"jvmpower/internal/experiments"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/supervisor"
 )
@@ -75,8 +74,8 @@ func run() int {
 		isolate     = flag.Int("isolate", 0, "run each point in one of N supervised worker subprocesses (0 = in-process)")
 		breakerK    = flag.Int("breaker", 0, "with -isolate or -nodes: consecutive executor deaths that open a circuit breaker (0 = default 3, negative = never)")
 		worker      = flag.Bool("worker", false, "internal: run as a point worker speaking the supervisor protocol on stdin/stdout")
-		nodes       = flag.String("nodes", "", "comma-separated fleet node addresses (host:port); points run remotely with work stealing")
-		serveNode   = flag.String("serve-node", "", "run as a fleet executor node listening on this address (host:port; port 0 picks one)")
+		nodes       = flag.String("nodes", "", "comma-separated remote executor addresses (host:port); points run there")
+		serveNode   = flag.String("serve-node", "", "run as a remote executor node listening on this address (host:port; port 0 picks one)")
 		capacity    = flag.Int("capacity", 0, "with -serve-node: concurrent-point budget advertised to the coordinator (0 = GOMAXPROCS)")
 		mergeList   = flag.String("merge-journals", "", "comma-separated shard journals to merge into -journal FILE, then exit")
 		journalSync = flag.String("journal-sync", "point", "journal durability policy: point (fsync per record), interval[=DUR], or close")
@@ -264,51 +263,40 @@ func run() int {
 		return 0
 	}
 
-	if *nodes != "" {
-		if *isolate > 0 {
-			return fail(errors.New("-nodes and -isolate are mutually exclusive (pick one executor transport)"))
-		}
-		coord := fleet.New(fleet.Config{
-			Nodes:   strings.Split(*nodes, ","),
-			Metrics: reg,
-			// The fleet's task budget is the same wall-clock point budget
-			// isolation enforces: all reps and retries share it.
-			TaskTimeout:      *pointTO,
+	if *isolate > 0 || *nodes != "" {
+		cfg := supervisor.Config{
+			Workers: *isolate,
+			// The point budget is enforced from outside: a local worker is
+			// SIGKILLed instead of a goroutine being abandoned, so the
+			// whole point (all reps and retries) shares one wall-clock
+			// budget.
+			PointTimeout:     *pointTO,
+			MemLimit:         os.Getenv("JVMPOWER_WORKER_GOMEMLIMIT"),
 			BreakerThreshold: *breakerK,
+			Metrics:          reg,
 			Stderr:           os.Stderr,
 			OnNodeEvent:      r.ObserveNodeEvent,
-		})
-		defer coord.Close()
-		r.Fleet = coord
-		r.BreakerThreshold = *breakerK
-		fmt.Fprintf(os.Stderr, "experiments: fleet active: %d node(s)\n", len(strings.Split(*nodes, ",")))
-	}
-
-	if *isolate > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return fail(err)
 		}
-		sup, err := supervisor.New(supervisor.Config{
-			Argv:    []string{exe, "-worker"},
-			Workers: *isolate,
-			// Under isolation the point budget is enforced from outside:
-			// the supervisor SIGKILLs the worker instead of abandoning a
-			// goroutine, so the whole point (all reps and retries) shares
-			// one wall-clock budget.
-			PointTimeout: *pointTO,
-			MemLimit:     os.Getenv("JVMPOWER_WORKER_GOMEMLIMIT"),
-			Metrics:      reg,
-			Stderr:       os.Stderr,
-		})
+		if *isolate > 0 {
+			exe, err := os.Executable()
+			if err != nil {
+				return fail(err)
+			}
+			cfg.Argv = []string{exe, "-worker"}
+			fmt.Fprintf(os.Stderr, "experiments: isolation active: %d worker(s)\n", *isolate)
+		}
+		if *nodes != "" {
+			cfg.Nodes = strings.Split(*nodes, ",")
+			fmt.Fprintf(os.Stderr, "experiments: fleet active: %d node(s)\n", len(cfg.Nodes))
+		}
+		sup, err := supervisor.New(cfg)
 		if err != nil {
 			return fail(err)
 		}
 		defer sup.Close()
 		r.Supervisor = sup
 		r.BreakerThreshold = *breakerK
-		fmt.Fprintf(os.Stderr, "experiments: isolation active: %d worker(s)\n", *isolate)
-	} else if *breakerK != 0 && *nodes == "" {
+	} else if *breakerK != 0 {
 		return fail(errors.New("-breaker requires -isolate or -nodes (breakers count executor deaths)"))
 	}
 
@@ -378,7 +366,6 @@ func run() int {
 			Metrics:          reg,
 			CacheDir:         *cacheDir,
 			Supervisor:       r.Supervisor,
-			Fleet:            r.Fleet,
 			BreakerThreshold: *breakerK,
 			PointTimeout:     *pointTO,
 			MaxQueue:         *queueDepth,

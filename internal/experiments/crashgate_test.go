@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/supervisor"
 )
@@ -101,11 +100,14 @@ func crashDriverMain() int {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() {
-			_ = fleet.Serve(ctx, ln, fleet.ServeConfig{Name: "n0", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
+			_ = supervisor.Serve(ctx, ln, supervisor.ServeConfig{Name: "n0", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
 		}()
-		coord := fleet.New(fleet.Config{Nodes: []string{ln.Addr().String()}, Metrics: r.Metrics, Stderr: io.Discard})
-		defer coord.Close()
-		r.Fleet = coord
+		sup, err := supervisor.New(supervisor.Config{Nodes: []string{ln.Addr().String()}, Metrics: r.Metrics, Stderr: io.Discard})
+		if err != nil {
+			return fail(err)
+		}
+		defer sup.Close()
+		r.Supervisor = sup
 	default:
 		return fail(fmt.Errorf("unknown JVMPOWER_DRIVER_MODE %q", mode))
 	}

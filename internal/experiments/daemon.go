@@ -4,8 +4,8 @@ package experiments
 // in a long-lived job service: clients submit campaigns (a figure set, a
 // seed, an optional fault plan), the jobqueue admits or sheds them, and
 // each accepted job runs on its own Runner — own seed, own context, own
-// output buffer — against the shared disk cache, shared fleet or
-// supervisor backend, and the shared cross-runner flight table.
+// output buffer — against the shared disk cache, shared supervisor, and
+// the shared cross-runner flight table.
 //
 // Crash safety is the WAL journal from the resilient-state PR, reused as
 // a durable job log. Every job transition — accepted, recovered, started,
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/jobqueue"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/supervisor"
@@ -151,10 +150,9 @@ type DaemonConfig struct {
 	// recommended: without it, recovery re-runs jobs from scratch and
 	// cross-job dedupe only helps concurrent overlap.
 	CacheDir string
-	// Supervisor / Fleet route point computation exactly as on a Runner;
-	// both nil computes in-process.
+	// Supervisor routes point computation exactly as on a Runner; nil
+	// computes in-process.
 	Supervisor       *supervisor.Supervisor
-	Fleet            *fleet.Coordinator
 	BreakerThreshold int
 	PointTimeout     time.Duration
 	Retries          int
@@ -431,7 +429,7 @@ func (d *Daemon) WaitEvents(ctx context.Context, id string, from int) ([]JobEven
 
 // execute renders one job's campaign on a fresh Runner. Each job gets
 // its own seed, context, fault plan, and output buffer; the disk cache,
-// metrics, fleet/supervisor backend, and cross-runner flight table are
+// metrics, supervisor, and cross-runner flight table are
 // shared with every other job.
 func (d *Daemon) execute(ctx context.Context, j *jobqueue.Job) error {
 	dj := j.Payload.(*daemonJob)
@@ -445,7 +443,6 @@ func (d *Daemon) execute(ctx context.Context, j *jobqueue.Job) error {
 	r.CacheDir = d.cfg.CacheDir
 	r.Metrics = d.cfg.Metrics
 	r.Supervisor = d.cfg.Supervisor
-	r.Fleet = d.cfg.Fleet
 	r.BreakerThreshold = d.cfg.BreakerThreshold
 	r.Ctx = ctx
 	r.Shared = d.shared

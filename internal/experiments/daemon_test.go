@@ -411,3 +411,26 @@ func TestDaemonSharedDedupe(t *testing.T) {
 		t.Fatalf("two identical campaigns ran characterize %d times, single campaign needs %d", runs, refRuns)
 	}
 }
+
+// TestSharedOwnerRechecksDiskCache: a point another job finished — stored
+// to disk, its flight already unpublished — between this runner's cache
+// probe and its own flight is served from disk, not computed again. That
+// window is how TestDaemonSharedDedupe occasionally counted one run too
+// many.
+func TestSharedOwnerRechecksDiskCache(t *testing.T) {
+	path, p, _ := cacheEntryPath(t)
+	var buf strings.Builder
+	r := quickRunner(&buf)
+	r.CacheDir = filepath.Dir(path)
+	r.Metrics = metrics.NewRegistry()
+	res, source, _, err := NewSharedFlights().compute(r, p, p.key())
+	if err != nil || res == nil {
+		t.Fatalf("compute = %v, %v", res, err)
+	}
+	if source != "disk" {
+		t.Fatalf("source = %q, want disk", source)
+	}
+	if n := r.Metrics.Counter("core.characterize.runs").Value(); n != 0 {
+		t.Fatalf("characterize ran %d times for a point already on disk", n)
+	}
+}

@@ -23,7 +23,6 @@ import (
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/supervisor"
@@ -78,24 +77,17 @@ type Runner struct {
 	// the figures treat as abortive.
 	Ctx context.Context
 
-	// Supervisor, when non-nil, routes every computed point to a supervised
-	// worker subprocess (see isolate.go) instead of computing in-process.
-	// Under isolation PointTimeout is enforced by the supervisor with a
-	// real SIGKILL — configure it on the supervisor, not here — and worker
-	// deaths feed per-figure circuit breakers.
+	// Supervisor, when non-nil, routes every computed point to an
+	// executor — a local worker subprocess or a remote node (see
+	// isolate.go) — instead of computing in-process. The supervisor then
+	// enforces the point budget from outside (configure PointTimeout on
+	// it, not here), and executor deaths feed per-figure circuit
+	// breakers.
 	Supervisor *supervisor.Supervisor
-	// BreakerThreshold is the consecutive-worker-death count that trips a
-	// figure's circuit breaker: 0 means the default (3), negative disables
-	// tripping. Ignored without a Supervisor or Fleet.
+	// BreakerThreshold is the consecutive-executor-death count that trips
+	// a figure's circuit breaker: 0 means the default (3), negative
+	// disables tripping. Ignored without a Supervisor.
 	BreakerThreshold int
-
-	// Fleet, when non-nil, routes every computed point to a remote
-	// executor node over the socket transport (see fleet.go) instead of
-	// computing in-process or on a local supervised worker. Points shard
-	// by figure and sweep group, idle nodes steal under skew, and node
-	// deaths feed the same per-figure circuit breakers isolation uses.
-	// Takes precedence over Supervisor.
-	Fleet *fleet.Coordinator
 
 	// Shared, when non-nil, coalesces in-flight computations with other
 	// runners through a cross-runner flight table keyed by the
@@ -123,12 +115,6 @@ type Runner struct {
 
 	breakerMu sync.Mutex
 	breakers  map[string]*supervisor.Breaker
-
-	// activeFig names the figure currently rendering (set by RunFigure);
-	// the fleet path folds it into each point's shard key so a figure's
-	// points land on one node.
-	figMu     sync.Mutex
-	activeFig string
 }
 
 // flight is one singleflight cache entry: the first Run for a key owns the
@@ -436,9 +422,6 @@ func (r *Runner) RunFigure(name string) error {
 	if !ok {
 		return fmt.Errorf("experiments: unknown figure %q (have %v)", name, FigureNames())
 	}
-	r.figMu.Lock()
-	r.activeFig = name
-	r.figMu.Unlock()
 	start := time.Now()
 	err := fn(r)
 	r.Metrics.Gauge("experiments.figure." + name + ".seconds").Set(time.Since(start).Seconds())

@@ -13,18 +13,17 @@ import (
 	"testing"
 	"time"
 
-	"jvmpower/internal/fleet"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/pointproto"
+	"jvmpower/internal/supervisor"
 )
 
 // The cross-node determinism gate: a figure rendered across a fleet of
-// loopback nodes — under shuffled completion order, mid-run steals, and an
-// injected disconnect — must be byte-identical to the single-process run at
-// the same seed. This is the acceptance test for the whole distributed
-// path: if any part of the coordinator (scheduling, stealing, requeue,
-// result decode) leaked nondeterminism into figure output, these bytes
-// would differ.
+// loopback nodes — under shuffled completion order and an injected
+// disconnect — must be byte-identical to the single-process run at the
+// same seed. This is the acceptance test for the whole distributed path:
+// if any part of the supervisor (scheduling, requeue, result decode)
+// leaked nondeterminism into figure output, these bytes would differ.
 
 // listenLoopback opens a loopback listener for a test fleet node.
 func listenLoopback(t *testing.T) net.Listener {
@@ -36,14 +35,14 @@ func listenLoopback(t *testing.T) net.Listener {
 	return ln
 }
 
-// startFleetNode runs fleet.Serve on ln until test cleanup.
-func startFleetNode(t *testing.T, ln net.Listener, cfg fleet.ServeConfig) {
+// startFleetNode runs supervisor.Serve on ln until test cleanup.
+func startFleetNode(t *testing.T, ln net.Listener, cfg supervisor.ServeConfig) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = fleet.Serve(ctx, ln, cfg)
+		_ = supervisor.Serve(ctx, ln, cfg)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -78,8 +77,8 @@ func (l *dropOnceListener) Accept() (net.Conn, error) {
 
 // dropAfterConn counts TaskResult frames by first byte — valid because
 // WriteFrame emits each frame in a single Write — and severs the connection
-// when the budget is spent. The severed write's task is still inflight
-// coordinator-side, so the disconnect always forces at least one requeue.
+// when the budget is spent. The severed write's task is still in flight
+// supervisor-side, so the disconnect always forces at least one requeue.
 type dropAfterConn struct {
 	net.Conn
 	mu      sync.Mutex
@@ -102,10 +101,10 @@ func (c *dropAfterConn) Write(b []byte) (int, error) {
 }
 
 // TestFleetByteIdentical renders Figures 6 and 7 across three loopback
-// nodes — one fast, one slow enough to force steals, one whose transport
-// drops mid-campaign — and requires the output byte-identical to the
-// in-process run, with the metrics proving each chaos ingredient actually
-// fired.
+// nodes — one whose transport drops mid-campaign, one slow enough to
+// shuffle completion order, one fast — and requires the output
+// byte-identical to the in-process run, with the metrics proving each
+// chaos ingredient actually fired.
 func TestFleetByteIdentical(t *testing.T) {
 	var inproc strings.Builder
 	ref := quickRunner(&inproc)
@@ -115,13 +114,15 @@ func TestFleetByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Node A: computes immediately.
-	lnA := listenLoopback(t)
-	startFleetNode(t, lnA, fleet.ServeConfig{Name: "A", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
-	// Node B: slow with capacity 1, so its shard-affine queue backs up —
-	// the idle nodes must steal, and completion order shuffles.
+	// Node C, listed first so it starts first and takes the first points:
+	// a healthy handler behind a transport that disconnects after two
+	// results; it reconnects clean and finishes what it restarts.
+	lnC := listenLoopback(t)
+	startFleetNode(t, &dropOnceListener{Listener: lnC, limit: 2},
+		supervisor.ServeConfig{Name: "C", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
+	// Node B: slow with capacity 1, so completion order shuffles.
 	lnB := listenLoopback(t)
-	startFleetNode(t, lnB, fleet.ServeConfig{
+	startFleetNode(t, lnB, supervisor.ServeConfig{
 		Name: "B", Capacity: 1,
 		Handler: func(spec pointproto.Spec) []byte {
 			time.Sleep(10 * time.Millisecond)
@@ -129,22 +130,23 @@ func TestFleetByteIdentical(t *testing.T) {
 		},
 		Stderr: io.Discard,
 	})
-	// Node C: healthy handler behind a transport that disconnects after
-	// two results; it reconnects clean and finishes what it restarts.
-	lnC := listenLoopback(t)
-	startFleetNode(t, &dropOnceListener{Listener: lnC, limit: 2},
-		fleet.ServeConfig{Name: "C", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
+	// Node A: computes immediately.
+	lnA := listenLoopback(t)
+	startFleetNode(t, lnA, supervisor.ServeConfig{Name: "A", Capacity: 2, Handler: HandleSpec, Stderr: io.Discard})
 
 	var out strings.Builder
 	r := quickRunner(&out)
 	r.Metrics = metrics.NewRegistry()
-	coord := fleet.New(fleet.Config{
-		Nodes:   []string{lnA.Addr().String(), lnB.Addr().String(), lnC.Addr().String()},
+	sup, err := supervisor.New(supervisor.Config{
+		Nodes:   []string{lnC.Addr().String(), lnB.Addr().String(), lnA.Addr().String()},
 		Metrics: r.Metrics,
 		Stderr:  io.Discard,
 	})
-	t.Cleanup(coord.Close)
-	r.Fleet = coord
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Close)
+	r.Supervisor = sup
 	for _, fig := range []string{"fig6", "fig7"} {
 		if err := r.RunFigure(fig); err != nil {
 			t.Fatal(err)
@@ -157,10 +159,10 @@ func TestFleetByteIdentical(t *testing.T) {
 	if n := len(r.Faulted()); n != 0 {
 		t.Fatalf("fleet campaign degraded %d points: %+v", n, r.Faulted())
 	}
-	if v := r.Metrics.Counter("experiments.fleet.points").Value(); v == 0 {
+	if v := r.Metrics.Counter("supervisor.points.ok").Value(); v == 0 {
 		t.Fatal("no points computed through the fleet")
 	}
-	for _, name := range []string{"fleet.steals", "fleet.requeues", "fleet.crashes.disconnect"} {
+	for _, name := range []string{"supervisor.requeues", "supervisor.crashes.disconnect"} {
 		if v := r.Metrics.Counter(name).Value(); v == 0 {
 			t.Fatalf("%s = 0: the gate's chaos did not fire", name)
 		}
@@ -178,7 +180,7 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	journalPath := filepath.Join(dir, "fleet.jsonl")
 
 	ln := listenLoopback(t)
-	startFleetNode(t, ln, fleet.ServeConfig{Name: "n0", Handler: HandleSpec, Stderr: io.Discard})
+	startFleetNode(t, ln, supervisor.ServeConfig{Name: "n0", Handler: HandleSpec, Stderr: io.Discard})
 
 	var out1 strings.Builder
 	r1 := quickRunner(&out1)
@@ -189,12 +191,15 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.Journal = j1
-	coord1 := fleet.New(fleet.Config{Nodes: []string{ln.Addr().String()}, Metrics: r1.Metrics, Stderr: io.Discard})
-	r1.Fleet = coord1
+	sup1, err := supervisor.New(supervisor.Config{Nodes: []string{ln.Addr().String()}, Metrics: r1.Metrics, Stderr: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Supervisor = sup1
 	if err := r1.RunFigure("fig6"); err != nil {
 		t.Fatal(err)
 	}
-	coord1.Close()
+	sup1.Close()
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +224,7 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	// Fleet resume: a fresh node counting executions — there must be none.
 	var executed atomic.Int64
 	ln2 := listenLoopback(t)
-	startFleetNode(t, ln2, fleet.ServeConfig{
+	startFleetNode(t, ln2, supervisor.ServeConfig{
 		Name: "n1",
 		Handler: func(spec pointproto.Spec) []byte {
 			executed.Add(1)
@@ -234,9 +239,12 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	if _, err := r2.LoadResume(mergedPath); err != nil {
 		t.Fatal(err)
 	}
-	coord2 := fleet.New(fleet.Config{Nodes: []string{ln2.Addr().String()}, Metrics: r2.Metrics, Stderr: io.Discard})
-	t.Cleanup(coord2.Close)
-	r2.Fleet = coord2
+	sup2, err := supervisor.New(supervisor.Config{Nodes: []string{ln2.Addr().String()}, Metrics: r2.Metrics, Stderr: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup2.Close)
+	r2.Supervisor = sup2
 	if err := r2.RunFigure("fig6"); err != nil {
 		t.Fatal(err)
 	}

@@ -12,31 +12,55 @@ import (
 	"jvmpower/internal/supervisor"
 )
 
-// Process-isolated point execution: the parent half of worker mode. When
-// Runner.Supervisor is set, runPoint routes every computed point through
-// computeIsolated instead of computeResilient — the spec crosses the
-// pointproto boundary to a pooled worker subprocess, and the result comes
-// back as the same cachedPoint shape the disk cache serves, so figures
-// cannot tell the difference (the byte-identical guarantee the isolation
-// tests pin).
+// Executor-computed points: the supervisor's half of worker and node mode.
+// When Runner.Supervisor is set, runPoint routes every computed point
+// through computeIsolated instead of computeResilient — the spec crosses
+// the pointproto boundary to a local worker subprocess or a remote node,
+// and the result comes back as the same cachedPoint shape the disk cache
+// serves, so figures cannot tell the difference (the byte-identical
+// guarantee the isolation and fleet gates pin).
 //
-// What isolation buys over the in-process guard: a point that exceeds its
-// budget or wedges is SIGKILLed and its CPU and heap actually come back
-// (the in-process guard can only abandon the goroutine and let the
+// What a local worker buys over the in-process guard: a point that exceeds
+// its budget or wedges is SIGKILLed and its CPU and heap actually come
+// back (the in-process guard can only abandon the goroutine and let the
 // cancellation poll wind it down); a point that OOMs takes a worker, not
-// the campaign. Worker deaths surface as *supervisor.CrashError, which is
-// what feeds the per-figure circuit breakers.
+// the campaign. Executor deaths surface as *supervisor.CrashError, which
+// is what feeds the per-figure circuit breakers.
 
-// defaultBreakerThreshold is the consecutive-worker-death count that trips
-// a figure's circuit breaker when Runner.BreakerThreshold is unset.
+// defaultBreakerThreshold is the consecutive-executor-death count that
+// trips a figure's circuit breaker when Runner.BreakerThreshold is unset.
 const defaultBreakerThreshold = 3
 
-// computeIsolated produces one point's result on a supervised worker. The
-// result is persisted to the disk cache exactly as computeResilient would
-// have, so isolated and in-process campaigns interoperate through the same
-// cache. Worker deaths come back as *supervisor.CrashError; a worker that
-// stayed alive and reported a point failure comes back as a plain error
-// carrying the same string the in-process path would have produced.
+// NodeEvent is the journal record of an executor lifecycle transition.
+// Distinguished from PointEvents by the event field ("node"); LoadResume
+// ignores it. The "up" detail carries the executor's benchstat-style
+// environment capture — per the VM-warmup literature, results from
+// different machines are only comparable with this provenance recorded
+// next to them.
+type NodeEvent struct {
+	Event  string `json:"event"` // "node"
+	Node   string `json:"node"`
+	State  string `json:"state"` // "up", "down", "breaker-open", "draining", or "drained"
+	Detail string `json:"detail,omitempty"`
+}
+
+// ObserveNodeEvent journals one executor lifecycle transition;
+// cmd/experiments wires it into the supervisor's OnNodeEvent hook. It
+// writes nothing to Runner.Out — executor lifecycle is provenance, and
+// figure output must stay byte-identical to the in-process run (the
+// supervisor's Stderr carries the human-readable log line).
+func (r *Runner) ObserveNodeEvent(node, event, detail string) {
+	if r.Journal != nil {
+		_ = r.Journal.Record(NodeEvent{Event: "node", Node: node, State: event, Detail: detail})
+	}
+}
+
+// computeIsolated produces one point's result on an executor. The result
+// is persisted to the disk cache exactly as computeResilient would have,
+// so executor and in-process campaigns interoperate through the same
+// cache. Executor deaths come back as *supervisor.CrashError; an executor
+// that stayed alive and reported a point failure comes back as a plain
+// error carrying the same string the in-process path would have produced.
 func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error) {
 	ctx := r.Ctx
 	if ctx == nil {
@@ -45,7 +69,6 @@ func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error)
 	payload, err := r.Supervisor.Run(ctx, r.wireSpec(p))
 	if err != nil {
 		if ce, ok := supervisor.AsCrash(err); ok {
-			r.Metrics.Counter("experiments.isolated.crashes").Inc()
 			return nil, 0, fmt.Errorf("experiments: %s: %w", p, ce)
 		}
 		return nil, 0, err
@@ -55,12 +78,11 @@ func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error)
 		return nil, attempts, err
 	}
 	r.storePoint(k, res)
-	r.Metrics.Counter("experiments.isolated.points").Inc()
 	return res, attempts, nil
 }
 
 // wireSpec serializes a point plus every runner setting that determines
-// its bytes — the payload both the pipe and socket transports carry.
+// its bytes — the spec every executor receives.
 func (r *Runner) wireSpec(p Point) pointproto.Spec {
 	return pointproto.Spec{
 		Bench:     p.Bench.Name,
@@ -100,11 +122,11 @@ func decodePointPayload(p Point, payload []byte) (*core.Result, int, error) {
 }
 
 // breaker returns the figure's circuit breaker, creating it on first use.
-// Breakers exist only under isolation or a fleet (worker and node deaths
-// are the event they count); without either this returns nil and the
-// nil-safe breaker API keeps the in-process path untouched.
+// Breakers exist only with a Supervisor (executor deaths are the event
+// they count); without one this returns nil and the nil-safe breaker API
+// keeps the in-process path untouched.
 func (r *Runner) breaker(fig string) *supervisor.Breaker {
-	if r.Supervisor == nil && r.Fleet == nil {
+	if r.Supervisor == nil {
 		return nil
 	}
 	threshold := r.BreakerThreshold

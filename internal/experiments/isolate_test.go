@@ -88,7 +88,7 @@ func TestIsolatedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := r2.Metrics.Counter("experiments.isolated.points").Value(); got == 0 {
+	if got := r2.Metrics.Counter("supervisor.points.ok").Value(); got == 0 {
 		t.Fatal("no points went through the supervisor: isolation not active")
 	}
 	if inproc.String() != isolated.String() {

@@ -82,7 +82,7 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 	writeShardJournal(t, a,
 		pe("_209_db", 64, "ok", ""),
 		pe("_213_javac", 64, "error", "zzz: node died"),
-		FleetNodeEvent{Event: "node", Node: "n0", State: "up", Detail: "env"},
+		NodeEvent{Event: "node", Node: "n0", State: "up", Detail: "env"},
 	)
 	writeShardJournal(t, b,
 		pe("_209_db", 64, "error", "late shard lost it"), // the ok in shard a must win

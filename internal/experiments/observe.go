@@ -56,15 +56,19 @@ import (
 // result came from, how long it took, and how it ended. LoadResume replays
 // these to decide which points a crashed run already completed.
 type PointEvent struct {
-	Bench      string  `json:"bench"`
-	Flavor     string  `json:"flavor"`
-	Collector  string  `json:"collector,omitempty"`
-	HeapMB     int     `json:"heap_mb"`
-	Platform   string  `json:"platform"`
-	S10        bool    `json:"s10,omitempty"`
-	FanOff     bool    `json:"fan_off,omitempty"`
-	Outcome    string  `json:"outcome"` // "ok" or "error"
-	Source     string  `json:"source"`  // "computed", "isolated", "fleet", "shared", "disk", "resume", or "merged"
+	Bench     string `json:"bench"`
+	Flavor    string `json:"flavor"`
+	Collector string `json:"collector,omitempty"`
+	HeapMB    int    `json:"heap_mb"`
+	Platform  string `json:"platform"`
+	S10       bool   `json:"s10,omitempty"`
+	FanOff    bool   `json:"fan_off,omitempty"`
+	Outcome   string `json:"outcome"` // "ok" or "error"
+	// Source is where the result came from: "computed" (in-process),
+	// "isolated" (a supervised executor, local worker or remote node),
+	// "shared", "disk", "resume", or "merged". Older journals also say
+	// "fleet" for a remote node.
+	Source     string  `json:"source"`
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
 	// Attempts counts characterization attempts across retries and quorum
@@ -119,14 +123,10 @@ func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
 	return res, err
 }
 
-// computePoint routes one cache-missed point to its executor: the fleet,
-// a supervised worker, or the in-process resilience stack, reporting
-// which as the journal source.
+// computePoint routes one cache-missed point to its executor: the
+// supervisor or the in-process resilience stack, reporting which as the
+// journal source.
 func (r *Runner) computePoint(p Point, k pointKey) (*core.Result, string, int, error) {
-	if r.Fleet != nil {
-		res, attempts, err := r.computeFleet(p, k)
-		return res, "fleet", attempts, err
-	}
 	if r.Supervisor != nil {
 		res, attempts, err := r.computeIsolated(p, k)
 		return res, "isolated", attempts, err

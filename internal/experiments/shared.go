@@ -15,9 +15,9 @@ import (
 // so overlapping campaigns from different clients would still compute the
 // same point twice. SharedFlights closes that gap: it coalesces in-flight
 // computations across runners, keyed by the content-addressed disk-cache
-// key — the same identity the disk cache and the fleet dedupe on, which
-// folds in seed, quick, fault plan, and reps, so only byte-identical work
-// ever coalesces.
+// key — the same identity the disk cache stores under, which folds in
+// seed, quick, fault plan, and reps, so only byte-identical work ever
+// coalesces.
 //
 // It is an in-flight dedupe, not a store: a completed flight is forgotten
 // immediately (the disk cache is the durable memo), so memory stays
@@ -41,8 +41,8 @@ func NewSharedFlights() *SharedFlights {
 
 // compute produces one point's result, coalescing with any other runner's
 // in-flight computation of the same content-addressed key. The first
-// caller owns the computation (through the runner's normal fleet /
-// isolated / in-process path); joiners wait and share the outcome with
+// caller owns the computation (through the runner's normal supervisor or
+// in-process path); joiners wait and share the outcome with
 // source "shared". Deterministic failures are shared too — the simulation
 // would fail identically for every joiner — but an owner cancelled by its
 // *own* job's context must not poison the others: joiners detect
@@ -98,6 +98,12 @@ func (s *SharedFlights) own(r *Runner, p Point, k pointKey, key string, f *share
 		s.mu.Unlock()
 		close(f.ready)
 	}()
+	// A flight that finished after runPoint's cache probe has already
+	// stored its result and unpublished itself: serve the stored copy
+	// rather than compute the point a second time.
+	if cached, ok := r.loadPoint(k); ok {
+		return cached, "disk", 0, nil
+	}
 	res, source, attempts, err = r.computePoint(p, k)
 	return res, source, attempts, err
 }

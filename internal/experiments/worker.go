@@ -1,11 +1,12 @@
 package experiments
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"syscall"
 	"time"
@@ -13,26 +14,23 @@ import (
 	"jvmpower/internal/faultinject"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/pointproto"
+	"jvmpower/internal/supervisor"
 	"jvmpower/internal/workloads"
 )
 
-// Worker mode: the experiments binary re-invoked as a supervised point
-// worker (`experiments -worker`). The parent's supervisor sends one
-// pointproto.Spec per characterization point; the worker reconstructs the
-// point and an inner Runner from it and computes through the exact
-// resilience stack the in-process path uses (computeResilient: quorum
-// repetitions, transient-fault retries, panic isolation), streaming
-// heartbeats while it works. The result payload is the gob of a
-// workerResult — whose Point field is the same cachedPoint the disk cache
-// persists — so the parent consumes an isolated result exactly as it
-// consumes a cache hit, which is what makes isolated and in-process runs
-// byte-identical at the same seed.
+// Executor mode: the experiments binary serving points to a supervisor,
+// either as a local worker (`experiments -worker`, on its stdin/stdout) or
+// as a remote node (`experiments -serve-node`, over TCP). Both speak the
+// same node dialect (supervisor.ServeConn). Each spec is rebuilt into the
+// point and an inner Runner, which computes through the exact resilience
+// stack the in-process path uses (computeResilient: quorum repetitions,
+// transient-fault retries, panic isolation). The result payload is the gob
+// of a workerResult — whose Point field is the same cachedPoint the disk
+// cache persists — so the supervisor's side consumes an executor's result
+// exactly as it consumes a cache hit, which is what makes executor and
+// in-process runs byte-identical at the same seed.
 
-// workerHeartbeatInterval paces liveness frames during a point. It must sit
-// well under any plausible supervisor heartbeat budget (default 2s).
-const workerHeartbeatInterval = 50 * time.Millisecond
-
-// workerResult is the payload of a MsgResult frame: either a completed
+// workerResult is the payload of a task-result frame: either a completed
 // point (OK with its cachedPoint) or the attempt chain's terminal error,
 // rendered to a string — the same string the in-process path would have put
 // in the fault report, so degraded cells read identically either way.
@@ -43,94 +41,82 @@ type workerResult struct {
 	Point    cachedPoint
 }
 
-// ServeWorker runs the worker side of the protocol until the parent closes
-// the spec stream (clean shutdown) or a write fails (the parent died; the
-// worker has no reason to outlive it). Specs are served strictly in order,
-// one at a time — parallelism is the parent's pool, not the worker's.
-func ServeWorker(in io.Reader, out io.Writer) error {
-	if err := pointproto.WriteFrame(out, pointproto.MsgHello,
-		pointproto.MarshalHello(pointproto.Hello{Version: pointproto.Version, PID: uint64(os.Getpid())})); err != nil {
-		return fmt.Errorf("experiments: worker handshake: %w", err)
+// ServeWorker serves points to the parent's supervisor over the worker's
+// stdin and stdout, one at a time, until the parent closes stdin (clean
+// shutdown) or a write fails (the parent died; the worker has no reason to
+// outlive it).
+func ServeWorker(in io.Reader, out io.WriteCloser) error {
+	return supervisor.ServeConn(stdio{in, out}, supervisor.ServeConfig{Capacity: 1, Handler: workerHandle})
+}
+
+// stdio is a worker's connection to its supervisor. Closing it closes
+// stdout, which the supervisor reads as the worker leaving.
+type stdio struct {
+	io.Reader
+	io.WriteCloser
+}
+
+// workerHandle is HandleSpec plus the worker-only fault directives, keyed
+// by the same canonical point identity every other directive targets.
+// They simulate the two deaths only a local worker can contain, for the
+// supervisor's own acceptance tests; a remote node never honours them.
+func workerHandle(spec pointproto.Spec) []byte {
+	inner, p, perr := rebuild(spec)
+	if perr == nil {
+		switch key := p.String(); {
+		case inner.Faults.PointHangs(key):
+			// Wedge: stop the whole process, heartbeat goroutine included,
+			// so the supervisor's watchdog must kill it.
+			killSelf(syscall.SIGSTOP)
+		case inner.Faults.PointKills(key):
+			// The kernel OOM killer's exact signature: a SIGKILL the
+			// supervisor did not send.
+			killSelf(syscall.SIGKILL)
+		}
 	}
-	br := bufio.NewReader(in)
+	return encodePoint(inner, p, perr)
+}
+
+// killSelf signals the worker's own process and never returns.
+func killSelf(sig syscall.Signal) {
+	_ = syscall.Kill(os.Getpid(), sig)
 	for {
-		typ, payload, err := pointproto.ReadFrame(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("experiments: worker reading spec: %w", err)
-		}
-		if typ != pointproto.MsgSpec {
-			return fmt.Errorf("experiments: worker got unexpected %s frame", typ)
-		}
-		spec, err := pointproto.UnmarshalSpec(payload)
-		if err != nil {
-			return fmt.Errorf("experiments: worker decoding spec: %w", err)
-		}
-		if err := serveSpec(out, spec); err != nil {
-			return err
-		}
+		time.Sleep(time.Hour)
 	}
 }
 
-// serveSpec computes one spec and writes heartbeats and the result. All
-// frames are written from this goroutine — the compute runs beside it — so
-// frames can never interleave mid-write.
-func serveSpec(out io.Writer, spec pointproto.Spec) error {
-	// Feed the parent's watchdog immediately: reconstructing the point is
-	// cheap but the first ticker tick is an interval away.
-	if err := pointproto.WriteFrame(out, pointproto.MsgHeartbeat, nil); err != nil {
-		return err
-	}
+// HandleSpec is a remote node's point handler: it reconstructs the point
+// and computes through the same resilience stack as every other path,
+// returning the workerResult gob the supervisor decodes. Errors encode into
+// the payload rather than escaping — a node answers every task it accepts.
+func HandleSpec(spec pointproto.Spec) []byte {
 	inner, p, perr := rebuild(spec)
+	return encodePoint(inner, p, perr)
+}
 
-	// The worker-only fault directives fire here, after the handshake and
-	// first heartbeat, keyed by the same canonical point identity every
-	// other directive targets. They simulate the two deaths only process
-	// isolation can contain, for the supervisor's own acceptance tests.
-	if perr == nil {
-		key := p.String()
-		if inner.Faults.PointHangs(key) {
-			// Wedge: no heartbeat, no result, no exit — the supervisor's
-			// watchdog must kill us. A sleep loop, not an empty select:
-			// blocking every goroutine forever trips the runtime's deadlock
-			// detector and would turn this hang into an exit.
-			for {
-				time.Sleep(time.Hour)
-			}
-		}
-		if inner.Faults.PointKills(key) {
-			// The kernel OOM killer's exact signature: a SIGKILL the
-			// supervisor did not send.
-			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			for {
-				time.Sleep(time.Hour)
-			}
-		}
+// ServeNode runs one remote executor node on addr until ctx is cancelled
+// or drain closes, printing the resolved listen address (addr may carry
+// port 0) so scripts can scrape it. Closing drain (cmd/experiments wires
+// the first SIGTERM/SIGINT to it) is the graceful exit: the node finishes
+// its in-flight points, announces goodbye, and departs without the
+// supervisor counting a disconnect crash; cancelling ctx aborts outright.
+// This is what `experiments -serve-node` runs.
+func ServeNode(ctx context.Context, addr string, capacity int, drain <-chan struct{}, logw io.Writer) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("experiments: fleet node: %w", err)
 	}
-
-	resCh := make(chan workerResult, 1)
-	go func() {
-		resCh <- specResult(inner, p, perr)
-	}()
-
-	tick := time.NewTicker(workerHeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if err := pointproto.WriteFrame(out, pointproto.MsgHeartbeat, nil); err != nil {
-				return err
-			}
-		case wr := <-resCh:
-			payload, err := encodeWorkerResult(wr)
-			if err != nil {
-				return err
-			}
-			return pointproto.WriteFrame(out, pointproto.MsgResult, payload)
-		}
+	fmt.Fprintf(logw, "experiments: fleet node listening on %s\n", ln.Addr())
+	err = supervisor.Serve(ctx, ln, supervisor.ServeConfig{
+		Capacity: capacity,
+		Handler:  HandleSpec,
+		Stderr:   logw,
+		Drain:    drain,
+	})
+	if err == context.Canceled {
+		return nil
 	}
+	return err
 }
 
 // specResult computes one rebuilt spec through the resilience stack,
@@ -152,26 +138,27 @@ func specResult(inner *Runner, p Point, perr error) workerResult {
 	}}
 }
 
-// encodeWorkerResult gob-encodes a result payload, degrading an
-// unencodable result to an encoded error so the peer always gets a
-// decodable payload.
-func encodeWorkerResult(wr workerResult) ([]byte, error) {
+// encodePoint computes a rebuilt spec and gob-encodes the result payload,
+// degrading an unencodable result to an encoded error so the supervisor
+// always gets a decodable payload.
+func encodePoint(inner *Runner, p Point, perr error) []byte {
+	wr := specResult(inner, p, perr)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
 		wr = workerResult{Err: fmt.Sprintf("experiments: worker encoding result: %v", err), Attempts: wr.Attempts}
 		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
-			return nil, err
-		}
+		// Unreachable for the types involved; an empty payload fails to
+		// decode supervisor-side, a protocol crash, which is the right
+		// signal.
+		_ = gob.NewEncoder(&buf).Encode(&wr)
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // rebuild reconstructs the characterization point and an inner Runner from
 // a wire spec. The inner runner carries exactly the settings that determine
 // a point's bytes (seed, quick, fault plan, reps, retries) and none of the
-// parent's supervision — timeouts, cancellation, and kill are the parent's
-// job now, which is the entire reason the worker exists.
+// supervision — timeouts, cancellation, and kill are the supervisor's job.
 func rebuild(spec pointproto.Spec) (*Runner, Point, error) {
 	bench, err := workloads.ByName(spec.Bench)
 	if err != nil {

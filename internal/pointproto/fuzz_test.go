@@ -34,13 +34,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(MsgHeartbeat), 0, 0, 0, 0})
 	var seed bytes.Buffer
-	_ = WriteFrame(&seed, MsgSpec, MarshalSpec(Spec{Bench: "_209_db", Flavor: "JikesRVM", HeapMB: 64, Platform: "P6", Seed: 1}))
+	_ = WriteFrame(&seed, MsgTask, MarshalTask(Task{ID: 2, Spec: Spec{Bench: "_209_db", Flavor: "JikesRVM", HeapMB: 64, Platform: "P6", Seed: 1}}))
 	f.Add(seed.Bytes())
 	var multi bytes.Buffer
 	_ = WriteFrame(&multi, MsgTask, MarshalTask(Task{ID: 1, Spec: Spec{Bench: "fop"}}))
 	_ = WriteFrame(&multi, MsgTaskResult, MarshalTaskResult(TaskResult{ID: 1, Payload: []byte("r")}))
 	f.Add(multi.Bytes())
-	f.Add([]byte{byte(MsgResult), 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
+	f.Add([]byte{byte(MsgTaskResult), 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		typ, payload, err := ReadFrame(r)
@@ -93,24 +93,18 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalHello drives arbitrary bytes at every handshake and
-// multiplexing codec the socket transport adds: no panics, no hostile
-// allocations, and accepted values must round-trip exactly.
+// FuzzUnmarshalHello drives arbitrary bytes at the handshake and task
+// codecs: no panics, no hostile allocations, and accepted values must
+// round-trip exactly.
 func FuzzUnmarshalHello(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MarshalHello(Hello{Version: Version, PID: 1}))
+	f.Add(MarshalNodeHello(NodeHello{Version: 99, PID: 1, Capacity: 1}))
 	f.Add(MarshalNodeHello(NodeHello{}))
 	f.Add(MarshalNodeHello(NodeHello{Version: Version, Name: "node-a:7311", PID: 77, Capacity: 8,
 		GOOS: "linux", GOARCH: "amd64", CPU: "model", GoVersion: "go1.22", GOMAXPROCS: 8, NumCPU: 8}))
 	f.Add(MarshalTask(Task{ID: 3, Spec: Spec{Bench: "_213_javac", Flavor: "JikesRVM", HeapMB: 96, Platform: "P6"}}))
 	f.Add(MarshalTaskResult(TaskResult{ID: 3, Payload: []byte{1, 2, 3}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, err := UnmarshalHello(data); err == nil {
-			again, err := UnmarshalHello(MarshalHello(h))
-			if err != nil || again != h {
-				t.Fatalf("hello round-trip mismatch: %+v vs %+v (%v)", again, h, err)
-			}
-		}
 		if h, err := UnmarshalNodeHello(data); err == nil {
 			again, err := UnmarshalNodeHello(MarshalNodeHello(h))
 			if err != nil || again != h {

@@ -1,18 +1,14 @@
-// Package pointproto is the wire protocol between the experiments
-// dispatcher and its point executors — both the isolated workers a local
-// supervisor pipes to over stdin/stdout and the remote fleet nodes a
-// coordinator dials over TCP. The frame layer is shared verbatim across
-// both transports: a 1-byte type, a 4-byte length, a payload.
-//
-// The pipe dialect is sequential (one Spec in flight, Heartbeats while it
-// computes, one Result). The socket dialect multiplexes: the node opens
-// with a NodeHello carrying its identity, capacity, and benchstat-style
-// environment capture (per the VM-warmup literature, results from
-// different machines are only comparable with per-node environment
-// provenance), then the coordinator streams Task frames — an ID plus a
-// Spec — and the node answers with TaskResult frames in whatever order
-// points finish, heartbeating all the while so the coordinator's watchdog
-// can tell a slow node from a partitioned one.
+// Package pointproto is the wire protocol between the supervisor and its
+// point executors: local worker subprocesses, spoken to over their
+// stdin/stdout, and remote nodes, over TCP. Both speak one dialect over
+// one frame layer (a 1-byte type, a 4-byte length, a payload). The
+// executor opens with a NodeHello carrying its identity, capacity, and
+// benchstat-style environment capture (per the VM-warmup literature,
+// results from different machines are only comparable with per-executor
+// environment provenance); the supervisor then streams Task frames — an ID
+// plus a Spec — and the executor answers with TaskResult frames in
+// whatever order points finish, heartbeating all the while so the
+// supervisor's watchdog can tell a slow executor from a dead one.
 //
 // Like internal/classfile, the decode side is treated as an untrusted-input
 // boundary (a crashed or corrupted peer can emit anything): ReadFrame and
@@ -27,9 +23,9 @@ import (
 	"io"
 )
 
-// Version is the protocol version carried in the Hello handshake; parent
-// and worker must agree exactly (they are the same binary in normal use,
-// but a stale worker on PATH must be rejected, not misparsed).
+// Version is the protocol version carried in the NodeHello handshake;
+// supervisor and executor must agree exactly (they are the same binary in
+// normal use, but a stale binary must be rejected, not misparsed).
 const Version = 1
 
 // MaxPayload bounds any single frame's payload. Specs are tens of bytes
@@ -40,48 +36,42 @@ const MaxPayload = 1 << 24
 // MsgType identifies a frame's payload.
 type MsgType uint8
 
-// The frame types.
+// The frame types. Types 1, 2 and 4 belonged to a retired sequential
+// worker dialect; they stay unassigned, so a peer still speaking it fails
+// at the first frame instead of being misread.
 const (
-	// MsgHello is the worker's first frame: protocol version + PID.
-	MsgHello MsgType = 1
-	// MsgSpec is a parent->worker characterization point spec.
-	MsgSpec MsgType = 2
-	// MsgHeartbeat is a worker->parent liveness tick sent while a point
-	// computes; silence past the supervisor's watchdog budget means the
-	// worker is wedged (not merely slow — a slow worker still ticks).
+	// MsgHeartbeat is an executor's liveness tick; silence past the
+	// supervisor's watchdog budget means the executor is wedged or cut off
+	// (not merely slow — a slow executor still ticks).
 	MsgHeartbeat MsgType = 3
-	// MsgResult carries a completed point's result payload.
-	MsgResult MsgType = 4
-	// MsgNodeHello is a fleet node's first frame on a coordinator
-	// connection: version, identity, capacity, and environment capture.
+	// MsgNodeHello is an executor's first frame: version, identity,
+	// capacity, and environment capture.
 	MsgNodeHello MsgType = 5
-	// MsgTask is a coordinator->node multiplexed point: a task ID plus a
-	// Spec. IDs are the coordinator's; the node echoes them back.
+	// MsgTask is a supervisor->executor point: a task ID plus a Spec. IDs
+	// are the supervisor's; the executor echoes them back.
 	MsgTask MsgType = 6
-	// MsgTaskResult is a node->coordinator completion: the task ID plus
-	// the opaque result payload (the same bytes a pipe worker's MsgResult
-	// carries).
+	// MsgTaskResult is an executor->supervisor completion: the task ID
+	// plus the opaque result payload.
 	MsgTaskResult MsgType = 7
-	// MsgNodeGoodbye is a fleet node's drain announcement: the node has
-	// finished (and answered) every in-flight task and is about to close
-	// the connection deliberately. A coordinator that has seen it treats
-	// the following EOF as a clean departure, not a disconnect crash.
+	// MsgNodeGoodbye is an executor's drain announcement: it has finished
+	// (and answered) every in-flight task and is about to close the
+	// connection deliberately. A supervisor that has seen it treats the
+	// following EOF as a clean departure, not a disconnect crash.
 	MsgNodeGoodbye MsgType = 8
 
 	maxMsgType = MsgNodeGoodbye
 )
 
+// known reports whether t is an assigned frame type.
+func (t MsgType) known() bool {
+	return t == MsgHeartbeat || (t >= MsgNodeHello && t <= maxMsgType)
+}
+
 // String names the frame type for diagnostics.
 func (t MsgType) String() string {
 	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgSpec:
-		return "spec"
 	case MsgHeartbeat:
 		return "heartbeat"
-	case MsgResult:
-		return "result"
 	case MsgNodeHello:
 		return "node-hello"
 	case MsgTask:
@@ -120,7 +110,7 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 		return 0, nil, err // io.EOF here is the clean shutdown path
 	}
 	t := MsgType(hdr[0])
-	if t == 0 || t > maxMsgType {
+	if !t.known() {
 		return 0, nil, fmt.Errorf("pointproto: unknown frame type %d", hdr[0])
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
@@ -144,11 +134,11 @@ func eofToUnexpected(err error) error {
 	return err
 }
 
-// Spec is one characterization point, serialized parent->worker: the point
-// identity plus every runner setting that determines its result. The
-// worker reconstructs a Runner from it and computes through the exact
-// resilience stack the in-process path uses, which is what makes isolated
-// and in-process runs byte-identical at the same seed.
+// Spec is one characterization point, serialized supervisor->executor:
+// the point identity plus every runner setting that determines its result.
+// The executor reconstructs a Runner from it and computes through the
+// exact resilience stack the in-process path uses, which is what makes
+// executor and in-process runs byte-identical at the same seed.
 type Spec struct {
 	Bench     string
 	Flavor    string
@@ -211,42 +201,17 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// Hello is the worker's handshake frame.
-type Hello struct {
-	Version uint64
-	PID     uint64
-}
-
-// MarshalHello encodes a handshake.
-func MarshalHello(h Hello) []byte {
-	b := binary.AppendUvarint(nil, h.Version)
-	return binary.AppendUvarint(b, h.PID)
-}
-
-// UnmarshalHello decodes a handshake.
-func UnmarshalHello(data []byte) (Hello, error) {
-	d := &specDecoder{buf: data}
-	h := Hello{Version: d.uvarint(), PID: d.uvarint()}
-	if d.err != nil {
-		return Hello{}, d.err
-	}
-	if d.off != len(d.buf) {
-		return Hello{}, fmt.Errorf("pointproto: hello has %d trailing bytes", len(d.buf)-d.off)
-	}
-	return h, nil
-}
-
-// NodeHello is a fleet node's handshake frame: protocol identity plus the
-// benchstat-style environment capture the coordinator stamps into its
-// journal. Capacity is the node's concurrent-point budget — the coordinator
-// keeps at most that many tasks in flight on the connection.
+// NodeHello is an executor's handshake frame: protocol identity plus the
+// benchstat-style environment capture the supervisor stamps into its
+// journal. Capacity is the executor's concurrent-point budget — the
+// supervisor keeps at most that many tasks in flight on the connection.
 type NodeHello struct {
 	Version  uint64
 	Name     string
 	PID      uint64
 	Capacity uint64
 
-	// Environment capture, mirroring benchstat.Environment: two nodes'
+	// Environment capture, mirroring benchstat.Environment: two executors'
 	// results are only comparable as one campaign when this provenance is
 	// recorded next to them.
 	GOOS       string
@@ -257,7 +222,7 @@ type NodeHello struct {
 	NumCPU     uint64
 }
 
-// MarshalNodeHello encodes a fleet-node handshake.
+// MarshalNodeHello encodes an executor handshake.
 func MarshalNodeHello(h NodeHello) []byte {
 	b := binary.AppendUvarint(nil, h.Version)
 	for _, str := range []string{h.Name, h.GOOS, h.GOARCH, h.CPU, h.GoVersion} {
@@ -271,8 +236,8 @@ func MarshalNodeHello(h NodeHello) []byte {
 	return b
 }
 
-// UnmarshalNodeHello decodes a fleet-node handshake, rejecting malformed
-// or trailing input.
+// UnmarshalNodeHello decodes an executor handshake, rejecting malformed or
+// trailing input.
 func UnmarshalNodeHello(data []byte) (NodeHello, error) {
 	d := &specDecoder{buf: data}
 	var h NodeHello
@@ -295,8 +260,8 @@ func UnmarshalNodeHello(data []byte) (NodeHello, error) {
 	return h, nil
 }
 
-// Task is one multiplexed coordinator->node point: the coordinator's task
-// ID plus the spec.
+// Task is one supervisor->executor point: the supervisor's task ID plus
+// the spec.
 type Task struct {
 	ID   uint64
 	Spec Spec
@@ -321,8 +286,8 @@ func UnmarshalTask(data []byte) (Task, error) {
 	return Task{ID: id, Spec: spec}, nil
 }
 
-// TaskResult is one multiplexed node->coordinator completion: the echoed
-// task ID plus the opaque result payload.
+// TaskResult is one executor->supervisor completion: the echoed task ID
+// plus the opaque result payload.
 type TaskResult struct {
 	ID      uint64
 	Payload []byte

@@ -16,10 +16,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		t       MsgType
 		payload []byte
 	}{
-		{MsgHello, MarshalHello(Hello{Version: Version, PID: 1234})},
-		{MsgSpec, MarshalSpec(Spec{Bench: "_209_db", Flavor: "JikesRVM", HeapMB: 64, Platform: "P6", Seed: 1})},
+		{MsgNodeHello, MarshalNodeHello(NodeHello{Version: Version, PID: 1234, Capacity: 1})},
+		{MsgTask, MarshalTask(Task{ID: 1, Spec: Spec{Bench: "_209_db", Flavor: "JikesRVM", HeapMB: 64, Platform: "P6", Seed: 1}})},
 		{MsgHeartbeat, nil},
-		{MsgResult, []byte("payload bytes")},
+		{MsgTaskResult, MarshalTaskResult(TaskResult{ID: 1, Payload: []byte("payload bytes")})},
+		{MsgNodeGoodbye, nil},
 	}
 	for _, f := range frames {
 		if err := WriteFrame(&buf, f.t, f.payload); err != nil {
@@ -43,18 +44,19 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFrameRejectsHostileLength checks a corrupt length prefix fails before
 // any allocation-sized-by-it happens.
 func TestFrameRejectsHostileLength(t *testing.T) {
-	raw := []byte{byte(MsgResult), 0xFF, 0xFF, 0xFF, 0xFF}
+	raw := []byte{byte(MsgTaskResult), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("4GB length prefix accepted")
 	}
-	if err := WriteFrame(io.Discard, MsgResult, make([]byte, MaxPayload+1)); err == nil {
+	if err := WriteFrame(io.Discard, MsgTaskResult, make([]byte, MaxPayload+1)); err == nil {
 		t.Fatal("oversized write payload accepted")
 	}
 }
 
-// TestFrameRejectsUnknownType checks type-byte validation.
+// TestFrameRejectsUnknownType checks type-byte validation, including the
+// retired sequential dialect's types (1 hello, 2 spec, 4 result).
 func TestFrameRejectsUnknownType(t *testing.T) {
-	for _, b := range []byte{0, byte(maxMsgType) + 1, 0xFF} {
+	for _, b := range []byte{0, 1, 2, 4, byte(maxMsgType) + 1, 0xFF} {
 		if _, _, err := ReadFrame(bytes.NewReader([]byte{b, 0, 0, 0, 0})); err == nil {
 			t.Fatalf("frame type %d accepted", b)
 		}
@@ -66,7 +68,7 @@ func TestFrameRejectsUnknownType(t *testing.T) {
 // supervisor treats as an orderly worker exit.
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgResult, []byte("hello world")); err != nil {
+	if err := WriteFrame(&buf, MsgTaskResult, []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -114,19 +116,7 @@ func TestSpecRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestHelloRoundTrip checks the handshake codec.
-func TestHelloRoundTrip(t *testing.T) {
-	want := Hello{Version: Version, PID: 99999}
-	got, err := UnmarshalHello(MarshalHello(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("hello round-trip: got %+v, want %+v", got, want)
-	}
-}
-
-// TestNodeHelloRoundTrip covers the fleet handshake codec, including empty
+// TestNodeHelloRoundTrip covers the handshake codec, including empty
 // environment fields (a node whose CPU model is undiscoverable).
 func TestNodeHelloRoundTrip(t *testing.T) {
 	hellos := []NodeHello{

@@ -14,7 +14,7 @@ import "sync"
 // There is deliberately no half-open timer: reopening after a cooldown
 // would make a run's output depend on wall-clock scheduling, and the
 // repository's figures are built on determinism. A tripped figure stays
-// tripped until the operator rrestarts the run.
+// tripped until the operator restarts the run.
 type Breaker struct {
 	mu          sync.Mutex
 	threshold   int

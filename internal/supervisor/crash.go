@@ -5,20 +5,23 @@ import (
 	"fmt"
 )
 
-// Crash classification. When a worker dies, the supervisor reduces the exit
+// Crash classification. When an executor dies, the supervisor reduces the
 // evidence — wait status, whether we initiated the kill, whether a memory
-// ceiling was set, what the protocol reader saw — to one CrashKind. The
-// taxonomy drives three consumers: the per-kind metrics counters, the fault
-// report's error strings, and the circuit breaker (every kind counts as a
-// worker death).
+// ceiling was set, what the connection reader saw — to one CrashKind. The
+// taxonomy drives four consumers: the per-kind metrics counters, the fault
+// report's error strings, the figure circuit breakers in the experiments
+// package (every kind counts as a death), and the death rule below, which
+// decides between requeueing a point and failing it.
 
-// CrashKind is the classified cause of a worker death.
+// CrashKind is the classified cause of an executor death.
 type CrashKind uint8
 
 // The crash kinds.
 const (
-	// CrashSpawn: the worker process could not be started or never
-	// completed the protocol handshake.
+	// CrashSpawn: the executor could not be started (process spawn or
+	// TCP dial) or never completed the protocol handshake, whatever the
+	// reason: silence, a wrong first frame, or a protocol version other
+	// than the supervisor's.
 	CrashSpawn CrashKind = iota
 	// CrashExit: the worker exited on its own with a nonzero status (a
 	// panic that escaped the point guard, os.Exit in a dependency, a
@@ -31,28 +34,29 @@ const (
 	// send — on Linux the kernel OOM killer's signature, and the expected
 	// outcome when a runaway point exhausts the worker's memory ceiling.
 	CrashOOM
-	// CrashProtocol: the worker wrote bytes that do not parse as frames,
-	// exited cleanly mid-point, or spoke the wrong protocol version.
+	// CrashProtocol: after the handshake, the executor wrote bytes that
+	// do not parse as frames or sent a frame out of turn, or (a local
+	// worker) exited cleanly mid-point.
 	CrashProtocol
 	// CrashTimeout: the point exceeded its wall-time budget and the
 	// supervisor killed the worker to reclaim its CPU and memory.
 	CrashTimeout
-	// CrashHang: the worker went silent — no heartbeat or result within
-	// the watchdog budget — and the supervisor killed it. Distinct from
-	// CrashTimeout: a hung worker is wedged (deadlock, livelock, stuck
-	// syscall), not merely slow.
+	// CrashHang: a local worker went silent — no heartbeat or result
+	// within the watchdog budget — and the supervisor killed it. Distinct
+	// from CrashTimeout: a hung worker is wedged (deadlock, livelock,
+	// stuck syscall), not merely slow.
 	CrashHang
-	// CrashDisconnect: a fleet node's connection closed — the remote end
+	// CrashDisconnect: a TCP node's connection closed — the remote end
 	// hung up (process killed, socket reset, clean close mid-campaign).
-	// The pipe-transport analogue is a worker exiting mid-point, but over
-	// a network the peer may come back, so the coordinator reconnects
-	// rather than respawning.
+	// A local worker's closed pipe is classified by its wait status
+	// instead; a remote peer has none to read.
 	CrashDisconnect
-	// CrashPartition: a fleet node's connection is open but silent — no
-	// heartbeat or result within the watchdog budget. The network-transport
-	// sibling of CrashHang: the node may be wedged, the link may be dead,
-	// or frames may be delayed past usefulness; the coordinator cannot
-	// distinguish these and treats them alike.
+	// CrashPartition: a TCP node's connection is open but silent — no
+	// heartbeat or result within the watchdog budget. The remote sibling
+	// of CrashHang: the node may be wedged, the link may be dead, or
+	// frames may be delayed past usefulness; the supervisor cannot tell
+	// these apart and cannot kill a remote process, so it drops the
+	// connection.
 	CrashPartition
 
 	nCrashKinds
@@ -71,9 +75,24 @@ func (k CrashKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// CrashError reports one classified worker death. It is the error the
-// experiments dispatcher receives for an isolated point whose worker died;
-// errors.As against it is how callers distinguish worker deaths (which
+// requeues is the death rule, the same for every executor.
+// Connection-level deaths (spawn, protocol, disconnect, partition) say
+// nothing about the point, so the executor's in-flight points are requeued
+// once and the death counts toward the executor's breaker. Point-level
+// deaths (exit, signal, oom, hang, timeout) fail the point in flight and
+// leave the breaker alone: the executor is restarted as often as points
+// kill it, and the figure breakers decide when to stop feeding it.
+func (k CrashKind) requeues() bool {
+	switch k {
+	case CrashSpawn, CrashProtocol, CrashDisconnect, CrashPartition:
+		return true
+	}
+	return false
+}
+
+// CrashError reports one classified executor death. It is the error the
+// experiments dispatcher receives for a point whose executor died;
+// errors.As against it is how callers distinguish executor deaths (which
 // feed circuit breakers) from ordinary point failures (which do not).
 type CrashError struct {
 	// Kind is the classified cause.

@@ -1,4 +1,4 @@
-package fleet
+package supervisor
 
 import (
 	"context"
@@ -35,7 +35,7 @@ func startServeDrain(t *testing.T, cfg ServeConfig) (addr string, done chan stru
 
 // TestGracefulDrainMidPoint drains a node while a point is computing: the
 // point must still complete and deliver its result, Serve must return nil,
-// and the coordinator must record a clean departure — zero crash counters,
+// and the supervisor must record a clean departure — zero crash counters,
 // zero requeues, a "draining"/"drained" event pair.
 func TestGracefulDrainMidPoint(t *testing.T) {
 	check := leakCheck(t)
@@ -54,7 +54,7 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 
 	var evMu sync.Mutex
 	var events []string
-	c := New(Config{
+	c, m := tcpSupervisor(t, Config{
 		Nodes: []string{addr},
 		OnNodeEvent: func(node, event, detail string) {
 			evMu.Lock()
@@ -62,7 +62,6 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 			evMu.Unlock()
 		},
 	})
-	defer c.Close()
 
 	type res struct {
 		payload []byte
@@ -70,7 +69,7 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 	}
 	resC := make(chan res, 1)
 	go func() {
-		p, err := c.Run(context.Background(), "fig", "key-b1", pointproto.Spec{Bench: "b1"})
+		p, err := c.Run(context.Background(), pointproto.Spec{Bench: "b1"})
 		resC <- res{p, err}
 	}()
 	<-started    // the point is in flight on the node
@@ -94,18 +93,17 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 		t.Fatalf("Serve returned %v after graceful drain, want nil", *serveErr)
 	}
 
-	// The coordinator's departure handling runs off its own read loop;
+	// The supervisor's departure handling runs off its own read loop;
 	// wait for it, then assert the departure was not accounted as any
 	// kind of crash.
-	waitCounter(t, c, "fleet.drains", 1)
-	m := c.Metrics()
+	waitCounter(t, m, "supervisor.drains", 1)
 	for _, kind := range []string{"disconnect", "partition", "protocol", "spawn", "timeout"} {
-		if v := m.Counter("fleet.crashes." + kind).Value(); v != 0 {
-			t.Fatalf("fleet.crashes.%s = %d after graceful drain, want 0", kind, v)
+		if v := m.Counter("supervisor.crashes." + kind).Value(); v != 0 {
+			t.Fatalf("supervisor.crashes.%s = %d after graceful drain, want 0", kind, v)
 		}
 	}
-	if v := m.Counter("fleet.requeues").Value(); v != 0 {
-		t.Fatalf("fleet.requeues = %d after graceful drain, want 0", v)
+	if v := m.Counter("supervisor.requeues").Value(); v != 0 {
+		t.Fatalf("supervisor.requeues = %d after graceful drain, want 0", v)
 	}
 
 	evMu.Lock()
@@ -118,9 +116,9 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 		t.Fatalf("node events = %q: a graceful drain must not record a down event", joined)
 	}
 
-	// The fleet is now empty: new work fails with a typed scheduling error
+	// No node is left: new work fails with a typed scheduling error
 	// instead of hanging.
-	if _, err := c.Run(context.Background(), "fig", "key-b2", pointproto.Spec{Bench: "b2"}); err == nil {
+	if _, err := c.Run(context.Background(), pointproto.Spec{Bench: "b2"}); err == nil {
 		t.Fatal("Run after the only node drained should fail")
 	} else if !strings.Contains(err.Error(), "no nodes available") {
 		t.Fatalf("post-drain Run error = %v, want no-nodes-available", err)
@@ -132,7 +130,7 @@ func TestGracefulDrainMidPoint(t *testing.T) {
 }
 
 // TestGracefulDrainIdle drains a node with nothing in flight: Serve exits
-// nil promptly and the coordinator records a drain, not a crash.
+// nil promptly and the supervisor records a drain, not a crash.
 func TestGracefulDrainIdle(t *testing.T) {
 	check := leakCheck(t)
 	drain := make(chan struct{})
@@ -140,11 +138,10 @@ func TestGracefulDrainIdle(t *testing.T) {
 		Handler: echoHandler(0, nil), Capacity: 1, Drain: drain,
 	})
 	defer stop()
-	c := New(Config{Nodes: []string{addr}})
-	defer c.Close()
+	c, m := tcpSupervisor(t, Config{Nodes: []string{addr}})
 
 	// One round trip proves the connection is fully installed first.
-	if _, err := c.Run(context.Background(), "fig", "key-b0", pointproto.Spec{Bench: "b0"}); err != nil {
+	if _, err := c.Run(context.Background(), pointproto.Spec{Bench: "b0"}); err != nil {
 		t.Fatal(err)
 	}
 	close(drain)
@@ -156,9 +153,9 @@ func TestGracefulDrainIdle(t *testing.T) {
 	if *serveErr != nil {
 		t.Fatalf("Serve returned %v, want nil", *serveErr)
 	}
-	waitCounter(t, c, "fleet.drains", 1)
-	if v := c.Metrics().Counter("fleet.crashes.disconnect").Value(); v != 0 {
-		t.Fatalf("fleet.crashes.disconnect = %d, want 0", v)
+	waitCounter(t, m, "supervisor.drains", 1)
+	if v := m.Counter("supervisor.crashes.disconnect").Value(); v != 0 {
+		t.Fatalf("supervisor.crashes.disconnect = %d, want 0", v)
 	}
 	c.Close()
 	stop()

@@ -1,11 +1,11 @@
-package fleet
+package supervisor
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -13,9 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"jvmpower/internal/metrics"
 	"jvmpower/internal/pointproto"
-	"jvmpower/internal/supervisor"
 )
+
+// TCP nodes are tested against real loopback executors (Serve) and
+// scripted raw-protocol nodes that inject the failures Serve never would.
 
 // leakCheck is the goroutine-hygiene assertion every chaos scenario runs
 // under: call before the work, invoke the returned func after teardown, and
@@ -97,26 +100,31 @@ func sendNodeHello(conn net.Conn, capacity uint64) error {
 	return pointproto.WriteFrame(conn, pointproto.MsgNodeHello, pointproto.MarshalNodeHello(h))
 }
 
-// shardFor finds a shard string whose affine placement is the given node,
-// mirroring preferredLocked's hash.
-func shardFor(nodeIdx, nNodes int) string {
-	for i := 0; ; i++ {
-		s := fmt.Sprintf("shard-%d", i)
-		h := fnv.New64a()
-		h.Write([]byte(s))
-		if int(h.Sum64()%uint64(nNodes)) == nodeIdx {
-			return s
-		}
+// tcpSupervisor builds a supervisor over TCP nodes with a fresh registry,
+// closed at test cleanup.
+func tcpSupervisor(t *testing.T, cfg Config) (*Supervisor, *metrics.Registry) {
+	t.Helper()
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
+	if cfg.Stderr == nil {
+		cfg.Stderr = io.Discard
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, cfg.Metrics
 }
 
 // waitCounter waits for a metrics counter to reach min.
-func waitCounter(t *testing.T, c *Coordinator, name string, min int64) {
+func waitCounter(t *testing.T, reg *metrics.Registry, name string, min int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Metrics().Counter(name).Value() < min {
+	for reg.Counter(name).Value() < min {
 		if time.Now().After(deadline) {
-			t.Fatalf("counter %s stuck at %d, want >= %d", name, c.Metrics().Counter(name).Value(), min)
+			t.Fatalf("counter %s stuck at %d, want >= %d", name, reg.Counter(name).Value(), min)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -141,107 +149,16 @@ func echoHandler(delay time.Duration, execs *atomic.Int64) func(pointproto.Spec)
 func TestFleetRoundTrip(t *testing.T) {
 	check := leakCheck(t)
 	addr, stop := startServe(t, ServeConfig{Handler: echoHandler(0, nil), Capacity: 2})
-	c := New(Config{Nodes: []string{addr}})
+	c, _ := tcpSupervisor(t, Config{Nodes: []string{addr}})
 	for i := 0; i < 5; i++ {
 		bench := fmt.Sprintf("b%d", i)
-		got, err := c.Run(context.Background(), "fig", "key-"+bench, pointproto.Spec{Bench: bench})
+		got, err := c.Run(context.Background(), pointproto.Spec{Bench: bench})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != "result:"+bench {
 			t.Fatalf("payload = %q", got)
 		}
-	}
-	c.Close()
-	stop()
-	check()
-}
-
-// TestStealUnderSkew pins every point's affinity to one slow node and
-// asserts the idle node steals: the campaign finishes with both nodes
-// having executed points and the steal counters advanced.
-func TestStealUnderSkew(t *testing.T) {
-	check := leakCheck(t)
-	var slowExecs, fastExecs atomic.Int64
-	slowAddr, stopSlow := startServe(t, ServeConfig{Handler: echoHandler(40*time.Millisecond, &slowExecs), Capacity: 1})
-	fastAddr, stopFast := startServe(t, ServeConfig{Handler: echoHandler(0, &fastExecs), Capacity: 1})
-	c := New(Config{Nodes: []string{slowAddr, fastAddr}})
-	shard := shardFor(0, 2) // every point prefers the slow node
-
-	const points = 12
-	var wg sync.WaitGroup
-	errs := make([]error, points)
-	for i := 0; i < points; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bench := fmt.Sprintf("b%d", i)
-			got, err := c.Run(context.Background(), shard, "key-"+bench, pointproto.Spec{Bench: bench})
-			if err == nil && string(got) != "result:"+bench {
-				err = fmt.Errorf("payload = %q", got)
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-	}
-	reg := c.Metrics()
-	if v := reg.Counter("fleet.steals").Value(); v == 0 {
-		t.Fatal("skewed campaign recorded no steals")
-	}
-	if v := reg.Counter("fleet.steals.points").Value(); v == 0 {
-		t.Fatal("skewed campaign stole no points")
-	}
-	if fastExecs.Load() == 0 {
-		t.Fatal("idle node executed nothing: stealing is not rescuing skew")
-	}
-	if slowExecs.Load()+fastExecs.Load() != points {
-		t.Fatalf("executions = %d slow + %d fast, want %d total", slowExecs.Load(), fastExecs.Load(), points)
-	}
-	c.Close()
-	stopSlow()
-	stopFast()
-	check()
-}
-
-// TestNoDoubleExecution: concurrent and repeated Runs of one dedupe key
-// execute the point exactly once — joins coalesce, completions memoize.
-func TestNoDoubleExecution(t *testing.T) {
-	check := leakCheck(t)
-	var execs atomic.Int64
-	addr, stop := startServe(t, ServeConfig{Handler: echoHandler(10*time.Millisecond, &execs), Capacity: 4})
-	c := New(Config{Nodes: []string{addr}})
-
-	const callers = 10
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := c.Run(context.Background(), "fig", "the-key", pointproto.Spec{Bench: "db"})
-			if err != nil || string(got) != "result:db" {
-				t.Errorf("Run = %q, %v", got, err)
-			}
-		}()
-	}
-	wg.Wait()
-	// And once more after completion: the memoized payload, no execution.
-	if got, err := c.Run(context.Background(), "fig", "the-key", pointproto.Spec{Bench: "db"}); err != nil || string(got) != "result:db" {
-		t.Fatalf("post-completion Run = %q, %v", got, err)
-	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("point executed %d times, want exactly 1", n)
-	}
-	reg := c.Metrics()
-	if v := reg.Counter("fleet.points").Value(); v != 1 {
-		t.Fatalf("fleet.points = %d, want 1", v)
-	}
-	if v := reg.Counter("fleet.dedupe.hits").Value(); v != callers {
-		t.Fatalf("fleet.dedupe.hits = %d, want %d", v, callers)
 	}
 	c.Close()
 	stop()
@@ -275,19 +192,18 @@ func TestRequeueExactlyOnce(t *testing.T) {
 			}
 		}
 	})
-	c := New(Config{Nodes: []string{addr}, HeartbeatTimeout: 2 * time.Second})
-	got, err := c.Run(context.Background(), "fig", "k", pointproto.Spec{Bench: "db"})
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, HeartbeatTimeout: 2 * time.Second})
+	got, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "ok" {
 		t.Fatalf("payload = %q", got)
 	}
-	reg := c.Metrics()
-	if v := reg.Counter("fleet.requeues").Value(); v != 1 {
-		t.Fatalf("fleet.requeues = %d, want 1", v)
+	if v := reg.Counter("supervisor.requeues").Value(); v != 1 {
+		t.Fatalf("supervisor.requeues = %d, want 1", v)
 	}
-	if v := reg.Counter("fleet.crashes." + supervisor.CrashDisconnect.String()).Value(); v != 1 {
+	if v := reg.Counter("supervisor.crashes." + CrashDisconnect.String()).Value(); v != 1 {
 		t.Fatalf("disconnect crashes = %d, want 1", v)
 	}
 	c.Close()
@@ -297,7 +213,7 @@ func TestRequeueExactlyOnce(t *testing.T) {
 
 // TestSecondDeathFails: a node that kills every connection mid-point burns
 // the task's single requeue and the task fails with the classified crash —
-// the fleet analogue of the dispatcher's abortive-failure rule.
+// the TCP analogue of the dispatcher's abortive-failure rule.
 func TestSecondDeathFails(t *testing.T) {
 	check := leakCheck(t)
 	addr, stop := scriptedNode(t, func(connIdx int, conn net.Conn) {
@@ -306,17 +222,17 @@ func TestSecondDeathFails(t *testing.T) {
 		}
 		pointproto.ReadFrame(conn) // swallow the task, then die
 	})
-	c := New(Config{Nodes: []string{addr}, HeartbeatTimeout: 2 * time.Second})
-	_, err := c.Run(context.Background(), "fig", "k", pointproto.Spec{Bench: "db"})
-	ce, ok := supervisor.AsCrash(err)
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, HeartbeatTimeout: 2 * time.Second})
+	_, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
+	ce, ok := AsCrash(err)
 	if !ok {
 		t.Fatalf("err = %v, want CrashError", err)
 	}
-	if ce.Kind != supervisor.CrashDisconnect {
+	if ce.Kind != CrashDisconnect {
 		t.Fatalf("crash kind = %s, want disconnect", ce.Kind)
 	}
-	if v := c.Metrics().Counter("fleet.requeues").Value(); v != 1 {
-		t.Fatalf("fleet.requeues = %d, want exactly 1", v)
+	if v := reg.Counter("supervisor.requeues").Value(); v != 1 {
+		t.Fatalf("supervisor.requeues = %d, want exactly 1", v)
 	}
 	c.Close()
 	stop()
@@ -324,7 +240,7 @@ func TestSecondDeathFails(t *testing.T) {
 }
 
 // TestBreakerOpensNodePermanently: enough consecutive deaths open the
-// node's breaker; with the whole fleet down, further Runs fail fast
+// node's breaker; with every node down, further Runs fail fast
 // instead of queueing forever.
 func TestBreakerOpensNodePermanently(t *testing.T) {
 	check := leakCheck(t)
@@ -334,26 +250,26 @@ func TestBreakerOpensNodePermanently(t *testing.T) {
 		}
 		pointproto.ReadFrame(conn)
 	})
-	c := New(Config{Nodes: []string{addr}, BreakerThreshold: 2, HeartbeatTimeout: 2 * time.Second})
-	if _, err := c.Run(context.Background(), "fig", "k1", pointproto.Spec{Bench: "a"}); err == nil {
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, BreakerThreshold: 2, HeartbeatTimeout: 2 * time.Second})
+	if _, err := c.Run(context.Background(), pointproto.Spec{Bench: "a"}); err == nil {
 		t.Fatal("task on an always-dying node succeeded")
 	}
-	if v := c.Metrics().Counter("fleet.breakers.opened").Value(); v != 1 {
+	if v := reg.Counter("supervisor.breakers.opened").Value(); v != 1 {
 		t.Fatalf("breakers.opened = %d, want 1", v)
 	}
-	// The fleet is now entirely down: fail fast, not hang.
+	// Every node is now down: fail fast, not hang.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), "fig", "k2", pointproto.Spec{Bench: "b"})
+		_, err := c.Run(context.Background(), pointproto.Spec{Bench: "b"})
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Run on an all-down fleet succeeded")
+			t.Fatal("Run with every node down succeeded")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run on an all-down fleet hung")
+		t.Fatal("Run with every node down hung")
 	}
 	c.Close()
 	stop()
@@ -380,16 +296,15 @@ func TestChaosDroppedMidFrame(t *testing.T) {
 		conn.Write(append(hdr, make([]byte, 10)...))
 	})
 	goodAddr, stopGood := startServe(t, ServeConfig{Handler: echoHandler(0, nil)})
-	c := New(Config{Nodes: []string{evilAddr, goodAddr}, HeartbeatTimeout: time.Second})
-	shard := shardFor(0, 2) // prefer the evil node
-	got, err := c.Run(context.Background(), shard, "k", pointproto.Spec{Bench: "db"})
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{evilAddr, goodAddr}, HeartbeatTimeout: time.Second})
+	got, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "result:db" {
 		t.Fatalf("payload = %q", got)
 	}
-	waitCounter(t, c, "fleet.crashes."+supervisor.CrashDisconnect.String(), 1)
+	waitCounter(t, reg, "supervisor.crashes."+CrashDisconnect.String(), 1)
 	c.Close()
 	stopEvil()
 	stopGood()
@@ -408,21 +323,20 @@ func TestChaosSlowReaderStall(t *testing.T) {
 		var block [1]byte
 		for {
 			if _, err := conn.Read(block[:]); err != nil {
-				return // unblocked by the coordinator or shutdown closing the conn
+				return // unblocked by the supervisor or shutdown closing the conn
 			}
 		}
 	})
 	goodAddr, stopGood := startServe(t, ServeConfig{Handler: echoHandler(0, nil), HeartbeatInterval: 20 * time.Millisecond})
-	c := New(Config{Nodes: []string{silentAddr, goodAddr}, HeartbeatTimeout: 250 * time.Millisecond})
-	shard := shardFor(0, 2) // prefer the silent node
-	got, err := c.Run(context.Background(), shard, "k", pointproto.Spec{Bench: "db"})
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{silentAddr, goodAddr}, HeartbeatTimeout: 250 * time.Millisecond})
+	got, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "result:db" {
 		t.Fatalf("payload = %q", got)
 	}
-	waitCounter(t, c, "fleet.crashes."+supervisor.CrashPartition.String(), 1)
+	waitCounter(t, reg, "supervisor.crashes."+CrashPartition.String(), 1)
 	c.Close()
 	stopSilent()
 	stopGood()
@@ -444,19 +358,18 @@ func TestChaosProtocolGarbage(t *testing.T) {
 		}
 		conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 		var block [1]byte
-		conn.Read(block[:]) // hold the conn open so the close is the coordinator's
+		conn.Read(block[:]) // hold the conn open so the close is the supervisor's
 	})
 	goodAddr, stopGood := startServe(t, ServeConfig{Handler: echoHandler(0, nil)})
-	c := New(Config{Nodes: []string{evilAddr, goodAddr}, HeartbeatTimeout: time.Second})
-	shard := shardFor(0, 2)
-	got, err := c.Run(context.Background(), shard, "k", pointproto.Spec{Bench: "db"})
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{evilAddr, goodAddr}, HeartbeatTimeout: time.Second})
+	got, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "result:db" {
 		t.Fatalf("payload = %q", got)
 	}
-	waitCounter(t, c, "fleet.crashes."+supervisor.CrashProtocol.String(), 1)
+	waitCounter(t, reg, "supervisor.crashes."+CrashProtocol.String(), 1)
 	c.Close()
 	stopEvil()
 	stopGood()
@@ -464,8 +377,8 @@ func TestChaosProtocolGarbage(t *testing.T) {
 }
 
 // TestChaosCancelMidCampaign: cancelling the campaign context mid-point
-// returns promptly and the whole fleet unwinds without leaking goroutines —
-// the coordinator-SIGINT scenario, since cmd/experiments maps SIGINT to
+// returns promptly and everything unwinds without leaking goroutines —
+// the SIGINT scenario, since cmd/experiments maps SIGINT to
 // context cancellation.
 func TestChaosCancelMidCampaign(t *testing.T) {
 	check := leakCheck(t)
@@ -474,14 +387,14 @@ func TestChaosCancelMidCampaign(t *testing.T) {
 		<-gate
 		return []byte("late")
 	}})
-	c := New(Config{Nodes: []string{addr}})
+	c, _ := tcpSupervisor(t, Config{Nodes: []string{addr}})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.Run(ctx, "fig", "k", pointproto.Spec{Bench: "db"})
+	_, err := c.Run(ctx, pointproto.Spec{Bench: "db"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -495,7 +408,7 @@ func TestChaosCancelMidCampaign(t *testing.T) {
 	check()
 }
 
-// TestTaskTimeout: a point with no result inside the task budget fails as
+// TestTaskTimeout: a point with no result inside the point budget fails as
 // CrashTimeout while the node keeps heartbeating (a spinning point, not a
 // dead node), and the late result is dropped as an orphan.
 func TestTaskTimeout(t *testing.T) {
@@ -505,10 +418,10 @@ func TestTaskTimeout(t *testing.T) {
 		<-gate
 		return []byte("late")
 	}, HeartbeatInterval: 20 * time.Millisecond})
-	c := New(Config{Nodes: []string{addr}, TaskTimeout: 150 * time.Millisecond})
-	_, err := c.Run(context.Background(), "fig", "k", pointproto.Spec{Bench: "db"})
-	ce, ok := supervisor.AsCrash(err)
-	if !ok || ce.Kind != supervisor.CrashTimeout {
+	c, _ := tcpSupervisor(t, Config{Nodes: []string{addr}, PointTimeout: 150 * time.Millisecond})
+	_, err := c.Run(context.Background(), pointproto.Spec{Bench: "db"})
+	ce, ok := AsCrash(err)
+	if !ok || ce.Kind != CrashTimeout {
 		t.Fatalf("err = %v, want CrashTimeout", err)
 	}
 	close(gate)

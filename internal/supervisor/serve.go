@@ -1,4 +1,4 @@
-package fleet
+package supervisor
 
 import (
 	"bufio"
@@ -16,51 +16,41 @@ import (
 	"jvmpower/internal/pointproto"
 )
 
-// defaultHeartbeatInterval paces a node's liveness ticks; it must stay
-// well under the coordinator's HeartbeatTimeout (default 5s).
-const defaultHeartbeatInterval = 500 * time.Millisecond
+// defaultHeartbeatInterval paces an executor's liveness ticks: 40 beats
+// inside the supervisor's default 2s watchdog.
+const defaultHeartbeatInterval = 50 * time.Millisecond
 
-// ServeConfig configures one executor node.
+// ServeConfig configures the executor side of the node dialect.
 type ServeConfig struct {
-	// Name identifies the node in coordinator logs and journal events.
-	// Defaults to the listener address.
+	// Name identifies the executor in supervisor logs and journal events.
+	// Serve defaults it to the listener address; empty keeps the
+	// supervisor's own name for the executor.
 	Name string
-	// Capacity is the node's concurrent-point budget, advertised in the
-	// handshake; the coordinator keeps at most this many tasks in flight.
-	// Defaults to GOMAXPROCS.
+	// Capacity is the executor's concurrent-point budget, advertised in
+	// the handshake; the supervisor keeps at most this many points in
+	// flight on the connection. Defaults to GOMAXPROCS.
 	Capacity int
-	// Handler computes one point and returns its opaque result payload
-	// (the experiments layer returns the same gob a pipe worker's
-	// MsgResult carries, which is what keeps fleet runs byte-identical).
+	// Handler computes one point and returns its opaque result payload.
 	Handler func(pointproto.Spec) []byte
-	// HeartbeatInterval paces liveness ticks. Defaults to 500ms.
+	// HeartbeatInterval paces liveness ticks. Defaults to 50ms.
 	HeartbeatInterval time.Duration
-	// Stderr, when set, receives node-side log lines.
+	// Stderr, when set, receives Serve's log lines.
 	Stderr io.Writer
-	// Drain, when non-nil, arms graceful drain: once it closes, the node
-	// stops accepting connections and tasks, finishes every in-flight
-	// point (results are still delivered, heartbeats keep ticking so the
-	// coordinator's watchdog stays fed), announces departure with a
-	// MsgNodeGoodbye frame, and closes each connection cleanly — the
-	// coordinator sees a drained node, not a disconnect crash. Serve then
-	// returns nil. Context cancellation remains the hard-abort path.
+	// Drain, when non-nil, arms graceful drain: once it closes, the
+	// executor stops accepting connections and tasks, finishes every
+	// in-flight point (results are still delivered, heartbeats keep
+	// ticking so the supervisor's watchdog stays fed), announces departure
+	// with a node-goodbye frame, and closes each connection cleanly — the
+	// supervisor sees a drained executor, not a disconnect crash. Serve
+	// then returns nil. Context cancellation remains the hard-abort path.
 	Drain <-chan struct{}
 }
 
-// Serve runs an executor node on a listener until ctx is cancelled: each
-// accepted coordinator connection gets the NodeHello handshake (identity,
-// capacity, benchstat-style environment capture), a heartbeat ticker, and
-// a Task-frame read loop that computes points concurrently up to Capacity
-// and answers with TaskResult frames in completion order. It returns after
-// every connection has unwound — with nil when cfg.Drain triggered a
-// graceful drain.
+// Serve runs a TCP executor node on a listener until ctx is cancelled,
+// speaking ServeConn on every accepted supervisor connection. It returns
+// after every connection has unwound — with nil when cfg.Drain triggered
+// a graceful drain.
 func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = runtime.GOMAXPROCS(0)
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = defaultHeartbeatInterval
-	}
 	if cfg.Name == "" {
 		cfg.Name = ln.Addr().String()
 	}
@@ -85,7 +75,7 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 			select {
 			case <-cfg.Drain:
 				// Stop accepting; live connections drain themselves (each
-				// serveConn watches cfg.Drain). A later ctx cancellation
+				// ServeConn watches cfg.Drain). A later ctx cancellation
 				// still hard-aborts a drain that wedges.
 				draining.Store(true)
 				ln.Close()
@@ -107,7 +97,7 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 		if err != nil {
 			if draining.Load() && ctx.Err() == nil {
 				wg.Wait() // every connection finishes its goodbye sequence
-				logf(cfg, "fleet node %s: drained", cfg.Name)
+				logf(cfg, "node %s: drained", cfg.Name)
 				return nil
 			}
 			closeAll()
@@ -123,7 +113,9 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			serveConn(conn, cfg)
+			if err := ServeConn(conn, cfg); err != nil {
+				logf(cfg, "node %s: %v", cfg.Name, err)
+			}
 			mu.Lock()
 			delete(conns, conn)
 			mu.Unlock()
@@ -131,8 +123,20 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 	}
 }
 
-// serveConn speaks the socket dialect on one coordinator connection.
-func serveConn(conn net.Conn, cfg ServeConfig) {
+// ServeConn speaks the executor side of the node dialect on one
+// connection: a node-hello (identity, capacity, benchstat-style
+// environment capture), a heartbeat ticker, and a task read loop that
+// computes points concurrently up to Capacity and answers with
+// task-result frames in completion order. It returns when the supervisor
+// closes the connection (nil) or it breaks (the error); a local worker
+// runs it over its stdin and stdout.
+func ServeConn(conn io.ReadWriteCloser, cfg ServeConfig) error {
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = runtime.GOMAXPROCS(0)
+	}
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = defaultHeartbeatInterval
+	}
 	defer conn.Close()
 	var wmu sync.Mutex
 	send := func(t pointproto.MsgType, payload []byte) error {
@@ -155,13 +159,13 @@ func serveConn(conn net.Conn, cfg ServeConfig) {
 		NumCPU:     uint64(env.NumCPU),
 	}
 	if err := send(pointproto.MsgNodeHello, pointproto.MarshalNodeHello(hello)); err != nil {
-		return
+		return err
 	}
 
 	// Two groups with different lifetimes: tasks must all finish before the
 	// goodbye frame (their results ride the same connection), while the
 	// heartbeat and drain watcher keep running *through* that wait — a long
-	// final point must not starve the coordinator's watchdog — and stop only
+	// final point must not starve the supervisor's watchdog — and stop only
 	// when the connection is done for good.
 	stop := make(chan struct{})
 	var aux, tasks sync.WaitGroup
@@ -195,8 +199,8 @@ func serveConn(conn net.Conn, cfg ServeConfig) {
 				// in-flight results and the goodbye still need the socket.
 				if tc, ok := conn.(*net.TCPConn); ok {
 					tc.CloseRead()
-				} else {
-					conn.SetReadDeadline(time.Now())
+				} else if dc, ok := conn.(interface{ SetReadDeadline(time.Time) error }); ok {
+					dc.SetReadDeadline(time.Now())
 				}
 			case <-stop:
 			}
@@ -207,30 +211,28 @@ func serveConn(conn net.Conn, cfg ServeConfig) {
 	sem := make(chan struct{}, cfg.Capacity)
 	for {
 		typ, payload, err := pointproto.ReadFrame(br)
+		if err == nil && typ != pointproto.MsgTask {
+			err = fmt.Errorf("unexpected %s frame", typ)
+		}
+		var task pointproto.Task
+		if err == nil {
+			task, err = pointproto.UnmarshalTask(payload)
+		}
 		if err != nil {
 			if draining.Load() {
-				// Drain epilogue: finish in-flight points (their TaskResult
-				// frames are sent from the task goroutines), then announce
-				// the deliberate departure so the coordinator's next EOF
-				// reads as a drained node rather than a crash.
+				// Drain epilogue: finish in-flight points (their results
+				// are sent from the task goroutines), then announce the
+				// deliberate departure so the supervisor's next EOF reads
+				// as a drained executor rather than a crash.
 				tasks.Wait()
 				_ = send(pointproto.MsgNodeGoodbye, nil)
-			} else if err != io.EOF {
-				logf(cfg, "fleet node %s: read: %v", cfg.Name, err)
+				return nil
 			}
 			tasks.Wait()
-			return
-		}
-		if typ != pointproto.MsgTask {
-			logf(cfg, "fleet node %s: unexpected %s frame", cfg.Name, typ)
-			tasks.Wait()
-			return
-		}
-		task, err := pointproto.UnmarshalTask(payload)
-		if err != nil {
-			logf(cfg, "fleet node %s: %v", cfg.Name, err)
-			tasks.Wait()
-			return
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
 		sem <- struct{}{} // backpressure: at most Capacity points computing
 		tasks.Add(1)
@@ -238,19 +240,15 @@ func serveConn(conn net.Conn, cfg ServeConfig) {
 			defer tasks.Done()
 			defer func() { <-sem }()
 			defer func() {
-				// A panicking handler drops the connection: the
-				// coordinator sees a disconnect and reschedules the
-				// point, exactly as a pipe worker's death would.
+				// A panicking handler drops the connection: the supervisor
+				// sees the executor leave and requeues the point.
 				if r := recover(); r != nil {
-					logf(cfg, "fleet node %s: point panic: %v", cfg.Name, r)
+					logf(cfg, "node %s: point panic: %v", cfg.Name, r)
 					conn.Close()
 				}
 			}()
 			out := cfg.Handler(task.Spec)
-			res := pointproto.MarshalTaskResult(pointproto.TaskResult{ID: task.ID, Payload: out})
-			if err := send(pointproto.MsgTaskResult, res); err != nil {
-				return
-			}
+			_ = send(pointproto.MsgTaskResult, pointproto.MarshalTaskResult(pointproto.TaskResult{ID: task.ID, Payload: out}))
 		}()
 	}
 }

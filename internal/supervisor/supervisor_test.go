@@ -3,9 +3,13 @@ package supervisor
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -14,7 +18,7 @@ import (
 	"jvmpower/internal/pointproto"
 )
 
-// The supervisor is tested against real subprocesses: when the test binary
+// Local workers are tested against real subprocesses: when the test binary
 // is re-invoked with SUPERVISOR_FAKE_WORKER set, TestMain runs a scripted
 // worker instead of the tests. The script is chosen per point by the
 // spec's Bench field, so one pool can be driven through every failure mode
@@ -26,51 +30,59 @@ func TestMain(m *testing.M) {
 	case "scripted":
 		fakeWorker()
 	case "badversion":
-		w := bufio.NewWriter(os.Stdout)
-		_ = pointproto.WriteFrame(w, pointproto.MsgHello,
-			pointproto.MarshalHello(pointproto.Hello{Version: 99, PID: uint64(os.Getpid())}))
-		_ = w.Flush()
+		_ = pointproto.WriteFrame(os.Stdout, pointproto.MsgNodeHello,
+			pointproto.MarshalNodeHello(pointproto.NodeHello{Version: 99, PID: uint64(os.Getpid()), Capacity: 1}))
 		time.Sleep(time.Minute)
 	}
 	os.Exit(0)
 }
 
-// fakeWorker speaks the protocol and misbehaves on demand.
+// fakeWorker speaks the node dialect with capacity 1 — heartbeating from
+// its own goroutine like a real executor — and misbehaves on demand.
 func fakeWorker() {
-	out := os.Stdout
-	if err := pointproto.WriteFrame(out, pointproto.MsgHello,
-		pointproto.MarshalHello(pointproto.Hello{Version: pointproto.Version, PID: uint64(os.Getpid())})); err != nil {
-		os.Exit(1)
+	var mu sync.Mutex
+	muted := false
+	send := func(t pointproto.MsgType, payload []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !muted {
+			_ = pointproto.WriteFrame(os.Stdout, t, payload)
+		}
 	}
+	send(pointproto.MsgNodeHello, pointproto.MarshalNodeHello(pointproto.NodeHello{
+		Version: pointproto.Version, PID: uint64(os.Getpid()), Capacity: 1}))
+	go func() {
+		for {
+			send(pointproto.MsgHeartbeat, nil)
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
 	in := bufio.NewReader(os.Stdin)
 	for {
 		typ, payload, err := pointproto.ReadFrame(in)
 		if err == io.EOF {
 			return
 		}
-		if err != nil || typ != pointproto.MsgSpec {
+		if err != nil || typ != pointproto.MsgTask {
 			os.Exit(1)
 		}
-		spec, err := pointproto.UnmarshalSpec(payload)
+		task, err := pointproto.UnmarshalTask(payload)
 		if err != nil {
 			os.Exit(1)
 		}
-		switch spec.Bench {
+		switch task.Spec.Bench {
 		case "ok":
-			_ = pointproto.WriteFrame(out, pointproto.MsgHeartbeat, nil)
-			_ = pointproto.WriteFrame(out, pointproto.MsgResult, []byte(spec.Collector))
+			send(pointproto.MsgHeartbeat, nil)
+			send(pointproto.MsgTaskResult, pointproto.MarshalTaskResult(
+				pointproto.TaskResult{ID: task.ID, Payload: []byte(task.Spec.Collector)}))
 		case "slow":
 			// Alive but never done: heartbeats tick, the result never
 			// comes. Only the point budget can stop this one.
-			for {
-				_ = pointproto.WriteFrame(out, pointproto.MsgHeartbeat, nil)
-				time.Sleep(10 * time.Millisecond)
-			}
 		case "silent":
 			// Wedged: no heartbeat, no result, no exit.
-			for {
-				time.Sleep(time.Hour)
-			}
+			mu.Lock()
+			muted = true
+			mu.Unlock()
 		case "die":
 			os.Exit(3)
 		case "sigkill":
@@ -79,8 +91,10 @@ func fakeWorker() {
 			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			time.Sleep(time.Minute)
 		case "garbage":
-			_, _ = out.Write([]byte{0xFF, 0xFE, 0xFD, 0xFC, 0xFB, 0xFA, 0xF9, 0xF8})
-			time.Sleep(time.Minute)
+			mu.Lock()
+			_, _ = os.Stdout.Write([]byte{0xFF, 0xFE, 0xFD, 0xFC, 0xFB, 0xFA, 0xF9, 0xF8})
+			muted = true
+			mu.Unlock()
 		case "cleanexit":
 			os.Exit(0)
 		default:
@@ -106,7 +120,6 @@ func testSupervisor(t *testing.T, mutate func(*Config)) (*Supervisor, *metrics.R
 		// watchdog to fire use a worker that never exits ("silent") and
 		// shrink this themselves.
 		HeartbeatTimeout: 5 * time.Second,
-		SpawnTimeout:     10 * time.Second,
 		Metrics:          reg,
 		Stderr:           io.Discard,
 	}
@@ -234,15 +247,42 @@ func TestCrashClassification(t *testing.T) {
 	mustOK(t, s, "after-cleanexit")
 }
 
-// TestVersionMismatchIsSpawnFailure: a worker speaking the wrong protocol
-// version is rejected at handshake, before any spec reaches it.
+// TestVersionMismatchIsSpawnFailure: an executor speaking the wrong
+// protocol version is rejected at handshake, before any task reaches it —
+// a local worker and a TCP node alike.
 func TestVersionMismatchIsSpawnFailure(t *testing.T) {
 	s, _ := testSupervisor(t, func(c *Config) {
 		c.Env = []string{"SUPERVISOR_FAKE_WORKER=badversion"}
 	})
 	ce := mustCrash(t, s, "ok")
 	if ce.Kind != CrashSpawn {
-		t.Fatalf("kind = %s, want spawn", ce.Kind)
+		t.Fatalf("local: kind = %s, want spawn", ce.Kind)
+	}
+
+	var tasks atomic.Int64
+	addr, stop := scriptedNode(t, func(connIdx int, conn net.Conn) {
+		h := pointproto.NodeHello{Version: 99, Name: "stale", Capacity: 1}
+		if pointproto.WriteFrame(conn, pointproto.MsgNodeHello, pointproto.MarshalNodeHello(h)) != nil {
+			return
+		}
+		for {
+			typ, _, err := pointproto.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if typ == pointproto.MsgTask {
+				tasks.Add(1)
+			}
+		}
+	})
+	defer stop()
+	tcp, _ := tcpSupervisor(t, Config{Nodes: []string{addr}})
+	ce = mustCrash(t, tcp, "ok")
+	if ce.Kind != CrashSpawn {
+		t.Fatalf("tcp: kind = %s, want spawn", ce.Kind)
+	}
+	if n := tasks.Load(); n != 0 {
+		t.Fatalf("%d task frame(s) reached a node that failed its handshake", n)
 	}
 }
 
@@ -329,4 +369,136 @@ func TestBreaker(t *testing.T) {
 	if off.Tripped() {
 		t.Fatal("threshold 0 breaker tripped")
 	}
+}
+
+// countingListener counts accepted connections.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return conn, err
+}
+
+// TestLazyStart: building and closing a supervisor starts no executor — no
+// worker is spawned, no node is dialed — and one point then starts exactly
+// one, local or remote. The benchmark's set-up probe, which builds the
+// CLI's supervisor and exits, depends on the first half.
+func TestLazyStart(t *testing.T) {
+	idle, reg := testSupervisor(t, func(c *Config) { c.Workers = 2 })
+	idle.Close()
+	if n := reg.Counter("supervisor.spawns").Value(); n != 0 {
+		t.Fatalf("local: %d worker(s) spawned before any point", n)
+	}
+	s, reg := testSupervisor(t, func(c *Config) { c.Workers = 2 })
+	mustOK(t, s, "one")
+	if n := reg.Counter("supervisor.spawns").Value(); n != 1 {
+		t.Fatalf("local: one point spawned %d workers, want 1", n)
+	}
+
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Serve(ctx, ln, ServeConfig{Handler: echoHandler(0, nil), Capacity: 1})
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	addr := inner.Addr().String()
+	idleTCP, _ := tcpSupervisor(t, Config{Nodes: []string{addr, addr}})
+	idleTCP.Close()
+	if n := ln.accepts.Load(); n != 0 {
+		t.Fatalf("tcp: %d connection(s) accepted before any point", n)
+	}
+	tcp, _ := tcpSupervisor(t, Config{Nodes: []string{addr, addr}})
+	if got, err := tcp.Run(context.Background(), pointproto.Spec{Bench: "db"}); err != nil || string(got) != "result:db" {
+		t.Fatalf("tcp Run = %q, %v", got, err)
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Fatalf("tcp: one point dialed %d nodes, want 1", n)
+	}
+}
+
+// TestCancelQueuedNeverSent: a point whose caller gives up while it is
+// still queued is never sent. The node holds its one slot on a first
+// point; the second is cancelled in the queue; after the first completes,
+// the node must have seen exactly one task frame.
+func TestCancelQueuedNeverSent(t *testing.T) {
+	var tasks atomic.Int64
+	release := make(chan struct{})
+	first := make(chan struct{})
+	addr, stop := scriptedNode(t, func(connIdx int, conn net.Conn) {
+		if sendNodeHello(conn, 1) != nil {
+			return
+		}
+		for {
+			typ, payload, err := pointproto.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if typ != pointproto.MsgTask {
+				continue
+			}
+			task, err := pointproto.UnmarshalTask(payload)
+			if err != nil {
+				return
+			}
+			if tasks.Add(1) == 1 {
+				close(first)
+				<-release
+			}
+			res := pointproto.MarshalTaskResult(pointproto.TaskResult{ID: task.ID, Payload: []byte(task.Spec.Bench)})
+			if pointproto.WriteFrame(conn, pointproto.MsgTaskResult, res) != nil {
+				return
+			}
+		}
+	})
+	defer stop()
+	s, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, HeartbeatTimeout: time.Minute})
+
+	firstDone := make(chan error, 1)
+	go func() {
+		_, err := s.Run(context.Background(), pointproto.Spec{Bench: "first"})
+		firstDone <- err
+	}()
+	<-first
+	ctx, cancel := context.WithCancel(context.Background())
+	queuedDone := make(chan error, 1)
+	go func() {
+		_, err := s.Run(ctx, pointproto.Spec{Bench: "queued"})
+		queuedDone <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the second point reach the queue
+	cancel()
+	if err := <-queuedDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued Run = %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	// A third point proves the connection is still being fed in order:
+	// once it is answered, anything sent before it has arrived too.
+	if got, err := s.Run(context.Background(), pointproto.Spec{Bench: "third"}); err != nil || string(got) != "third" {
+		t.Fatalf("third Run = %q, %v", got, err)
+	}
+	if n := tasks.Load(); n != 2 {
+		t.Fatalf("node saw %d task frames, want 2: the cancelled point was sent", n)
+	}
+	if n := reg.Counter("supervisor.orphans").Value(); n != 0 {
+		t.Fatalf("supervisor.orphans = %d: a cancelled queued point produced a result", n)
+	}
+	s.Close() // drops the connection, so the scripted node can unwind
 }

@@ -14,6 +14,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/vm"
@@ -46,15 +47,15 @@ type Benchmark struct {
 	Structure   Structure
 	Profile     vm.BehaviorProfile
 
-	prog *classfile.Program // built lazily, cached
+	progOnce sync.Once
+	prog     *classfile.Program // built lazily, cached
 }
 
 // Program returns the benchmark's generated program (building it on first
-// use). The build is deterministic.
+// use, once even under concurrent first calls). The build is
+// deterministic.
 func (b *Benchmark) Program() *classfile.Program {
-	if b.prog == nil {
-		b.prog = buildProgram(b)
-	}
+	b.progOnce.Do(func() { b.prog = buildProgram(b) })
 	return b.prog
 }
 
