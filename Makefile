@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci perfbench-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
+.PHONY: build test vet race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,8 @@ vet:
 	$(GO) vet ./...
 
 # race exercises the concurrent machinery under the race detector: the
-# experiment dispatcher (RunAll workers, singleflight coalescing), the
+# experiment dispatcher (RunAll workers, the fan-out of the ablation, dvfs,
+# hpm-power and dwell runs, singleflight coalescing), the
 # metrics registry's atomic instruments, the supervisor (one queue over
 # local workers and TCP nodes: watchdogs, kills, requeue, restarts,
 # executor breakers, drain) with its framed protocol, and the job queue
@@ -30,17 +31,33 @@ race:
 check: build vet test race
 
 # ci mirrors .github/workflows/ci.yml locally: the tier-1 gate plus the
-# benchmark module's check, the full-scale paper-anchor check, a short
-# fuzz smoke over every native fuzz target and the shell-level smokes
-# (fleet, crash, daemon).
-ci: build vet test race perfbench-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
+# benchmark module's check, the recorded-output check, the full-scale
+# paper-anchor check, a short fuzz smoke over every native fuzz target and
+# the shell-level smokes (fleet, crash, daemon).
+ci: build vet test race perfbench-check output-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
 
 # perfbench-check vets and tests the repo benchmark (perfbench/, its own Go
 # module, which `go build ./...` never compiles), so a change to an API it
 # imports fails here rather than when the benchmark next runs. Its tests
-# include the recorded seed-1 output digests of each workload.
+# run no workload, so they never check the recorded output digests;
+# output-check does.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# output-check runs one pass of the benchmark's quick-all-isolated workload
+# (every quick figure through two -isolate workers) at seed 1 and fails
+# unless the pass is correct: no point failed and its text matches the
+# digest perfbench records for that seed. Output drift thus fails here
+# before the benchmark next runs. run.sh exits 0 either way, so the target
+# reads the verdict from the result line, the last line of its output
+# (run.sh's stderr names the problem).
+output-check:
+	@out=$$(bash perfbench/run.sh --workload quick-all-isolated --seed 1 --seconds 1 --trace 0) || exit 1; \
+	printf '%s\n' "$$out"; \
+	case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+	*'"correct":true'*) ;; \
+	*) echo "output-check: the pass failed a point or its output differs from the recorded seed-1 digest" >&2; exit 1;; \
+	esac
 
 # validate runs cmd/validate at full scale: the configurations behind the
 # paper's 15 quantitative anchors, each checked against its tolerance band.

@@ -28,16 +28,14 @@ func (r *Runner) AblationSampling() error {
 	if r.Quick {
 		profile = profile.Scale(0.25)
 	}
-	r.printf("\n== Ablation: DAQ sampling period vs decomposition fidelity ==\n")
-	r.printf("(_213_javac, Jikes + GenCopy, 48 MB; error vs ground truth per component)\n\n")
-
-	t := analysis.NewTable("Period", "Samples", "GC err", "CL err", "Base err", "App err", "Total err")
-	for _, period := range []units.Duration{
+	periods := []units.Duration{
 		40 * time.Microsecond, 200 * time.Microsecond,
 		1 * time.Millisecond, 5 * time.Millisecond,
-	} {
+	}
+	rows := make([][]string, len(periods))
+	err = r.dispatch(len(periods), func(i int) error {
 		plat := platform.P6()
-		plat.DAQPeriod = period
+		plat.DAQPeriod = periods[i]
 		res, err := core.Characterize(core.RunConfig{
 			Platform:      plat,
 			VM:            vm.Config{Flavor: vm.Jikes, Collector: "GenCopy", HeapSize: 48 * units.MB, Seed: r.Seed},
@@ -45,6 +43,7 @@ func (r *Runner) AblationSampling() error {
 			Profile:       profile,
 			FanOn:         true,
 			IdealChannels: true, // isolate sampling error from chain noise
+			Cancel:        r.runCtx().Done(),
 		})
 		if err != nil {
 			return err
@@ -59,9 +58,20 @@ func (r *Runner) AblationSampling() error {
 		}
 		totalTruth := float64(res.Meter.TrueTotalCPUEnergy()) - float64(res.Meter.TrueCPUEnergy(component.Idle))
 		totalErr := fmt.Sprintf("%+.2f%%", (float64(res.Decomposition.TotalCPUEnergy)/totalTruth-1)*100)
-		t.AddRow(period.String(), fmt.Sprintf("%d", res.Meter.DAQSamples()),
+		rows[i] = []string{periods[i].String(), fmt.Sprintf("%d", res.Meter.DAQSamples()),
 			errFor(component.GC), errFor(component.ClassLoader),
-			errFor(component.BaseCompiler), errFor(component.App), totalErr)
+			errFor(component.BaseCompiler), errFor(component.App), totalErr}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	r.printf("\n== Ablation: DAQ sampling period vs decomposition fidelity ==\n")
+	r.printf("(_213_javac, Jikes + GenCopy, 48 MB; error vs ground truth per component)\n\n")
+	t := analysis.NewTable("Period", "Samples", "GC err", "CL err", "Base err", "App err", "Total err")
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	if _, err := t.WriteTo(r.Out); err != nil {
 		return err
@@ -86,30 +96,40 @@ func (r *Runner) AblationMLP() error {
 	if r.Quick {
 		profile = profile.Scale(0.25)
 	}
-	r.printf("\n== Ablation: miss-level parallelism in the timing model ==\n")
-	r.printf("(_213_javac, Jikes + SemiSpace, 32 MB)\n\n")
-
-	t := analysis.NewTable("MLPSupport", "GC IPC", "GC power", "App IPC", "App power", "GC share")
-	for _, mlp := range []float64{1.0, 0.5, 0.0} {
+	mlps := []float64{1.0, 0.5, 0.0}
+	rows := make([][]string, len(mlps))
+	err = r.dispatch(len(mlps), func(i int) error {
 		plat := platform.P6()
-		plat.CPU.MLPSupport = mlp
+		plat.CPU.MLPSupport = mlps[i]
 		res, err := core.Characterize(core.RunConfig{
 			Platform: plat,
 			VM:       vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace", HeapSize: 32 * units.MB, Seed: r.Seed},
 			Program:  bench.Program(),
 			Profile:  profile,
 			FanOn:    true,
+			Cancel:   r.runCtx().Done(),
 		})
 		if err != nil {
 			return err
 		}
 		d := &res.Decomposition
-		t.AddRow(fmt.Sprintf("%.1f", mlp),
+		rows[i] = []string{fmt.Sprintf("%.1f", mlps[i]),
 			fmt.Sprintf("%.2f", d.IPC(component.GC)),
 			d.AvgPower[component.GC].String(),
 			fmt.Sprintf("%.2f", d.IPC(component.App)),
 			d.AvgPower[component.App].String(),
-			analysis.Pct(d.CPUEnergyFrac(component.GC)))
+			analysis.Pct(d.CPUEnergyFrac(component.GC))}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	r.printf("\n== Ablation: miss-level parallelism in the timing model ==\n")
+	r.printf("(_213_javac, Jikes + SemiSpace, 32 MB)\n\n")
+	t := analysis.NewTable("MLPSupport", "GC IPC", "GC power", "App IPC", "App power", "GC share")
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	if _, err := t.WriteTo(r.Out); err != nil {
 		return err

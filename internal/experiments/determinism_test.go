@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/platform"
@@ -96,27 +101,70 @@ func TestRunSingleflight(t *testing.T) {
 
 // TestRunAllStopsOnError feeds RunAll a long list of failing points and
 // asserts it reports the failure without having dispatched the whole
-// matrix: in-flight work finishes, new work stops.
+// matrix: in-flight work finishes, new work stops. When two points fail,
+// RunAll reports the lower-index one, which is what a serial loop would
+// have stopped on, however the two finish in time.
 func TestRunAllStopsOnError(t *testing.T) {
-	var buf strings.Builder
-	r := quickRunner(&buf)
 	b, err := workloads.ByName("_209_db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pts []Point
-	for h := 1; h <= 64; h++ {
-		pts = append(pts, Point{Bench: b, Flavor: vm.Jikes, Collector: "NoSuchCollector",
-			HeapMB: h, Platform: platform.P6()})
+	t.Run("stops dispatch", func(t *testing.T) {
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		var pts []Point
+		for h := 1; h <= 64; h++ {
+			pts = append(pts, Point{Bench: b, Flavor: vm.Jikes, Collector: "NoSuchCollector",
+				HeapMB: h, Platform: platform.P6()})
+		}
+		if err := r.RunAll(pts); err == nil {
+			t.Fatal("RunAll succeeded on an unknown collector")
+		}
+		r.mu.Lock()
+		attempted := len(r.cache)
+		r.mu.Unlock()
+		if attempted >= len(pts) {
+			t.Fatalf("RunAll dispatched all %d points despite the first error", len(pts))
+		}
+	})
+	t.Run("lowest index wins", func(t *testing.T) {
+		// Point 0 fails abortively 50 ms in; point 1 is invalid and fails
+		// at once on the other worker.
+		orig := characterize
+		characterize = func(core.RunConfig) (core.Result, error) {
+			time.Sleep(50 * time.Millisecond)
+			return core.Result{}, fmt.Errorf("point cancelled mid-run: %w", context.Canceled)
+		}
+		t.Cleanup(func() { characterize = orig })
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		pts := []Point{
+			{Bench: b, Flavor: vm.Jikes, Collector: "GenMS", HeapMB: 64, Platform: platform.P6()},
+			{Bench: b, Flavor: vm.Jikes, Collector: "NoSuchCollector", HeapMB: 64, Platform: platform.P6()},
+		}
+		if err := r.RunAll(pts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunAll returned %v, want point 0's error", err)
+		}
+	})
+}
+
+// TestDirectFiguresOrderIndependent renders the figures that characterize
+// outside Run, whose runs dispatch fans out, on one goroutine and on four:
+// their text must not depend on the order the runs finish in.
+func TestDirectFiguresOrderIndependent(t *testing.T) {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		for _, name := range directFigures {
+			if err := r.RunFigure(name); err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", name, procs, err)
+			}
+		}
+		return buf.String()
 	}
-	if err := r.RunAll(pts); err == nil {
-		t.Fatal("RunAll succeeded on an unknown collector")
-	}
-	r.mu.Lock()
-	attempted := len(r.cache)
-	r.mu.Unlock()
-	if attempted >= len(pts) {
-		t.Fatalf("RunAll dispatched all %d points despite the first error", len(pts))
+	if serial, parallel := render(1), render(4); serial != parallel {
+		t.Fatalf("figures differ between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", serial, parallel)
 	}
 }
 

@@ -28,44 +28,75 @@ import (
 //     Section VI-C) and leave the application at nominal speed.
 func (r *Runner) DVFS() error {
 	benches := []string{"_222_mpegaudio", "_209_db", "_213_javac"}
+	governed := []string{"_213_javac", "_209_db"}
+	governors := []struct {
+		label  string
+		policy func(component.ID) float64
+	}{
+		{"nominal", nil},
+		{"GC @ 1.0 GHz", core.GCLowFrequencyPolicy(0.625)},
+		{"GC @ 600 MHz", core.GCLowFrequencyPolicy(0.375)},
+	}
 	p6 := platform.P6()
 
-	run := func(name string, op float64, policy func(component.ID) float64) (*analysis.Decomposition, error) {
-		bench, err := workloads.ByName(name)
+	// One batch: the static sweep's runs first, benchmark-major, then the
+	// governor study's.
+	type run struct {
+		bench     string
+		collector string
+		heapMB    int
+		policy    func(component.ID) float64
+	}
+	var runs []run
+	for _, name := range benches {
+		for _, p := range p6.DVFS.Points {
+			var policy func(component.ID) float64
+			if op := p.FreqScale; op != 1.0 {
+				policy = func(component.ID) float64 { return op }
+			}
+			runs = append(runs, run{name, "GenCopy", 64, policy})
+		}
+	}
+	sweep := len(runs)
+	for _, name := range governed {
+		for _, gov := range governors {
+			runs = append(runs, run{name, "SemiSpace", 32, gov.policy})
+		}
+	}
+	decs := make([]analysis.Decomposition, len(runs))
+	err := r.dispatch(len(runs), func(i int) error {
+		bench, err := workloads.ByName(runs[i].bench)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		profile := bench.Profile
 		if r.Quick {
 			profile = profile.Scale(0.25)
 		}
-		if policy == nil && op != 1.0 {
-			policy = func(component.ID) float64 { return op }
-		}
 		res, err := core.Characterize(core.RunConfig{
-			Platform:   p6,
-			VM:         vm.Config{Flavor: vm.Jikes, Collector: "GenCopy", HeapSize: 64 * units.MB, Seed: r.Seed},
+			Platform: p6,
+			VM: vm.Config{Flavor: vm.Jikes, Collector: runs[i].collector,
+				HeapSize: units.ByteSize(runs[i].heapMB) * units.MB, Seed: r.Seed},
 			Program:    bench.Program(),
 			Profile:    profile,
 			FanOn:      true,
-			DVFSPolicy: policy,
+			DVFSPolicy: runs[i].policy,
+			Cancel:     r.runCtx().Done(),
 		})
-		if err != nil {
-			return nil, err
-		}
-		return &res.Decomposition, nil
+		decs[i] = res.Decomposition
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	r.printf("\n== Extension (Sec. VII): DVFS on the Pentium M ==\n")
 	r.printf("\nStatic frequency sweep (Jikes + GenCopy, 64 MB):\n\n")
 	t := analysis.NewTable("Benchmark", "Point", "Time", "Energy", "EDP", "vs nominal EDP")
-	for _, name := range benches {
+	for b, name := range benches {
 		var base float64
-		for _, p := range p6.DVFS.Points {
-			d, err := run(name, p.FreqScale, nil)
-			if err != nil {
-				return err
-			}
+		for j, p := range p6.DVFS.Points {
+			d := &decs[b*len(p6.DVFS.Points)+j]
 			edp := float64(d.EDP)
 			if p.FreqScale == 1.0 {
 				base = edp
@@ -88,35 +119,9 @@ func (r *Runner) DVFS() error {
 
 	r.printf("\nComponent-aware governor: GC at a reduced point, application at nominal\n(_213_javac and _209_db, 32 MB, where GC is a large energy share):\n\n")
 	gt := analysis.NewTable("Benchmark", "Governor", "Time", "Energy", "EDP", "GC power")
-	for _, name := range []string{"_213_javac", "_209_db"} {
-		bench, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		profile := bench.Profile
-		if r.Quick {
-			profile = profile.Scale(0.25)
-		}
-		for _, gov := range []struct {
-			label  string
-			policy func(component.ID) float64
-		}{
-			{"nominal", nil},
-			{"GC @ 1.0 GHz", core.GCLowFrequencyPolicy(0.625)},
-			{"GC @ 600 MHz", core.GCLowFrequencyPolicy(0.375)},
-		} {
-			res, err := core.Characterize(core.RunConfig{
-				Platform:   p6,
-				VM:         vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace", HeapSize: 32 * units.MB, Seed: r.Seed},
-				Program:    bench.Program(),
-				Profile:    profile,
-				FanOn:      true,
-				DVFSPolicy: gov.policy,
-			})
-			if err != nil {
-				return err
-			}
-			d := &res.Decomposition
+	for b, name := range governed {
+		for j, gov := range governors {
+			d := &decs[sweep+b*len(governors)+j]
 			gt.AddRow(name, gov.label,
 				d.TotalTime.Round(1e6).String(),
 				d.TotalEnergy.String(),

@@ -7,6 +7,7 @@ import (
 	"jvmpower/internal/analysis"
 	"jvmpower/internal/component"
 	"jvmpower/internal/core"
+	"jvmpower/internal/daq"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
@@ -20,63 +21,65 @@ import (
 // on our PXA255 system, [so] our sampling fidelity accurately captures all
 // important behavior."
 func (r *Runner) Dwell() error {
-	r.printf("\n== Methodology check (Sec. IV-D): component dwell times ==\n")
-
-	runOn := func(plat platform.Platform, flavor vm.Flavor, heapMB int, s10 bool) (*analysis.DwellRecorder, error) {
+	runs := []struct {
+		label  string
+		plat   platform.Platform
+		flavor vm.Flavor
+		heapMB int
+		s10    bool
+	}{
+		{"P6/Jikes", platform.P6(), vm.Jikes, 64, false},
+		{"DBPXA255/Kaffe", platform.DBPXA255(), vm.Kaffe, 16, true},
+	}
+	dwells := make([]*analysis.DwellRecorder, len(runs))
+	err := r.dispatch(len(runs), func(i int) error {
 		bench, err := workloads.ByName("_213_javac")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		profile := bench.Profile
-		if s10 {
+		if runs[i].s10 {
 			profile = workloads.S10Profile(bench)
 		}
 		if r.Quick {
 			profile = profile.Scale(0.25)
 		}
-		agg := analysis.NewAggregator(plat.DAQPeriod)
-		dwell := analysis.NewDwellRecorder(agg, plat.DAQPeriod)
-		meter, err := core.NewMeter(plat, core.MeterOptions{Sink: dwell, FanOn: true, Seed: r.Seed})
-		if err != nil {
-			return nil, err
-		}
-		machine, err := vm.New(vm.Config{Flavor: flavor, HeapSize: units.ByteSize(heapMB) * units.MB, Seed: r.Seed},
-			bench.Program(), meter)
-		if err != nil {
-			return nil, err
-		}
-		if err := machine.RunProfile(profile); err != nil {
-			return nil, err
+		// The recorder only observes: the run's own aggregator already
+		// receives every sample, so the recorder forwards to an empty sink.
+		dwell := analysis.NewDwellRecorder(daq.MultiSink{}, runs[i].plat.DAQPeriod)
+		if _, err := core.Characterize(core.RunConfig{
+			Platform:  runs[i].plat,
+			VM:        vm.Config{Flavor: runs[i].flavor, HeapSize: units.ByteSize(runs[i].heapMB) * units.MB, Seed: r.Seed},
+			Program:   bench.Program(),
+			Profile:   profile,
+			FanOn:     true,
+			TraceSink: dwell,
+			Cancel:    r.runCtx().Done(),
+		}); err != nil {
+			return err
 		}
 		dwell.Flush()
-		return dwell, nil
+		dwells[i] = dwell
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
+	r.printf("\n== Methodology check (Sec. IV-D): component dwell times ==\n")
 	t := analysis.NewTable("Platform/VM", "Component", "Mean dwell", "Max dwell", "Switches")
-	report := func(label string, d *analysis.DwellRecorder) {
+	for i, d := range dwells {
 		for _, id := range []component.ID{component.App, component.GC, component.ClassLoader} {
 			st := d.Dwell(id)
 			if st.Count() == 0 {
 				continue
 			}
-			t.AddRow(label, id.String(),
+			t.AddRow(runs[i].label, id.String(),
 				time.Duration(st.Mean()*float64(time.Second)).Round(time.Microsecond).String(),
 				time.Duration(st.Max()*float64(time.Second)).Round(time.Microsecond).String(),
 				fmt.Sprintf("%d", st.Count()))
 		}
 	}
-
-	p6dwell, err := runOn(platform.P6(), vm.Jikes, 64, false)
-	if err != nil {
-		return err
-	}
-	report("P6/Jikes", p6dwell)
-	pxdwell, err := runOn(platform.DBPXA255(), vm.Kaffe, 16, true)
-	if err != nil {
-		return err
-	}
-	report("DBPXA255/Kaffe", pxdwell)
-
 	if _, err := t.WriteTo(r.Out); err != nil {
 		return err
 	}

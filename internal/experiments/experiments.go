@@ -14,11 +14,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jvmpower/internal/core"
@@ -72,9 +74,10 @@ type Runner struct {
 	// (the default) leaves attempts unbounded and on the goroutine-free
 	// fast path.
 	PointTimeout time.Duration
-	// Ctx, when non-nil, cancels the run: in-flight attempts are abandoned
-	// and every subsequent Run returns context.Canceled, which RunAll and
-	// the figures treat as abortive.
+	// Ctx, when non-nil, cancels the run: in-flight attempts, and the runs
+	// of the figures that characterize outside Run, are abandoned, and
+	// every subsequent Run returns context.Canceled, which RunAll and the
+	// figures treat as abortive.
 	Ctx context.Context
 
 	// Supervisor, when non-nil, routes every computed point to an
@@ -237,11 +240,11 @@ func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.
 }
 
 // RunAll executes points in parallel (results cached as they finish) and
-// returns the first abortive error encountered — an invalid point or a
-// cancelled run. Dispatch stops at the first abortive error: in-flight
-// points finish, but no new ones start. Tolerable failures (injected
-// faults, panics, timeouts) do not stop the sweep: their errors stay
-// cached and degrade into missing cells when a figure pulls them.
+// returns the abortive error — an invalid point or a cancelled run — of the
+// lowest-index point that hit one. Dispatch stops at the first abortive
+// error: in-flight points finish, but no new ones start. Tolerable failures
+// (injected faults, panics, timeouts) do not stop the sweep: their errors
+// stay cached and degrade into missing cells when a figure pulls them.
 func (r *Runner) RunAll(points []Point) error {
 	start := time.Now()
 	defer func() {
@@ -251,54 +254,85 @@ func (r *Runner) RunAll(points []Point) error {
 	if len(points) == 0 {
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan Point)
-	done := make(chan struct{})
-	var failOnce sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
 	// Worker-utilization instruments, hoisted out of the dispatch loop
 	// (nil and free when Metrics is nil): utilization over a RunAll is
 	// busy_ns / (wall_seconds × workers.count).
 	activeG := r.Metrics.Gauge("experiments.workers.active")
 	busyC := r.Metrics.Counter("experiments.workers.busy_ns")
-	for w := 0; w < workers; w++ {
+	err := r.dispatch(len(points), func(i int) error {
+		activeG.Add(1)
+		t0 := time.Now()
+		_, err := r.Run(points[i])
+		busyC.Add(int64(time.Since(t0)))
+		activeG.Add(-1)
+		if err != nil && abortive(err) {
+			return err
+		}
+		return nil
+	})
+	r.Metrics.Gauge("experiments.workers.count").Set(float64(poolSize(len(points))))
+	return err
+}
+
+// poolSize is the number of goroutines dispatch runs n jobs on.
+func poolSize(n int) int {
+	return min(runtime.GOMAXPROCS(0), n)
+}
+
+// dispatch runs job(0), …, job(n-1) on poolSize(n) goroutines, handing the
+// indices out in order, and returns once every started job has returned.
+// A job's error or a cancelled r.Ctx stops the hand-out; jobs in flight
+// finish. Every index below a failing one was handed out first, so the
+// lowest-index error it returns is the one a serial loop would have hit.
+// A job that r.Ctx stopped mid-simulation fails with vm.ErrCancelled, and
+// dispatch reports it, like any job the cancellation kept from starting,
+// as the context's error.
+func (r *Runner) dispatch(n int, job func(i int) error) error {
+	ctx := r.runCtx()
+	errs := make([]error, n)
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := poolSize(n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for p := range jobs {
-				activeG.Add(1)
-				t0 := time.Now()
-				_, err := r.Run(p)
-				busyC.Add(int64(time.Since(t0)))
-				activeG.Add(-1)
-				if err != nil && abortive(err) {
-					failOnce.Do(func() {
-						firstErr = err
-						close(done)
-					})
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				err := ctx.Err()
+				if err == nil {
+					err = job(i)
+				}
+				if err != nil {
+					if errors.Is(err, vm.ErrCancelled) && ctx.Err() != nil {
+						err = ctx.Err()
+					}
+					errs[i] = err
+					stop.Store(true)
 				}
 			}
 		}()
 	}
-dispatch:
-	for _, p := range points {
-		select {
-		case jobs <- p:
-		case <-done:
-			break dispatch
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	r.Metrics.Gauge("experiments.workers.count").Set(float64(workers))
-	return firstErr
+	return nil
+}
+
+// runCtx is r.Ctx, or a context that is never cancelled when r.Ctx is nil.
+// Its Done channel is the Cancel channel of every characterization a figure
+// runs outside Run: nil, the VM's zero-cost path, when nothing can cancel.
+func (r *Runner) runCtx() context.Context {
+	if r.Ctx == nil {
+		return context.Background()
+	}
+	return r.Ctx
 }
 
 // JikesHeapsMB returns the heap sweep for a suite: the paper uses fixed

@@ -108,3 +108,53 @@ func TestTimedOutPointTerminates(t *testing.T) {
 		t.Fatalf("cancelled attempt took %v of a %v point: cancellation is not stopping the simulation", cancelled, full)
 	}
 }
+
+// directFigures are the figures that characterize outside Run.
+var directFigures = []string{"ablation-sampling", "ablation-mlp", "dvfs", "hpm-power", "dwell"}
+
+// TestDirectFiguresHonourCancel is the regression test for Ctrl-C during
+// the figures that characterize outside Run: they ignored r.Ctx, so an
+// interrupted -all rendered every remaining figure and exited 0. On an
+// already-cancelled context each must fail with context.Canceled; cancelled
+// 20 ms into dvfs, the figure must stop its in-flight simulations within a
+// small fraction of its full time and leave no goroutine behind.
+func TestDirectFiguresHonourCancel(t *testing.T) {
+	t.Run("already cancelled", func(t *testing.T) {
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r.Ctx = ctx
+		for _, name := range directFigures {
+			if err := r.RunFigure(name); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s on a cancelled context returned %v, want context.Canceled", name, err)
+			}
+		}
+	})
+	t.Run("cancelled mid-dvfs", func(t *testing.T) {
+		check := leakCheck(t)
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		t0 := time.Now()
+		if err := r.RunFigure("dvfs"); err != nil {
+			t.Fatal(err)
+		}
+		full := time.Since(t0)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		r.Ctx = ctx
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		defer timer.Stop()
+		t0 = time.Now()
+		err := r.RunFigure("dvfs")
+		cancelled := time.Since(t0)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("dvfs cancelled mid-run returned %v, want context.Canceled", err)
+		}
+		if cancelled*5 > full {
+			t.Fatalf("cancelled dvfs took %v of a %v figure: cancellation is not stopping the simulations", cancelled, full)
+		}
+		check()
+	})
+}
