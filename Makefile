@@ -20,12 +20,14 @@ vet:
 # metrics registry's atomic instruments, the supervisor (one queue over
 # local workers and TCP nodes: watchdogs, kills, requeue, restarts,
 # executor breakers, drain) with its framed protocol, and the job queue
-# (admission, quotas, drain, concurrent submitters). The experiments
-# package runs the full determinism suite (isolated, fleet, resume,
-# daemon) under the detector, which took 563 s on a 2-vCPU host, close to
-# go test's default 10m per-package limit, hence the explicit timeout.
+# (admission, quotas, drain, concurrent submitters), and the heap's
+# process-global chunk pool, which concurrent runs share and which hands
+# chunks back dirty. The experiments package runs the full determinism
+# suite (isolated, fleet, resume, daemon) under the detector, which took
+# 563 s on a 2-vCPU host, close to go test's default 10m per-package
+# limit, hence the explicit timeout.
 race:
-	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/metrics/... ./internal/supervisor/... ./internal/pointproto/... ./internal/jobqueue/...
+	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/metrics/... ./internal/supervisor/... ./internal/pointproto/... ./internal/jobqueue/... ./internal/heap/...
 
 # check is the tier-1 gate: everything must pass before a change lands.
 check: build vet test race

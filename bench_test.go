@@ -318,7 +318,7 @@ func BenchmarkCollectorAlloc(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Alloc(heap.KindObject, 0, 64, 1); err != nil {
+				if _, err := col.Alloc(64, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,7 +339,7 @@ func BenchmarkFullCollection(b *testing.B) {
 			}
 			var prev heap.Ref
 			for i := 0; i < 100_000; i++ {
-				r, err := col.Alloc(heap.KindObject, 0, 64, 1)
+				r, err := col.Alloc(64, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

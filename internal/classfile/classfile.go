@@ -40,6 +40,11 @@ const (
 	RefField
 )
 
+// maxFields bounds a class's instance fields, as the JVM class-file
+// format's u2 fields_count does. It also keeps every instance's reference
+// count within the heap's 16-bit per-object count.
+const maxFields = 1<<16 - 1
+
 // Field describes one instance field.
 type Field struct {
 	Name string
@@ -161,6 +166,9 @@ func (p *Program) Validate() error {
 		}
 		if c.Super != NoClass && (c.Super < 0 || int(c.Super) >= len(p.Classes)) {
 			return fmt.Errorf("classfile: class %q has invalid super %d", c.Name, c.Super)
+		}
+		if len(c.Fields) > maxFields {
+			return fmt.Errorf("classfile: class %q has %d fields, more than %d", c.Name, len(c.Fields), maxFields)
 		}
 		for _, m := range c.Methods {
 			if m < 0 || int(m) >= len(p.Methods) {

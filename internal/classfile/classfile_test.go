@@ -148,4 +148,17 @@ func TestValidateRefArgsMismatch(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected RefArgs mismatch error")
 	}
+
+	// A class holds at most maxFields fields (the class-file format's u2
+	// fields_count), which keeps a decoded program's reference counts
+	// within the heap's 16-bit per-object count.
+	p = simpleProgram(t)
+	p.Classes[1].Fields = make([]Field, maxFields)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("%d fields rejected: %v", maxFields, err)
+	}
+	p.Classes[1].Fields = append(p.Classes[1].Fields, Field{Kind: RefField})
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("err = %v, want a field-count rejection", err)
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 	"jvmpower/internal/work"
@@ -132,7 +131,7 @@ type Collector interface {
 
 	// Alloc allocates an object, collecting as needed. It returns
 	// ErrOutOfMemory when even a full collection cannot make room.
-	Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error)
+	Alloc(size uint32, nrefs int) (heap.Ref, error)
 
 	// WriteBarrier must be called by the VM for every reference store
 	// src.f = dst. Non-generational plans treat it as a no-op; generational

@@ -49,7 +49,7 @@ func newWorld(t *testing.T, plan string, size units.ByteSize) *world {
 // alloc allocates one plain object, failing the test on error.
 func (w *world) alloc(t *testing.T, size uint32, nrefs int) heap.Ref {
 	t.Helper()
-	r, err := w.col.Alloc(heap.KindObject, 0, size, nrefs)
+	r, err := w.col.Alloc(size, nrefs)
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestOutOfMemory(t *testing.T) {
 			w := newWorld(t, plan, 2*units.MB)
 			// Root everything so nothing can be reclaimed.
 			for i := 0; i < 10*1024; i++ {
-				r, err := w.col.Alloc(heap.KindObject, 0, 1024, 0)
+				r, err := w.col.Alloc(1024, 0)
 				if err != nil {
 					if !errors.Is(err, ErrOutOfMemory) {
 						t.Fatalf("%s: wrong error: %v", plan, err)

@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -76,7 +75,7 @@ func (g *genBase) Stats() Stats { return g.stats }
 // allocNursery is the common allocation path. Objects larger than half the
 // nursery go straight to the mature space, as real nursery plans route
 // large objects around the nursery.
-func (g *genBase) allocNursery(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
+func (g *genBase) allocNursery(size uint32, nrefs int) (heap.Ref, error) {
 	if units.ByteSize(size) > g.nursery.Extent()/2 {
 		addr, ok := g.promote(size)
 		if !ok {
@@ -86,7 +85,7 @@ func (g *genBase) allocNursery(kind heap.Kind, class classfile.ClassID, size uin
 				return heap.Null, fmt.Errorf("%w: %s: large object of %d bytes", ErrOutOfMemory, g.planName, size)
 			}
 		}
-		r := g.env.Heap.NewObject(kind, class, size, nrefs, addr)
+		r := g.env.Heap.NewObject(size, nrefs, addr)
 		g.env.Heap.Get(r).Flags |= heap.FlagMature
 		g.noteMatureObject(r)
 		return r, nil
@@ -105,7 +104,7 @@ func (g *genBase) allocNursery(kind heap.Kind, class classfile.ClassID, size uin
 	if !ok {
 		return heap.Null, fmt.Errorf("%w: %s: nursery bump failed for %d bytes", ErrOutOfMemory, g.planName, size)
 	}
-	r := g.env.Heap.NewObject(kind, class, size, nrefs, addr)
+	r := g.env.Heap.NewObject(size, nrefs, addr)
 	g.nurseryObjs = append(g.nurseryObjs, r)
 	return r, nil
 }

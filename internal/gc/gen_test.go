@@ -116,7 +116,7 @@ func TestLargeObjectsBypassNursery(t *testing.T) {
 	for _, plan := range []string{"GenCopy", "GenMS"} {
 		w := newWorld(t, plan, 8*units.MB)
 		big := uint32(NurserySize(8*units.MB)/2) + 1024
-		r, err := w.col.Alloc(heap.KindObject, 0, big, 0)
+		r, err := w.col.Alloc(big, 0)
 		if err != nil {
 			t.Fatalf("%s: large alloc: %v", plan, err)
 		}

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -49,11 +48,11 @@ func (g *GenCopy) Name() string { return "GenCopy" }
 func (g *GenCopy) Moving() bool { return true }
 
 // Alloc implements Collector.
-func (g *GenCopy) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
+func (g *GenCopy) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 	if g.oom {
 		return heap.Null, ErrOutOfMemory
 	}
-	return g.allocNursery(kind, class, size, nrefs)
+	return g.allocNursery(size, nrefs)
 }
 
 // Collect implements Collector.

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -45,8 +44,8 @@ func (g *GenMS) Name() string { return "GenMS" }
 func (g *GenMS) Moving() bool { return true }
 
 // Alloc implements Collector.
-func (g *GenMS) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
-	return g.allocNursery(kind, class, size, nrefs)
+func (g *GenMS) Alloc(size uint32, nrefs int) (heap.Ref, error) {
+	return g.allocNursery(size, nrefs)
 }
 
 // Collect implements Collector.

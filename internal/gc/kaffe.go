@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -79,7 +78,7 @@ func (k *KaffeMS) HeapSize() units.ByteSize { return k.heapSize }
 func (k *KaffeMS) Stats() Stats { return k.stats }
 
 // Alloc implements Collector.
-func (k *KaffeMS) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
+func (k *KaffeMS) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 	// Start or advance the incremental cycle at allocation points (Kaffe's
 	// GC points are allocation sites).
 	k.sinceCycle += units.ByteSize(size)
@@ -104,7 +103,7 @@ func (k *KaffeMS) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nr
 				ErrOutOfMemory, size, k.space.Free())
 		}
 	}
-	r := k.env.Heap.NewObject(kind, class, size, nrefs, addr)
+	r := k.env.Heap.NewObject(size, nrefs, addr)
 	if k.active {
 		// Allocate black: objects born during a cycle survive its sweep.
 		k.env.Heap.Get(r).Flags |= heap.FlagMark

@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -54,7 +53,7 @@ func (m *MarkSweep) HeapSize() units.ByteSize { return m.heapSize }
 func (m *MarkSweep) Stats() Stats { return m.stats }
 
 // Alloc implements Collector.
-func (m *MarkSweep) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
+func (m *MarkSweep) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 	addr, ok := m.space.Alloc(size)
 	if !ok {
 		m.collect("allocation failure")
@@ -64,7 +63,7 @@ func (m *MarkSweep) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, 
 				ErrOutOfMemory, size, m.space.Free())
 		}
 	}
-	r := m.env.Heap.NewObject(kind, class, size, nrefs, addr)
+	r := m.env.Heap.NewObject(size, nrefs, addr)
 	m.allocated = append(m.allocated, r)
 	return r, nil
 }

@@ -64,7 +64,7 @@ func TestFullCollectionPreservesReachability(t *testing.T) {
 					if i > 0 {
 						nrefs = 1
 					}
-					r, err := col.Alloc(heap.KindObject, 0, uint32(sz)+16, nrefs)
+					r, err := col.Alloc(uint32(sz)+16, nrefs)
 					if err != nil {
 						return false
 					}
@@ -137,10 +137,10 @@ func TestKaffeConservativeNeverFreesLive(t *testing.T) {
 			}
 			// Interleave garbage churn so incremental cycles trigger
 			// mid-construction.
-			if _, err := col.Alloc(heap.KindObject, 0, 4096, 0); err != nil {
+			if _, err := col.Alloc(4096, 0); err != nil {
 				return false
 			}
-			r, err := col.Alloc(heap.KindObject, 0, uint32(sz)+16, nrefs)
+			r, err := col.Alloc(uint32(sz)+16, nrefs)
 			if err != nil {
 				return false
 			}

@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -62,7 +61,7 @@ func (s *SemiSpace) HeapSize() units.ByteSize { return s.heapSize }
 func (s *SemiSpace) Stats() Stats { return s.stats }
 
 // Alloc implements Collector.
-func (s *SemiSpace) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, nrefs int) (heap.Ref, error) {
+func (s *SemiSpace) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 	addr, ok := s.from.Alloc(size)
 	if !ok {
 		s.collect("allocation failure")
@@ -72,7 +71,7 @@ func (s *SemiSpace) Alloc(kind heap.Kind, class classfile.ClassID, size uint32, 
 				ErrOutOfMemory, size, s.from.Free())
 		}
 	}
-	r := s.env.Heap.NewObject(kind, class, size, nrefs, addr)
+	r := s.env.Heap.NewObject(size, nrefs, addr)
 	s.allocated = append(s.allocated, r)
 	s.sinceGC += units.ByteSize(size)
 	return r, nil

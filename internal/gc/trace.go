@@ -90,14 +90,3 @@ func (t *tracer) pending() bool { return len(t.worklist) > 0 }
 
 // gray enqueues an object mid-cycle (incremental-update write barrier).
 func (t *tracer) gray(r heap.Ref) { t.enqueue(r) }
-
-// clearMarks removes FlagMark from every object in refs that is still live.
-func clearMarks(h *heap.Heap, refs []heap.Ref) {
-	for _, r := range refs {
-		if r == heap.Null {
-			continue
-		}
-		o := h.Get(r)
-		o.Flags &^= heap.FlagMark
-	}
-}

@@ -1,5 +1,5 @@
 // Package heap implements the simulated Java heap: an object table holding
-// real object metadata (size, simulated address, class, reference graph) and
+// real object metadata (size, simulated address, reference graph) and
 // the address-space regions ("spaces") that the garbage collectors in
 // internal/gc compose.
 //
@@ -13,9 +13,9 @@
 package heap
 
 import (
+	"math"
 	"sync"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/units"
 )
 
@@ -25,16 +25,6 @@ type Ref uint32
 
 // Null is the null reference.
 const Null Ref = 0
-
-// Kind distinguishes plain objects from arrays.
-type Kind uint8
-
-// Object kinds.
-const (
-	KindObject Kind = iota
-	KindIntArray
-	KindRefArray
-)
 
 // Object flag bits used by the collectors.
 const (
@@ -80,8 +70,8 @@ var chunkPool struct {
 	free [][]Object
 }
 
-// maxPooledChunks caps idle chunk retention (at 768 KiB a chunk, at most
-// 192 MiB).
+// maxPooledChunks caps idle chunk retention (at 512 KiB a chunk, at most
+// 128 MiB).
 const maxPooledChunks = 256
 
 func getChunk() []Object {
@@ -108,28 +98,26 @@ func putChunk(c []Object) {
 // Object is one heap object. Objects live in the heap's table; a Ref is an
 // index into it.
 //
-// The struct is deliberately pointer-free (48 bytes, down from 96 with
-// slice-headed fields): outgoing references live inline or at an offset
-// into the heap's ref arena, reached through RefsIn, and interpreter int
-// payloads live in a side table (IntsOf/SetInts). That halves the memory
-// traffic of zeroing and reusing table chunks, and makes the chunks
+// The struct is deliberately pointer-free and 32 bytes, two to a cache
+// line: outgoing references live inline or at an offset into the heap's
+// ref arena, reached through RefsIn, and interpreter int payloads live in a
+// side table (IntsOf/SetInts). The collectors stream over the table, so
+// its footprint is their memory traffic; and pointer-free chunks are
 // invisible to Go's garbage collector, which need not scan them.
 type Object struct {
-	Kind  Kind
+	Addr uint64 // simulated address; changes when a copying collector moves it
+	Size uint32 // total heap footprint in bytes, header included
+
+	// nrefs is the outgoing-reference count.
+	nrefs uint16
+
 	Flags uint8
 	Age   uint8 // nursery collections survived
-	Class classfile.ClassID
-	Size  uint32 // total heap footprint in bytes, header included
-	Addr  uint64 // simulated address; changes when a copying collector moves it
-
-	// nrefs is the outgoing-reference count; spill is the ref-arena offset
-	// of the reference storage when nrefs exceeds inlineRefs.
-	nrefs uint32
-	spill uint32
 
 	// inline backs the references of objects with at most inlineRefs of
-	// them. Objects must not be copied by value (RefsIn would alias the
-	// source's inline store); they are only ever reached as *Object via Get.
+	// them; an object with more keeps its ref-arena offset in inline[0].
+	// Objects must not be copied by value (RefsIn would alias the source's
+	// inline store); they are only ever reached as *Object via Get.
 	inline [inlineRefs]Ref
 }
 
@@ -145,7 +133,8 @@ func (o *Object) RefsIn(h *Heap) []Ref {
 	if o.nrefs <= inlineRefs {
 		return o.inline[:o.nrefs]
 	}
-	return h.arena[o.spill : o.spill+o.nrefs]
+	off := uint32(o.inline[0])
+	return h.arena[off : off+uint32(o.nrefs)]
 }
 
 // Heap owns the object table. Collectors and the VM share one Heap.
@@ -162,10 +151,10 @@ type Heap struct {
 	released bool // table chunks returned to chunkPool; heap is dead
 
 	// arena holds the spilled reference storage of objects with more than
-	// inlineRefs references, addressed by Object.spill offsets. Offsets are
-	// stable for the heap's lifetime (the arena only grows); storage is
-	// never recycled within a run, bounding spill volume by cumulative
-	// allocation.
+	// inlineRefs references, addressed by the offsets in their inline[0].
+	// Offsets are stable for the heap's lifetime (the arena only grows);
+	// storage is never recycled within a run, bounding spill volume by
+	// cumulative allocation.
 	arena []Ref
 
 	// ints holds interpreter-materialized int payloads by ref. It is a side
@@ -241,7 +230,13 @@ func (h *Heap) SetInts(r Ref, s []int32) {
 // NewObject creates an object in the table with the given shape and
 // simulated address and returns its reference. The caller (a collector's
 // allocator) is responsible for having reserved addr..addr+size in a space.
-func (h *Heap) NewObject(kind Kind, class classfile.ClassID, size uint32, nrefs int, addr uint64) Ref {
+// More than math.MaxUint16 references panics: the count is 16 bits, and
+// classfile.Program.Validate bounds a class's fields at that, so reaching
+// this is a VM bug.
+func (h *Heap) NewObject(size uint32, nrefs int, addr uint64) Ref {
+	if uint(nrefs) > math.MaxUint16 {
+		panic("heap: object reference count out of range")
+	}
 	var r Ref
 	if h.freeHead != Null {
 		r = h.freeHead
@@ -254,9 +249,9 @@ func (h *Heap) NewObject(kind Kind, class classfile.ClassID, size uint32, nrefs 
 		h.n++
 	}
 	o := &h.chunks[r>>chunkShift][r&chunkMask]
-	*o = Object{Kind: kind, Class: class, Size: size, Addr: addr, nrefs: uint32(nrefs)}
+	*o = Object{Size: size, Addr: addr, nrefs: uint16(nrefs)}
 	if nrefs > inlineRefs {
-		o.spill = h.spillRefs(nrefs)
+		o.inline[0] = Ref(h.spillRefs(nrefs))
 	}
 	h.liveCount++
 	h.liveBytes += units.ByteSize(size)

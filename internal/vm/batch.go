@@ -214,10 +214,10 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 // allocSegment performs one segment's allocation against the collector.
 func (v *VM) allocSegment(bytes int64, p *BehaviorProfile) error {
 	avg := int64(p.AvgObjectBytes)
+	maxRefs := uint64(int(2*p.RefsPerObject) + 1)
 	for done := int64(0); done < bytes; {
 		size := uint32(avg/2 + int64(v.rng()%uint64(avg))) // [avg/2, 1.5avg)
-		maxRefs := int(2*p.RefsPerObject) + 1
-		nrefs := int(v.rng() % uint64(maxRefs))
+		nrefs := int(v.rng() % maxRefs)
 		if _, err := v.allocAppObject(size, nrefs, p.LongLivedFrac, p.LiveTarget); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"jvmpower/internal/gc"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -85,11 +84,11 @@ func (r *vmRoots) RootCount() int {
 // returned mutator instruction cost (allocation sequence + write barriers)
 // accumulates into the current App slice.
 func (v *VM) allocAppObject(size uint32, nrefs int, longLivedP float64, liveTarget units.ByteSize) (heap.Ref, error) {
-	r, err := v.col.Alloc(heap.KindObject, 0, size, nrefs)
+	r, err := v.col.Alloc(size, nrefs)
 	if err != nil {
 		return heap.Null, err
 	}
-	v.pendingMutInstr += gc.AllocCost(v.freeListAlloc())
+	v.pendingMutInstr += v.allocInstr
 
 	o := v.heap.Get(r)
 	// Wire the first reference field to the previous allocation with the
@@ -105,7 +104,9 @@ func (v *VM) allocAppObject(size uint32, nrefs int, longLivedP float64, liveTarg
 
 	// Root in the stack ring (overwriting the slot retires an older root).
 	v.stackRing[v.ringPos] = r
-	v.ringPos = (v.ringPos + 1) % ringSlots
+	if v.ringPos++; v.ringPos == ringSlots {
+		v.ringPos = 0
+	}
 
 	if nrefs > 0 && longLivedP > 0 && v.rngFloat() < longLivedP {
 		v.attachLongLived(r, size, liveTarget)
@@ -171,7 +172,7 @@ func (v *VM) mutatePointer() {
 	ti := int(v.rng() % numTables)
 	table := v.tables[ti]
 	if table == heap.Null {
-		r, err := v.col.Alloc(heap.KindObject, 0, 64, 4)
+		r, err := v.col.Alloc(64, 4)
 		if err != nil {
 			return // heap exhausted; the caller's next alloc will surface it
 		}
@@ -187,15 +188,4 @@ func (v *VM) mutatePointer() {
 	slot := int(v.rng() % uint64(len(refs)))
 	refs[slot] = t
 	v.pendingMutInstr += v.col.WriteBarrier(table, t)
-}
-
-// freeListAlloc reports whether the active plan allocates from free lists
-// (mutator allocation-sequence cost differs from bump allocation).
-func (v *VM) freeListAlloc() bool {
-	switch v.col.Name() {
-	case "MarkSweep", "KaffeMS":
-		return true
-	default:
-		return false
-	}
 }

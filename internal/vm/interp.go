@@ -6,7 +6,6 @@ import (
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/component"
 	"jvmpower/internal/cpu"
-	"jvmpower/internal/gc"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/isa"
 	"jvmpower/internal/jit"
@@ -480,14 +479,14 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 		}
 		c := v.prog.Class(cid)
 		nInt := len(c.Fields) - c.NumRefFields()
-		ref, err := v.col.Alloc(heap.KindObject, cid, uint32(c.InstanceSize()), c.NumRefFields())
+		ref, err := v.col.Alloc(uint32(c.InstanceSize()), c.NumRefFields())
 		if err != nil {
 			return false, err
 		}
 		if nInt > 0 {
 			v.heap.SetInts(ref, make([]int32, nInt))
 		}
-		it.instr += float64(gc.AllocCost(v.freeListAlloc()))
+		it.instr += float64(v.allocInstr)
 		it.stats.Allocations++
 		f.push(refSlot(ref))
 	case isa.NEWARRAY:
@@ -504,12 +503,12 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 			elem = 4
 		}
 		size := heap.ArraySize(int(n.i), elem)
-		ref, err := v.col.Alloc(heap.KindIntArray, classfile.NoClass, size, 0)
+		ref, err := v.col.Alloc(size, 0)
 		if err != nil {
 			return false, err
 		}
 		v.heap.SetInts(ref, make([]int32, n.i))
-		it.instr += float64(gc.AllocCost(v.freeListAlloc()))
+		it.instr += float64(v.allocInstr)
 		it.stats.Allocations++
 		f.push(refSlot(ref))
 

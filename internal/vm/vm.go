@@ -106,6 +106,9 @@ type VM struct {
 
 	// Graph-operation costs accumulated since the last App slice.
 	pendingMutInstr int64
+	// allocInstr is the plan's mutator allocation-sequence cost: free-list
+	// plans pay more per object than bump-pointer ones.
+	allocInstr int64
 
 	// invoked marks methods that have executed at least once.
 	invoked []bool
@@ -189,6 +192,7 @@ func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
 		return nil, err
 	}
 	v.col = col
+	v.allocInstr = gc.AllocCost(colName == "MarkSweep" || colName == "KaffeMS")
 	return v, nil
 }
 
