@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
+.PHONY: build test vet fmt-check race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file is not gofmt-formatted, listing
+# the offenders. It reformats nothing.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
 # race exercises the concurrent machinery under the race detector: the
 # experiment dispatcher (RunAll workers, the fan-out of the ablation, dvfs,
@@ -32,11 +38,11 @@ race:
 # check is the tier-1 gate: everything must pass before a change lands.
 check: build vet test race
 
-# ci mirrors .github/workflows/ci.yml locally: the tier-1 gate plus the
-# benchmark module's check, the recorded-output check, the full-scale
+# ci mirrors .github/workflows/ci.yml locally: the gofmt check, the tier-1
+# gate, the benchmark module's check, the recorded-output check, the full-scale
 # paper-anchor check, a short fuzz smoke over every native fuzz target and
 # the shell-level smokes (fleet, crash, daemon).
-ci: build vet test race perfbench-check output-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
+ci: fmt-check build vet test race perfbench-check output-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
 
 # perfbench-check vets and tests the repo benchmark (perfbench/, its own Go
 # module, which `go build ./...` never compiles), so a change to an API it

@@ -50,16 +50,25 @@ type RunConfig struct {
 	Cancel <-chan struct{}
 }
 
-// Result bundles the decomposition with the meter (ground truth, thermal
-// state) and the VM's collector statistics.
-type Result struct {
+// Outcome is what a run leaves once its meter is gone: the
+// decomposition, the VM's collector statistics and loaded-class count, and
+// the injected-fault tally. It is the one persisted shape of a result —
+// what a disk cache stores, an executor returns and a shared flight hands
+// its joiners.
+type Outcome struct {
 	Decomposition analysis.Decomposition
-	Meter         *Meter
 	GCStats       gc.Stats
 	LoadedClasses int
 	// FaultCounts tallies injected faults by "site.class" (nil unless a
 	// fault plan was active and fired).
 	FaultCounts map[string]int64
+}
+
+// Result bundles a run's Outcome with its meter (ground truth, thermal
+// state). A result rebuilt from a persisted Outcome has a nil Meter.
+type Result struct {
+	Outcome
+	Meter *Meter
 }
 
 // Characterize executes one characterization run to completion and returns
@@ -117,10 +126,12 @@ func Characterize(cfg RunConfig) (Result, error) {
 		meter.HPM(),
 	)
 	return Result{
-		Decomposition: dec,
-		Meter:         meter,
-		GCStats:       machine.Collector().Stats(),
-		LoadedClasses: machine.Loader().LoadedCount(),
-		FaultCounts:   meter.FaultCounts(),
+		Outcome: Outcome{
+			Decomposition: dec,
+			GCStats:       machine.Collector().Stats(),
+			LoadedClasses: machine.Loader().LoadedCount(),
+			FaultCounts:   meter.FaultCounts(),
+		},
+		Meter: meter,
 	}, nil
 }

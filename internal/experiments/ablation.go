@@ -24,10 +24,6 @@ func (r *Runner) AblationSampling() error {
 	if err != nil {
 		return err
 	}
-	profile := bench.Profile
-	if r.Quick {
-		profile = profile.Scale(0.25)
-	}
 	periods := []units.Duration{
 		40 * time.Microsecond, 200 * time.Microsecond,
 		1 * time.Millisecond, 5 * time.Millisecond,
@@ -36,15 +32,9 @@ func (r *Runner) AblationSampling() error {
 	err = r.dispatch(len(periods), func(i int) error {
 		plat := platform.P6()
 		plat.DAQPeriod = periods[i]
-		res, err := core.Characterize(core.RunConfig{
-			Platform:      plat,
-			VM:            vm.Config{Flavor: vm.Jikes, Collector: "GenCopy", HeapSize: 48 * units.MB, Seed: r.Seed},
-			Program:       bench.Program(),
-			Profile:       profile,
-			FanOn:         true,
-			IdealChannels: true, // isolate sampling error from chain noise
-			Cancel:        r.runCtx().Done(),
-		})
+		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 48, Platform: plat}, r.Seed)
+		cfg.IdealChannels = true // isolate sampling error from chain noise
+		res, err := core.Characterize(cfg)
 		if err != nil {
 			return err
 		}
@@ -92,23 +82,13 @@ func (r *Runner) AblationMLP() error {
 	if err != nil {
 		return err
 	}
-	profile := bench.Profile
-	if r.Quick {
-		profile = profile.Scale(0.25)
-	}
 	mlps := []float64{1.0, 0.5, 0.0}
 	rows := make([][]string, len(mlps))
 	err = r.dispatch(len(mlps), func(i int) error {
 		plat := platform.P6()
 		plat.CPU.MLPSupport = mlps[i]
-		res, err := core.Characterize(core.RunConfig{
-			Platform: plat,
-			VM:       vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace", HeapSize: 32 * units.MB, Seed: r.Seed},
-			Program:  bench.Program(),
-			Profile:  profile,
-			FanOn:    true,
-			Cancel:   r.runCtx().Done(),
-		})
+		res, err := core.Characterize(r.runConfig(
+			Point{Bench: bench, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 32, Platform: plat}, r.Seed))
 		if err != nil {
 			return err
 		}

@@ -82,7 +82,7 @@ func (s *CampaignSpec) normalize() (*faultinject.Plan, error) {
 		return nil, fmt.Errorf("campaign: no figures requested (have %v)", FigureNames())
 	}
 	for _, f := range s.Figures {
-		if _, ok := figures[f]; !ok {
+		if figure(f) == nil {
 			return nil, fmt.Errorf("campaign: unknown figure %q (have %v)", f, FigureNames())
 		}
 	}

@@ -423,7 +423,7 @@ func TestSharedOwnerRechecksDiskCache(t *testing.T) {
 	r := quickRunner(&buf)
 	r.CacheDir = filepath.Dir(path)
 	r.Metrics = metrics.NewRegistry()
-	res, source, _, err := NewSharedFlights().compute(r, p, p.key())
+	res, source, _, err := NewSharedFlights().compute(r, p, p.ID())
 	if err != nil || res == nil {
 		t.Fatalf("compute = %v, %v", res, err)
 	}

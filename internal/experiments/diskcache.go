@@ -10,9 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"jvmpower/internal/analysis"
 	"jvmpower/internal/core"
-	"jvmpower/internal/gc"
 )
 
 // On-disk point cache. Each completed characterization point is persisted
@@ -33,9 +31,9 @@ import (
 
 // diskCacheVersion invalidates all persisted entries when the cached
 // format — or the simulation's observable output — changes. Bump it in any
-// PR that changes figure numbers. v3: entries grew the self-verifying
-// envelope.
-const diskCacheVersion = 3
+// change that moves figure numbers. v3: entries grew the self-verifying
+// envelope. v4: the key hashes the whole PointID.
+const diskCacheVersion = 4
 
 // Envelope layout: magic (4) | format version (1) | payload CRC32C,
 // big-endian (4) | gob payload.
@@ -51,30 +49,15 @@ const (
 const corruptDirName = "corrupt"
 
 // diskKey names the cache file for a point under the current runner
-// settings. The fault plan's canonical spec and the repetition count are
+// settings. It hashes the Go syntax of the whole PointID (%#v, which names
+// and quotes every field and bypasses String), so no identity field can be
+// left out. The fault plan's canonical spec and the repetition count are
 // part of the key: a fault campaign's perturbed results must never be
 // served to a clean run, nor a single-rep result to a quorum run.
-func (r *Runner) diskKey(k pointKey) string {
-	reps := r.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%d|%s|%d|%s|%t|%t|seed=%d|quick=%t|faults=%s|reps=%d",
-		diskCacheVersion, k.bench, k.flavor, k.collector, k.heapMB, k.platform,
-		k.s10, k.fanOff, r.Seed, r.Quick, r.Faults.String(), reps)))
+func (r *Runner) diskKey(id PointID) string {
+	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%#v|seed=%d|quick=%t|faults=%s|reps=%d",
+		diskCacheVersion, id, r.Seed, r.Quick, r.Faults.String(), max(r.Reps, 1))))
 	return fmt.Sprintf("%x.point", h[:12])
-}
-
-// cachedPoint is the serializable subset of core.Result: everything the
-// figures reached through Run consume. The Meter (ground-truth ledger and
-// thermal state) is not persisted, so loaded results carry a nil Meter;
-// the ablation figures, which need ground truth, characterize directly
-// and never see cached results.
-type cachedPoint struct {
-	Decomposition analysis.Decomposition
-	GCStats       gc.Stats
-	LoadedClasses int
-	FaultCounts   map[string]int64
 }
 
 // sealCacheEntry wraps a gob payload in the self-verifying envelope.
@@ -109,11 +92,27 @@ func openCacheEntry(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// decodeCacheEntry verifies an entry's envelope and decodes its payload:
+// the one validity check live loads and fsck share.
+func decodeCacheEntry(data []byte) (core.Outcome, error) {
+	var out core.Outcome
+	payload, err := openCacheEntry(data)
+	if err != nil {
+		return out, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&out); err != nil {
+		return out, fmt.Errorf("gob payload: %w", err)
+	}
+	return out, nil
+}
+
 // loadPoint returns the persisted result for k, if the disk cache is
-// enabled and holds a verifiably intact entry. A corrupt entry is
-// quarantined and reported as a miss — the caller recomputes, so a flipped
-// bit costs one characterization, never a wrong figure.
-func (r *Runner) loadPoint(k pointKey) (*core.Result, bool) {
+// enabled and holds a verifiably intact entry. Only the Outcome is
+// persisted, so the result's Meter is nil; every figure reached through
+// Run consumes only the Outcome. A corrupt entry is quarantined and
+// reported as a miss — the caller recomputes, so a flipped bit costs one
+// characterization, never a wrong figure.
+func (r *Runner) loadPoint(k PointID) (*core.Result, bool) {
 	if r.CacheDir == "" {
 		return nil, false
 	}
@@ -122,22 +121,12 @@ func (r *Runner) loadPoint(k pointKey) (*core.Result, bool) {
 	if err != nil {
 		return nil, false
 	}
-	payload, err := openCacheEntry(data)
+	out, err := decodeCacheEntry(data)
 	if err != nil {
 		r.quarantine(path, err)
 		return nil, false
 	}
-	var c cachedPoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		r.quarantine(path, fmt.Errorf("gob payload: %w", err))
-		return nil, false
-	}
-	return &core.Result{
-		Decomposition: c.Decomposition,
-		GCStats:       c.GCStats,
-		LoadedClasses: c.LoadedClasses,
-		FaultCounts:   c.FaultCounts,
-	}, true
+	return &core.Result{Outcome: out}, true
 }
 
 // quarantine moves a corrupt cache entry into the sidecar dir (falling
@@ -175,7 +164,7 @@ type CacheEvent struct {
 // they are no longer silent either: each one bumps
 // experiments.diskcache.write_errors and the first journals a warning, so
 // a full disk reads as a failing cache instead of a permanently cold one.
-func (r *Runner) storePoint(k pointKey, res *core.Result) {
+func (r *Runner) storePoint(k PointID, res *core.Result) {
 	if r.CacheDir == "" {
 		return
 	}
@@ -193,27 +182,21 @@ func (r *Runner) storePoint(k pointKey, res *core.Result) {
 	}
 }
 
-// storePointFile does the write: seal the gob payload in the envelope,
-// fsync a unique temp file, rename into place. The unique temp file means
-// concurrent writers of the same key — singleflight bounds those to one
-// per process, but nothing stops two `experiments -cache DIR` processes
-// sharing a cache directory — cannot interleave into each other's bytes,
-// and the fsync+rename means a crash leaves either the old entry or the
-// complete new one, never a torn file (and if the disk lies, the envelope
-// checksum catches it on load).
-func (r *Runner) storePointFile(k pointKey, res *core.Result) error {
+// storePointFile does the write: seal the gob of the result's Outcome in
+// the envelope, fsync a unique temp file, rename into place. The unique
+// temp file means concurrent writers of the same key — singleflight bounds
+// those to one per process, but nothing stops two `experiments -cache DIR`
+// processes sharing a cache directory — cannot interleave into each
+// other's bytes, and the fsync+rename means a crash leaves either the old
+// entry or the complete new one, never a torn file (and if the disk lies,
+// the envelope checksum catches it on load).
+func (r *Runner) storePointFile(k PointID, res *core.Result) error {
 	if err := os.MkdirAll(r.CacheDir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(r.CacheDir, r.diskKey(k))
-	c := cachedPoint{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&c); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(&res.Outcome); err != nil {
 		return err
 	}
 	f, err := os.CreateTemp(r.CacheDir, r.diskKey(k)+".*.tmp")

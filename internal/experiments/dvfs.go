@@ -7,7 +7,6 @@ import (
 	"jvmpower/internal/component"
 	"jvmpower/internal/core"
 	"jvmpower/internal/platform"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -69,20 +68,10 @@ func (r *Runner) DVFS() error {
 		if err != nil {
 			return err
 		}
-		profile := bench.Profile
-		if r.Quick {
-			profile = profile.Scale(0.25)
-		}
-		res, err := core.Characterize(core.RunConfig{
-			Platform: p6,
-			VM: vm.Config{Flavor: vm.Jikes, Collector: runs[i].collector,
-				HeapSize: units.ByteSize(runs[i].heapMB) * units.MB, Seed: r.Seed},
-			Program:    bench.Program(),
-			Profile:    profile,
-			FanOn:      true,
-			DVFSPolicy: runs[i].policy,
-			Cancel:     r.runCtx().Done(),
-		})
+		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: runs[i].collector,
+			HeapMB: runs[i].heapMB, Platform: p6}, r.Seed)
+		cfg.DVFSPolicy = runs[i].policy
+		res, err := core.Characterize(cfg)
 		decs[i] = res.Decomposition
 		return err
 	})

@@ -9,7 +9,6 @@ import (
 	"jvmpower/internal/core"
 	"jvmpower/internal/daq"
 	"jvmpower/internal/platform"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -21,41 +20,25 @@ import (
 // on our PXA255 system, [so] our sampling fidelity accurately captures all
 // important behavior."
 func (r *Runner) Dwell() error {
+	bench, err := workloads.ByName("_213_javac")
+	if err != nil {
+		return err
+	}
 	runs := []struct {
-		label  string
-		plat   platform.Platform
-		flavor vm.Flavor
-		heapMB int
-		s10    bool
+		label string
+		point Point
 	}{
-		{"P6/Jikes", platform.P6(), vm.Jikes, 64, false},
-		{"DBPXA255/Kaffe", platform.DBPXA255(), vm.Kaffe, 16, true},
+		{"P6/Jikes", Point{Bench: bench, Flavor: vm.Jikes, HeapMB: 64, Platform: platform.P6()}},
+		{"DBPXA255/Kaffe", Point{Bench: bench, Flavor: vm.Kaffe, HeapMB: 16, Platform: platform.DBPXA255(), S10: true}},
 	}
 	dwells := make([]*analysis.DwellRecorder, len(runs))
-	err := r.dispatch(len(runs), func(i int) error {
-		bench, err := workloads.ByName("_213_javac")
-		if err != nil {
-			return err
-		}
-		profile := bench.Profile
-		if runs[i].s10 {
-			profile = workloads.S10Profile(bench)
-		}
-		if r.Quick {
-			profile = profile.Scale(0.25)
-		}
+	err = r.dispatch(len(runs), func(i int) error {
+		cfg := r.runConfig(runs[i].point, r.Seed)
 		// The recorder only observes: the run's own aggregator already
 		// receives every sample, so the recorder forwards to an empty sink.
-		dwell := analysis.NewDwellRecorder(daq.MultiSink{}, runs[i].plat.DAQPeriod)
-		if _, err := core.Characterize(core.RunConfig{
-			Platform:  runs[i].plat,
-			VM:        vm.Config{Flavor: runs[i].flavor, HeapSize: units.ByteSize(runs[i].heapMB) * units.MB, Seed: r.Seed},
-			Program:   bench.Program(),
-			Profile:   profile,
-			FanOn:     true,
-			TraceSink: dwell,
-			Cancel:    r.runCtx().Done(),
-		}); err != nil {
+		dwell := analysis.NewDwellRecorder(daq.MultiSink{}, cfg.Platform.DAQPeriod)
+		cfg.TraceSink = dwell
+		if _, err := core.Characterize(cfg); err != nil {
 			return err
 		}
 		dwell.Flush()

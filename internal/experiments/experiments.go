@@ -41,11 +41,12 @@ type Runner struct {
 	Quick bool
 	// Seed drives every run's determinism.
 	Seed uint64
-	// CacheDir, when non-empty, persists completed points to disk, keyed
-	// by a hash of the point identity plus seed and quick flag, so a rerun
+	// CacheDir, when non-empty, persists each completed point's
+	// core.Outcome to disk, keyed by a hash of its PointID and every runner
+	// setting that determines its bytes (see diskKey), so a rerun
 	// recomputes only invalidated points. Loaded results carry a nil
 	// Meter (ground truth is not persisted); every figure reached through
-	// Run consumes only the decomposition and GC statistics.
+	// Run consumes only the Outcome.
 	CacheDir string
 	// Metrics, when non-nil, instruments the pipeline (see observe.go for
 	// the schema). Journal, when non-nil, receives one PointEvent per
@@ -105,8 +106,8 @@ type Runner struct {
 	OnPoint func(p Point, ev PointEvent)
 
 	mu     sync.Mutex
-	cache  map[pointKey]*flight
-	resume map[pointKey]bool
+	cache  map[PointID]*flight
+	resume map[PointID]bool
 
 	faultMu sync.Mutex
 	faults  []FaultRecord
@@ -120,10 +121,11 @@ type Runner struct {
 	breakers  map[string]*supervisor.Breaker
 }
 
-// flight is one singleflight cache entry: the first Run for a key owns the
-// computation; later Runs for the same key — concurrent or not — wait on
-// ready and share the outcome, so parallel workers never duplicate an
-// in-flight point.
+// flight is one singleflight entry: the first caller for a key owns the
+// computation; later callers for the same key — concurrent or not — wait
+// on ready and share the outcome, so parallel workers never duplicate an
+// in-flight point. The Runner's table keeps finished flights as its
+// figure memo; SharedFlights forgets them.
 type flight struct {
 	ready chan struct{} // closed when res/err are set
 	res   *core.Result
@@ -132,17 +134,7 @@ type flight struct {
 
 // NewRunner returns a Runner writing to out.
 func NewRunner(out io.Writer) *Runner {
-	return &Runner{Out: out, Seed: 1, cache: make(map[pointKey]*flight)}
-}
-
-type pointKey struct {
-	bench     string
-	flavor    vm.Flavor
-	collector string
-	heapMB    int
-	platform  string
-	s10       bool
-	fanOff    bool
+	return &Runner{Out: out, Seed: 1, cache: make(map[PointID]*flight)}
 }
 
 // Point identifies one characterization run.
@@ -156,12 +148,47 @@ type Point struct {
 	FanOff    bool
 }
 
-func (p Point) key() pointKey {
-	return pointKey{
-		bench: p.Bench.Name, flavor: p.Flavor, collector: p.Collector,
-		heapMB: p.HeapMB, platform: p.Platform.Name, s10: p.S10, fanOff: p.FanOff,
+// PointID is a point's identity by name: the one declaration the Runner's
+// flights and resume set key on, the disk key hashes, and every journal
+// point record leads with (its JSON tags are the journal's field names).
+type PointID struct {
+	Bench     string `json:"bench"`
+	Flavor    string `json:"flavor"`
+	Collector string `json:"collector,omitempty"`
+	HeapMB    int    `json:"heap_mb"`
+	Platform  string `json:"platform"`
+	S10       bool   `json:"s10,omitempty"`
+	FanOff    bool   `json:"fan_off,omitempty"`
+}
+
+// ID returns the point's identity.
+func (p Point) ID() PointID {
+	return PointID{
+		Bench: p.Bench.Name, Flavor: p.Flavor.String(), Collector: p.Collector,
+		HeapMB: p.HeapMB, Platform: p.Platform.Name, S10: p.S10, FanOff: p.FanOff,
 	}
 }
+
+// String is the identity's one rendering: the name fault plans target
+// (-faults panic-point=SUBSTR) and errors, fault reports and fault records
+// carry.
+func (id PointID) String() string {
+	col := id.Collector
+	if col == "" {
+		col = "default"
+	}
+	s := fmt.Sprintf("%s/%s/%s/%dMB/%s", id.Bench, id.Flavor, col, id.HeapMB, id.Platform)
+	if id.S10 {
+		s += "/s10"
+	}
+	if id.FanOff {
+		s += "/fanoff"
+	}
+	return s
+}
+
+// String renders the point's identity (see PointID.String).
+func (p Point) String() string { return p.ID().String() }
 
 // Run executes (or returns the cached result of) one point. Concurrent
 // calls for the same point coalesce onto one computation (singleflight);
@@ -174,7 +201,7 @@ func (r *Runner) Run(p Point) (*core.Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	k := p.key()
+	k := p.ID()
 	r.mu.Lock()
 	if f, ok := r.cache[k]; ok {
 		r.mu.Unlock()
@@ -202,14 +229,13 @@ func (r *Runner) Run(p Point) (*core.Result, error) {
 // that panics mid-point.
 var characterize = core.Characterize
 
-// computeOnce runs one characterization of p at the given seed (which is
-// the runner's seed except under quorum repetitions). stop, when non-nil,
-// aborts the simulation at its next segment boundary once closed (see
-// core.RunConfig.Cancel); attemptGuarded closes it when it abandons a
-// timed-out or cancelled attempt, so the goroutine stops burning CPU
-// instead of simulating to completion. Persistence and resilience live
-// above, in computeResilient.
-func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.Result, error) {
+// runConfig is the one derivation of the run that characterizes p at
+// seed: the benchmark's program and profile (its S10 input when asked for,
+// scaled down in Quick mode), the VM configuration, the cooling state, and
+// cancellation by r.Ctx. computeOnce swaps in its attempt's stop channel
+// and adds instrumentation and faults; the figures that characterize
+// outside Run add only their own extra.
+func (r *Runner) runConfig(p Point, seed uint64) core.RunConfig {
 	profile := p.Bench.Profile
 	if p.S10 {
 		profile = workloads.S10Profile(p.Bench)
@@ -217,7 +243,7 @@ func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.
 	if r.Quick {
 		profile = profile.Scale(0.25)
 	}
-	res, err := characterize(core.RunConfig{
+	return core.RunConfig{
 		Platform: p.Platform,
 		VM: vm.Config{
 			Flavor:    p.Flavor,
@@ -228,13 +254,23 @@ func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.
 		Program: p.Bench.Program(),
 		Profile: profile,
 		FanOn:   !p.FanOff,
-		Metrics: r.Metrics,
-		Faults:  r.Faults,
-		Cancel:  stop,
-	})
+		Cancel:  r.runCtx().Done(),
+	}
+}
+
+// computeOnce runs one characterization of p at the given seed (which is
+// the runner's seed except under quorum repetitions). stop, when non-nil,
+// aborts the simulation at its next segment boundary once closed (see
+// core.RunConfig.Cancel); attemptGuarded closes it when it abandons a
+// timed-out or cancelled attempt, so the goroutine stops burning CPU
+// instead of simulating to completion. Persistence and resilience live
+// above, in computeResilient.
+func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.Result, error) {
+	cfg := r.runConfig(p, seed)
+	cfg.Metrics, cfg.Faults, cfg.Cancel = r.Metrics, r.Faults, stop
+	res, err := characterize(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s/%s/%dMB on %s: %w",
-			p.Bench.Name, p.Flavor, p.Collector, p.HeapMB, p.Platform.Name, err)
+		return nil, fmt.Errorf("experiments: %s: %w", p, err)
 	}
 	return &res, nil
 }
@@ -408,52 +444,57 @@ func (r *Runner) printf(format string, args ...any) {
 	fmt.Fprintf(r.Out, format, args...)
 }
 
-// Names of all figures, in paper order.
+// FigureNames returns every figure's identifier, sorted.
 func FigureNames() []string {
-	names := make([]string, 0, len(figures))
-	for n := range figures {
-		names = append(names, n)
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
 	sort.Strings(names)
 	return names
 }
 
-// figures maps figure identifiers to their runners.
-var figures = map[string]func(*Runner) error{
-	"fig1":  (*Runner).Fig1Thermal,
-	"fig5":  (*Runner).Fig5Benchmarks,
-	"fig6":  (*Runner).Fig6EnergyDecomposition,
-	"fig7":  (*Runner).Fig7EDP,
-	"fig8":  (*Runner).Fig8Power,
-	"mem":   (*Runner).MemoryEnergy,
-	"fig9":  (*Runner).Fig9Kaffe,
-	"fig10": (*Runner).Fig10KaffeEDP,
-	"fig11": (*Runner).Fig11Embedded,
+// figures is the figure registry, in presentation (paper) order:
+// RunEverything walks it, and RunFigure and CampaignSpec.normalize look
+// identifiers up in it.
+var figures = []struct {
+	name string
+	run  func(*Runner) error
+}{
+	{"fig1", (*Runner).Fig1Thermal},
+	{"fig5", (*Runner).Fig5Benchmarks},
+	{"fig6", (*Runner).Fig6EnergyDecomposition},
+	{"fig7", (*Runner).Fig7EDP},
+	{"fig8", (*Runner).Fig8Power},
+	{"mem", (*Runner).MemoryEnergy},
+	{"fig9", (*Runner).Fig9Kaffe},
+	{"fig10", (*Runner).Fig10KaffeEDP},
+	{"fig11", (*Runner).Fig11Embedded},
 	// Ablations of this reproduction's own design choices (not paper
 	// figures): sampling-period fidelity and the MLP timing dimension.
-	"ablation-sampling": (*Runner).AblationSampling,
-	"ablation-mlp":      (*Runner).AblationMLP,
+	{"ablation-sampling", (*Runner).AblationSampling},
+	{"ablation-mlp", (*Runner).AblationMLP},
 	// Extensions from the paper's future-work section.
-	"dvfs":       (*Runner).DVFS,
-	"thermal-gc": (*Runner).ThermalGC,
-	"hpm-power":  (*Runner).HPMPower,
-	"dwell":      (*Runner).Dwell,
+	{"dvfs", (*Runner).DVFS},
+	{"thermal-gc", (*Runner).ThermalGC},
+	{"hpm-power", (*Runner).HPMPower},
+	{"dwell", (*Runner).Dwell},
 }
 
-// figureOrder lists every figure in presentation (paper) order. It is the
-// single source RunEverything iterates, declared next to the figures map;
-// TestFigureOrderMatchesRegistry asserts the two stay identical, so a
-// figure added to the map but not here fails fast instead of being
-// silently skipped by `-all`.
-var figureOrder = []string{
-	"fig1", "fig5", "fig6", "fig7", "fig8", "mem", "fig9", "fig10", "fig11",
-	"ablation-sampling", "ablation-mlp", "dvfs", "thermal-gc", "hpm-power", "dwell",
+// figure returns the runner of the named figure, or nil if there is none.
+func figure(name string) func(*Runner) error {
+	for _, f := range figures {
+		if f.name == name {
+			return f.run
+		}
+	}
+	return nil
 }
 
 // RunFigure regenerates one figure by identifier ("fig1".."fig11", "mem").
 func (r *Runner) RunFigure(name string) error {
-	fn, ok := figures[name]
-	if !ok {
+	fn := figure(name)
+	if fn == nil {
 		return fmt.Errorf("experiments: unknown figure %q (have %v)", name, FigureNames())
 	}
 	start := time.Now()
@@ -468,8 +509,8 @@ func (r *Runner) RunFigure(name string) error {
 
 // RunEverything regenerates all figures in paper order.
 func (r *Runner) RunEverything() error {
-	for _, n := range figureOrder {
-		if err := r.RunFigure(n); err != nil {
+	for _, f := range figures {
+		if err := r.RunFigure(f.name); err != nil {
 			return err
 		}
 	}

@@ -71,10 +71,18 @@ func TestHeapSweeps(t *testing.T) {
 	}
 }
 
+// TestFigureRegistry: the registry holds the 15 figures, each name once
+// (RunFigure would only ever reach the first of two), FigureNames returns
+// them sorted, and an unknown name is rejected.
 func TestFigureRegistry(t *testing.T) {
 	names := FigureNames()
 	if len(names) != 15 {
 		t.Fatalf("figure registry has %d entries: %v", len(names), names)
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("FigureNames not sorted or %q registered twice: %v", names[i], names)
+		}
 	}
 	var buf strings.Builder
 	r := quickRunner(&buf)

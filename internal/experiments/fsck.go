@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -82,7 +80,7 @@ func fsckCache(w io.Writer, dir string, rep *FsckReport) error {
 		if err != nil {
 			return fmt.Errorf("fsck: %w", err)
 		}
-		cause := verifyCacheEntry(data)
+		_, cause := decodeCacheEntry(data)
 		if cause == nil {
 			continue
 		}
@@ -99,20 +97,6 @@ func fsckCache(w io.Writer, dir string, rep *FsckReport) error {
 	}
 	fmt.Fprintf(w, "fsck: cache %s: %d entr%s scanned, %d corrupt\n",
 		dir, rep.CacheScanned, plural(rep.CacheScanned, "y", "ies"), rep.CacheCorrupt)
-	return nil
-}
-
-// verifyCacheEntry runs the full validity check on one entry's bytes:
-// envelope plus gob payload. Nil means intact.
-func verifyCacheEntry(data []byte) error {
-	payload, err := openCacheEntry(data)
-	if err != nil {
-		return err
-	}
-	var c cachedPoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		return fmt.Errorf("gob payload: %w", err)
-	}
 	return nil
 }
 

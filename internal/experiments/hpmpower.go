@@ -25,22 +25,19 @@ import (
 // power with no measurement hardware at all — the premise of power-aware
 // scheduling.
 func (r *Runner) HPMPower() error {
-	p6 := platform.P6()
-
 	// gather builds its meter and VM by hand, the one place in this package
 	// that does, because the fit needs every slice through
-	// Meter.SetSliceObserver, which core.Characterize does not expose.
+	// Meter.SetSliceObserver, which core.Characterize does not expose. The
+	// run itself is the point's runConfig.
 	gather := func(name string) ([]analysis.PowerSample, *analysis.Decomposition, error) {
 		bench, err := workloads.ByName(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		profile := bench.Profile
-		if r.Quick {
-			profile = profile.Scale(0.25)
-		}
-		agg := analysis.NewAggregator(p6.DAQPeriod)
-		meter, err := core.NewMeter(p6, core.MeterOptions{Sink: agg, FanOn: true, Seed: r.Seed, IdealChannels: true})
+		pt := Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 64, Platform: platform.P6()}
+		cfg := r.runConfig(pt, r.Seed)
+		agg := analysis.NewAggregator(cfg.Platform.DAQPeriod)
+		meter, err := core.NewMeter(cfg.Platform, core.MeterOptions{Sink: agg, FanOn: cfg.FanOn, Seed: cfg.VM.Seed, IdealChannels: true})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -59,17 +56,16 @@ func (r *Runner) HPMPower() error {
 				Watts:        float64(p),
 			})
 		})
-		machine, err := vm.New(vm.Config{Flavor: vm.Jikes, Collector: "GenCopy", HeapSize: 64 * units.MB, Seed: r.Seed},
-			bench.Program(), meter)
+		machine, err := vm.New(cfg.VM, cfg.Program, meter)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer machine.ReleaseResources()
-		machine.SetCancel(r.runCtx().Done())
-		if err := machine.RunProfile(profile); err != nil {
+		machine.SetCancel(cfg.Cancel)
+		if err := machine.RunProfile(cfg.Profile); err != nil {
 			return nil, nil, err
 		}
-		dec := analysis.Build(name, "JikesRVM", "GenCopy", p6.Name, 64, agg, meter.HPM())
+		dec := analysis.Build(name, pt.Flavor.String(), pt.Collector, pt.Platform.Name, pt.HeapMB, agg, meter.HPM())
 		return samples, &dec, nil
 	}
 

@@ -16,7 +16,7 @@ import (
 // When Runner.Supervisor is set, runPoint routes every computed point
 // through computeIsolated instead of computeResilient — the spec crosses
 // the pointproto boundary to a local worker subprocess or a remote node,
-// and the result comes back as the same cachedPoint shape the disk cache
+// and the result comes back as the same core.Outcome the disk cache
 // serves, so figures cannot tell the difference (the byte-identical
 // guarantee the isolation and fleet gates pin).
 //
@@ -61,7 +61,7 @@ func (r *Runner) ObserveNodeEvent(node, event, detail string) {
 // cache. Executor deaths come back as *supervisor.CrashError; an executor
 // that stayed alive and reported a point failure comes back as a plain
 // error carrying the same string the in-process path would have produced.
-func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error) {
+func (r *Runner) computeIsolated(p Point, k PointID) (*core.Result, int, error) {
 	ctx := r.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -113,12 +113,7 @@ func decodePointPayload(p Point, payload []byte) (*core.Result, int, error) {
 	if !wr.OK {
 		return nil, wr.Attempts, errors.New(wr.Err)
 	}
-	return &core.Result{
-		Decomposition: wr.Point.Decomposition,
-		GCStats:       wr.Point.GCStats,
-		LoadedClasses: wr.Point.LoadedClasses,
-		FaultCounts:   wr.Point.FaultCounts,
-	}, wr.Attempts, nil
+	return &core.Result{Outcome: wr.Outcome}, wr.Attempts, nil
 }
 
 // breaker returns the figure's circuit breaker, creating it on first use.

@@ -28,36 +28,11 @@ import (
 //     arrival order;
 //   - the survivors are emitted sorted by point identity with the volatile
 //     fields (source, duration, attempts) dropped or canonicalized —
-//     Source becomes "merged" — and any field mergeEvent does not read,
+//     Source becomes "merged" — and any field journalPoint does not read,
 //     such as the "memo" tag older journals carry, dropped.
 //
 // Merging the same shards in any order therefore produces byte-identical
 // output, which TestMergeJournalsOrderIndependent pins.
-
-// mergeEvent is the journal-line shape MergeJournals reads: the point
-// identity and outcome of a PointEvent, plus the event discriminator that
-// identifies (and excludes) every non-point record.
-type mergeEvent struct {
-	Event     string `json:"event"`
-	Bench     string `json:"bench"`
-	Flavor    string `json:"flavor"`
-	Collector string `json:"collector"`
-	HeapMB    int    `json:"heap_mb"`
-	Platform  string `json:"platform"`
-	S10       bool   `json:"s10"`
-	FanOff    bool   `json:"fan_off"`
-	Outcome   string `json:"outcome"`
-	Error     string `json:"error"`
-}
-
-// mergeIdentity is the comparable point identity merged journals resolve
-// over — the same fields LoadResume keys on.
-type mergeIdentity struct {
-	bench, flavor, collector string
-	heapMB                   int
-	platform                 string
-	s10, fanOff              bool
-}
 
 // MergeSalvage is one input journal's corruption accounting in a
 // MergeReport.
@@ -112,13 +87,13 @@ func (mr MergeReport) String() string {
 // file, a failed write to out) abort.
 func MergeJournals(out io.Writer, paths ...string) (int, MergeReport, error) {
 	var report MergeReport
-	resolved := make(map[mergeIdentity]mergeEvent)
+	resolved := make(map[PointID]journalPoint)
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			return 0, report, fmt.Errorf("experiments: merge: %w", err)
 		}
-		events, salvage, err := metrics.DecodeJournalSalvage[mergeEvent](f)
+		events, salvage, err := metrics.DecodeJournalSalvage[journalPoint](f)
 		f.Close()
 		if err != nil {
 			return 0, report, fmt.Errorf("experiments: merge: reading %s: %w", path, err)
@@ -128,14 +103,10 @@ func MergeJournals(out io.Writer, paths ...string) (int, MergeReport, error) {
 			if ev.Event != "" {
 				continue // node/fault/breaker provenance, not completion state
 			}
-			id := mergeIdentity{
-				bench: ev.Bench, flavor: ev.Flavor, collector: ev.Collector,
-				heapMB: ev.HeapMB, platform: ev.Platform, s10: ev.S10, fanOff: ev.FanOff,
-			}
-			resolved[id] = resolveOutcome(resolved[id], ev)
+			resolved[ev.PointID] = resolveOutcome(resolved[ev.PointID], ev)
 		}
 	}
-	ids := make([]mergeIdentity, 0, len(resolved))
+	ids := make([]PointID, 0, len(resolved))
 	for id := range resolved {
 		ids = append(ids, id)
 	}
@@ -149,11 +120,7 @@ func MergeJournals(out io.Writer, paths ...string) (int, MergeReport, error) {
 		// Merged output goes through the record encoder, so it carries the
 		// same CRC envelope live journals do: a merged journal is as
 		// crash-verifiable as the shards it resolved.
-		line, err := metrics.EncodeRecord(PointEvent{
-			Bench: id.bench, Flavor: id.flavor, Collector: id.collector,
-			HeapMB: id.heapMB, Platform: id.platform, S10: id.s10, FanOff: id.fanOff,
-			Outcome: ev.Outcome, Source: "merged", Error: ev.Error,
-		})
+		line, err := metrics.EncodeRecord(PointEvent{PointID: id, Outcome: ev.Outcome, Source: "merged", Error: ev.Error})
 		if err != nil {
 			return 0, report, fmt.Errorf("experiments: merge: %w", err)
 		}
@@ -165,10 +132,10 @@ func MergeJournals(out io.Writer, paths ...string) (int, MergeReport, error) {
 }
 
 // resolveOutcome folds one more shard record into a point's resolution.
-// The zero mergeEvent (no record yet) loses to anything; "ok" beats every
+// The zero journalPoint (no record yet) loses to anything; "ok" beats every
 // error; between errors the lexicographically smaller string wins, so the
 // winner does not depend on which shard's journal was read first.
-func resolveOutcome(have, next mergeEvent) mergeEvent {
+func resolveOutcome(have, next journalPoint) journalPoint {
 	if have.Outcome == "" {
 		return next
 	}
@@ -187,24 +154,24 @@ func resolveOutcome(have, next mergeEvent) mergeEvent {
 // mergeLess orders point identities canonically for merged output: the
 // same field order the identity prints in (bench, flavor, collector, heap,
 // platform, s10, fanOff).
-func mergeLess(a, b mergeIdentity) bool {
-	if a.bench != b.bench {
-		return a.bench < b.bench
+func mergeLess(a, b PointID) bool {
+	if a.Bench != b.Bench {
+		return a.Bench < b.Bench
 	}
-	if a.flavor != b.flavor {
-		return a.flavor < b.flavor
+	if a.Flavor != b.Flavor {
+		return a.Flavor < b.Flavor
 	}
-	if a.collector != b.collector {
-		return a.collector < b.collector
+	if a.Collector != b.Collector {
+		return a.Collector < b.Collector
 	}
-	if a.heapMB != b.heapMB {
-		return a.heapMB < b.heapMB
+	if a.HeapMB != b.HeapMB {
+		return a.HeapMB < b.HeapMB
 	}
-	if a.platform != b.platform {
-		return a.platform < b.platform
+	if a.Platform != b.Platform {
+		return a.Platform < b.Platform
 	}
-	if a.s10 != b.s10 {
-		return b.s10
+	if a.S10 != b.S10 {
+		return b.S10
 	}
-	return b.fanOff
+	return !a.FanOff && b.FanOff
 }

@@ -71,9 +71,8 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 	dir := t.TempDir()
 	pe := func(bench string, heap int, outcome, errstr string) PointEvent {
 		return PointEvent{
-			Bench: bench, Flavor: "JikesRVM", Collector: "GenMS", HeapMB: heap,
-			Platform: "P6", Outcome: outcome, Source: "fleet",
-			DurationMS: 12.5, Attempts: 1, Error: errstr,
+			PointID: PointID{Bench: bench, Flavor: "JikesRVM", Collector: "GenMS", HeapMB: heap, Platform: "P6"},
+			Outcome: outcome, Source: "fleet", DurationMS: 12.5, Attempts: 1, Error: errstr,
 		}
 	}
 	a := filepath.Join(dir, "a.jsonl")
@@ -129,14 +128,14 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 		t.Fatal("merged journal kept a legacy memo tag")
 	}
 
-	evs, err := metrics.DecodeJournal[mergeEvent](strings.NewReader(want))
+	evs, err := metrics.DecodeJournal[journalPoint](strings.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != 4 {
 		t.Fatalf("merged journal has %d lines, want 4 resolved points", len(evs))
 	}
-	outcomes := make(map[string]mergeEvent)
+	outcomes := make(map[string]journalPoint)
 	for _, ev := range evs {
 		if ev.Event != "" {
 			t.Fatalf("non-point event %q leaked into merged journal", ev.Event)

@@ -56,14 +56,8 @@ import (
 // result came from, how long it took, and how it ended. LoadResume replays
 // these to decide which points a crashed run already completed.
 type PointEvent struct {
-	Bench     string `json:"bench"`
-	Flavor    string `json:"flavor"`
-	Collector string `json:"collector,omitempty"`
-	HeapMB    int    `json:"heap_mb"`
-	Platform  string `json:"platform"`
-	S10       bool   `json:"s10,omitempty"`
-	FanOff    bool   `json:"fan_off,omitempty"`
-	Outcome   string `json:"outcome"` // "ok" or "error"
+	PointID
+	Outcome string `json:"outcome"` // "ok" or "error"
 	// Source is where the result came from: "computed" (in-process),
 	// "isolated" (a supervised executor, local worker or remote node),
 	// "shared", "disk", "resume", or "merged". Older journals also say
@@ -74,6 +68,17 @@ type PointEvent struct {
 	// Attempts counts characterization attempts across retries and quorum
 	// repetitions; omitted for cache-served points.
 	Attempts int `json:"attempts,omitempty"`
+}
+
+// journalPoint is the one shape resume and merge decode journal lines
+// into: a point record's identity, outcome and error, plus the event
+// field that marks every other record (node, fault, breaker, cache, job)
+// for skipping.
+type journalPoint struct {
+	PointID
+	Event   string `json:"event"`
+	Outcome string `json:"outcome"`
+	Error   string `json:"error"`
 }
 
 // FaultEvent is the journal record of a permanently failed, degraded
@@ -92,7 +97,7 @@ type FaultEvent struct {
 // A panic anywhere below (a simulator bug) is recovered into the returned
 // error, so the singleflight entry caches a diagnosis instead of stranding
 // its waiters.
-func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
+func (r *Runner) runPoint(p Point, k PointID) (res *core.Result, err error) {
 	start := time.Now()
 	source := "computed"
 	attempts := 0
@@ -126,7 +131,7 @@ func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
 // computePoint routes one cache-missed point to its executor: the
 // supervisor or the in-process resilience stack, reporting which as the
 // journal source.
-func (r *Runner) computePoint(p Point, k pointKey) (*core.Result, string, int, error) {
+func (r *Runner) computePoint(p Point, k PointID) (*core.Result, string, int, error) {
 	if r.Supervisor != nil {
 		res, attempts, err := r.computeIsolated(p, k)
 		return res, "isolated", attempts, err
@@ -151,13 +156,7 @@ func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts 
 	}
 	if r.Journal != nil || r.OnPoint != nil {
 		ev := PointEvent{
-			Bench:      p.Bench.Name,
-			Flavor:     p.Flavor.String(),
-			Collector:  p.Collector,
-			HeapMB:     p.HeapMB,
-			Platform:   p.Platform.Name,
-			S10:        p.S10,
-			FanOff:     p.FanOff,
+			PointID:    p.ID(),
 			Outcome:    "ok",
 			Source:     source,
 			DurationMS: float64(d) / float64(time.Millisecond),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -86,27 +87,28 @@ func TestRunPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestFigureOrderMatchesRegistry asserts figureOrder and the figures map
-// hold exactly the same names: a figure registered in one but not the
-// other was previously skipped silently by RunEverything.
+// TestFigureOrderMatchesRegistry asserts that the order RunEverything
+// walks and the lookup RunFigure uses agree: every registry entry is
+// listed once and figure(name) resolves to that entry's own runner. A
+// second entry under a taken name would be unreachable by RunFigure
+// while RunEverything ran the first one twice.
 func TestFigureOrderMatchesRegistry(t *testing.T) {
 	seen := map[string]bool{}
-	for _, n := range figureOrder {
-		if seen[n] {
-			t.Fatalf("figureOrder lists %q twice", n)
+	for _, f := range figures {
+		if seen[f.name] {
+			t.Fatalf("figure registry lists %q twice", f.name)
 		}
-		seen[n] = true
-		if _, ok := figures[n]; !ok {
-			t.Errorf("figureOrder lists %q, missing from the figures map", n)
+		seen[f.name] = true
+		got := figure(f.name)
+		if got == nil {
+			t.Fatalf("figure(%q) = nil for a registered figure", f.name)
+		}
+		if reflect.ValueOf(got).Pointer() != reflect.ValueOf(f.run).Pointer() {
+			t.Errorf("figure(%q) does not resolve to the runner registered under it", f.name)
 		}
 	}
-	for n := range figures {
-		if !seen[n] {
-			t.Errorf("figure %q is registered but absent from figureOrder — RunEverything would skip it", n)
-		}
-	}
-	if len(figureOrder) != len(figures) {
-		t.Errorf("figureOrder has %d names, figures map %d", len(figureOrder), len(figures))
+	if names := FigureNames(); len(names) != len(figures) {
+		t.Errorf("FigureNames has %d names, the registry %d", len(names), len(figures))
 	}
 }
 

@@ -33,24 +33,6 @@ import (
 //     genuine simulator errors. These are retried where transient, then
 //     recorded and degraded.
 
-// String is the point's canonical identity: the key fault plans target
-// (-faults panic-point=SUBSTR) and the name fault reports and journals
-// carry.
-func (p Point) String() string {
-	col := p.Collector
-	if col == "" {
-		col = "default"
-	}
-	s := fmt.Sprintf("%s/%s/%s/%dMB/%s", p.Bench.Name, p.Flavor, col, p.HeapMB, p.Platform.Name)
-	if p.S10 {
-		s += "/s10"
-	}
-	if p.FanOff {
-		s += "/fanoff"
-	}
-	return s
-}
-
 // InvalidPointError reports a point that can never characterize because
 // the experiment definition is wrong — retrying or degrading it would
 // paper over a bug in the matrix, so Runner.Run returns it before touching
@@ -123,7 +105,7 @@ const retryBackoffBase = 2 * time.Millisecond
 // retries, per-attempt timeout and panic isolation. It returns the result,
 // the total number of characterization attempts, and the terminal error.
 // On success the quorum-selected result is persisted to the disk cache.
-func (r *Runner) computeResilient(p Point, k pointKey) (*core.Result, int, error) {
+func (r *Runner) computeResilient(p Point, k PointID) (*core.Result, int, error) {
 	reps := r.Reps
 	if reps < 1 {
 		reps = 1
@@ -435,20 +417,6 @@ func nan() float64 {
 	return zero / zero
 }
 
-// resumeEvent is the union shape of journal lines LoadResume understands:
-// PointEvents (event field empty) and FaultEvents (event "fault").
-type resumeEvent struct {
-	Event     string `json:"event"`
-	Bench     string `json:"bench"`
-	Flavor    string `json:"flavor"`
-	Collector string `json:"collector"`
-	HeapMB    int    `json:"heap_mb"`
-	Platform  string `json:"platform"`
-	S10       bool   `json:"s10"`
-	FanOff    bool   `json:"fan_off"`
-	Outcome   string `json:"outcome"`
-}
-
 // ResumeReport is the accounting of one LoadResume: how much completion
 // state was recovered, and everything that could NOT be used — corrupt
 // journal lines the salvaging reader dropped and point records whose
@@ -498,25 +466,21 @@ func (r *Runner) LoadResume(journalPath string) (ResumeReport, error) {
 		return rep, fmt.Errorf("experiments: resume: %w", err)
 	}
 	defer f.Close()
-	events, salvage, err := metrics.DecodeJournalSalvage[resumeEvent](f)
+	events, salvage, err := metrics.DecodeJournalSalvage[journalPoint](f)
 	if err != nil {
 		return rep, fmt.Errorf("experiments: resume: reading %s: %w", journalPath, err)
 	}
 	rep.Salvage = salvage
-	done := make(map[pointKey]bool)
+	done := make(map[PointID]bool)
 	for _, ev := range events {
 		if ev.Event != "" || ev.Outcome != "ok" {
 			continue
 		}
-		fl, ok := flavorByName(ev.Flavor)
-		if !ok {
+		if _, ok := flavorByName(ev.Flavor); !ok {
 			rep.Unparseable++
 			continue
 		}
-		done[pointKey{
-			bench: ev.Bench, flavor: fl, collector: ev.Collector,
-			heapMB: ev.HeapMB, platform: ev.Platform, s10: ev.S10, fanOff: ev.FanOff,
-		}] = true
+		done[ev.PointID] = true
 	}
 	r.mu.Lock()
 	r.resume = done
@@ -537,7 +501,7 @@ func flavorByName(name string) (vm.Flavor, bool) {
 }
 
 // resumed reports whether a prior journal marked this point completed.
-func (r *Runner) resumed(k pointKey) bool {
+func (r *Runner) resumed(k PointID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.resume[k]

@@ -24,19 +24,12 @@ import (
 // bounded by concurrency, not history.
 type SharedFlights struct {
 	mu      sync.Mutex
-	flights map[string]*sharedFlight
-}
-
-// sharedFlight is one in-flight point: ready closes when res/err are set.
-type sharedFlight struct {
-	ready chan struct{}
-	res   *core.Result
-	err   error
+	flights map[string]*flight
 }
 
 // NewSharedFlights returns an empty cross-runner flight table.
 func NewSharedFlights() *SharedFlights {
-	return &SharedFlights{flights: make(map[string]*sharedFlight)}
+	return &SharedFlights{flights: make(map[string]*flight)}
 }
 
 // compute produces one point's result, coalescing with any other runner's
@@ -47,7 +40,7 @@ func NewSharedFlights() *SharedFlights {
 // would fail identically for every joiner — but an owner cancelled by its
 // *own* job's context must not poison the others: joiners detect
 // context.Canceled and retake ownership.
-func (s *SharedFlights) compute(r *Runner, p Point, k pointKey) (*core.Result, string, int, error) {
+func (s *SharedFlights) compute(r *Runner, p Point, k PointID) (*core.Result, string, int, error) {
 	key := r.diskKey(k)
 	for {
 		s.mu.Lock()
@@ -72,7 +65,7 @@ func (s *SharedFlights) compute(r *Runner, p Point, k pointKey) (*core.Result, s
 			}
 			return f.res, "shared", 0, f.err
 		}
-		f := &sharedFlight{ready: make(chan struct{})}
+		f := &flight{ready: make(chan struct{})}
 		s.flights[key] = f
 		s.mu.Unlock()
 		r.Metrics.Counter("experiments.shared.misses").Inc()
@@ -84,15 +77,18 @@ func (s *SharedFlights) compute(r *Runner, p Point, k pointKey) (*core.Result, s
 // Every exit path — success, failure, panic — unpublishes the flight and
 // closes ready, so joiners can never be stranded (the PR 2 singleflight
 // lesson, applied across runners).
-func (s *SharedFlights) own(r *Runner, p Point, k pointKey, key string, f *sharedFlight) (res *core.Result, source string, attempts int, err error) {
+func (s *SharedFlights) own(r *Runner, p Point, k PointID, key string, f *flight) (res *core.Result, source string, attempts int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, fmt.Errorf("experiments: panic computing %s: %v", p, v)
 		}
-		// Joiners get the cache-shaped subset (nil Meter): exactly what a
+		// Joiners get the Outcome alone (nil Meter): exactly what a
 		// disk-cache hit would have served them, keeping figures
 		// byte-identical whichever job computed the point.
-		f.res, f.err = shareable(res), err
+		if res != nil {
+			f.res = &core.Result{Outcome: res.Outcome}
+		}
+		f.err = err
 		s.mu.Lock()
 		delete(s.flights, key)
 		s.mu.Unlock()
@@ -106,18 +102,4 @@ func (s *SharedFlights) own(r *Runner, p Point, k pointKey, key string, f *share
 	}
 	res, source, attempts, err = r.computePoint(p, k)
 	return res, source, attempts, err
-}
-
-// shareable strips a result to the persisted subset the figures consume —
-// the same fields the disk cache round-trips (see cachedPoint).
-func shareable(res *core.Result) *core.Result {
-	if res == nil {
-		return nil
-	}
-	return &core.Result{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"jvmpower/internal/core"
 	"jvmpower/internal/faultinject"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/pointproto"
@@ -25,20 +26,20 @@ import (
 // point and an inner Runner, which computes through the exact resilience
 // stack the in-process path uses (computeResilient: quorum repetitions,
 // transient-fault retries, panic isolation). The result payload is the gob
-// of a workerResult — whose Point field is the same cachedPoint the disk
+// of a workerResult — whose Outcome is the same core.Outcome the disk
 // cache persists — so the supervisor's side consumes an executor's result
 // exactly as it consumes a cache hit, which is what makes executor and
 // in-process runs byte-identical at the same seed.
 
 // workerResult is the payload of a task-result frame: either a completed
-// point (OK with its cachedPoint) or the attempt chain's terminal error,
+// point (OK with its Outcome) or the attempt chain's terminal error,
 // rendered to a string — the same string the in-process path would have put
 // in the fault report, so degraded cells read identically either way.
 type workerResult struct {
 	OK       bool
 	Err      string
 	Attempts int
-	Point    cachedPoint
+	Outcome  core.Outcome
 }
 
 // ServeWorker serves points to the parent's supervisor over the worker's
@@ -126,16 +127,11 @@ func specResult(inner *Runner, p Point, perr error) workerResult {
 	if perr != nil {
 		return workerResult{Err: perr.Error(), Attempts: 1}
 	}
-	res, attempts, err := inner.computeResilient(p, p.key())
+	res, attempts, err := inner.computeResilient(p, p.ID())
 	if err != nil {
 		return workerResult{Err: err.Error(), Attempts: attempts}
 	}
-	return workerResult{OK: true, Attempts: attempts, Point: cachedPoint{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}}
+	return workerResult{OK: true, Attempts: attempts, Outcome: res.Outcome}
 }
 
 // encodePoint computes a rebuilt spec and gob-encodes the result payload,

@@ -198,18 +198,32 @@ func TestKaffeIncrementalCycle(t *testing.T) {
 	}
 }
 
+// TestKaffeAllocatesBlackDuringCycle: an object allocated while an
+// incremental cycle is in flight is born marked, so that cycle's sweep
+// cannot free it. The rooted live set is four increments' worth of
+// objects, so a cycle stays active across several allocations; every
+// allocation that begins and ends inside one cycle must return a marked
+// object.
 func TestKaffeAllocatesBlackDuringCycle(t *testing.T) {
 	w := newWorld(t, "KaffeMS", 2*units.MB)
-	// Push the space over the start threshold.
-	for i := 0; i < 3*1024; i++ {
-		w.alloc(t, 512, 0)
+	for i := 0; i < 4*kaffeIncrementObjects; i++ {
+		w.roots.refs = append(w.roots.refs, w.alloc(t, 64, 0))
 	}
 	k := w.col.(*KaffeMS)
-	if !k.active {
-		t.Skip("cycle not active at checkpoint; threshold tuning changed")
+	during := 0
+	for i := 0; i < 16*1024; i++ {
+		cycle := k.cycleNum
+		began := k.active
+		r := w.alloc(t, 512, 0)
+		if !began || !k.active || k.cycleNum != cycle {
+			continue
+		}
+		during++
+		if w.h.Get(r).Flags&heap.FlagMark == 0 {
+			t.Fatalf("allocation %d, made during cycle %d, is not marked", i, cycle)
+		}
 	}
-	r := w.alloc(t, 512, 0)
-	if w.h.Get(r).Flags&heap.FlagMark == 0 {
-		t.Fatal("object allocated during cycle is not black")
+	if during == 0 {
+		t.Fatal("no allocation in 16384 began and ended inside an active cycle")
 	}
 }
