@@ -27,8 +27,8 @@ fmt-check:
 # local workers and TCP nodes: watchdogs, kills, requeue, restarts,
 # executor breakers, drain) with its framed protocol, and the job queue
 # (admission, quotas, drain, concurrent submitters), and the heap's
-# process-global chunk pool, which concurrent runs share and which hands
-# chunks back dirty. The experiments package runs the full determinism
+# process-global chunk pool, which concurrent runs and SemiSpace
+# evacuations share and which hands chunks back dirty. The experiments package runs the full determinism
 # suite (isolated, fleet, resume, daemon) under the detector, which took
 # 563 s on a 2-vCPU host, close to go test's default 10m per-package
 # limit, hence the explicit timeout.
@@ -52,20 +52,27 @@ ci: fmt-check build vet test race perfbench-check output-check validate fuzz-smo
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# output-check runs one pass of the benchmark's quick-all-isolated workload
-# (every quick figure through two -isolate workers) at seed 1 and fails
-# unless the pass is correct: no point failed and its text matches the
-# digest perfbench records for that seed. Output drift thus fails here
-# before the benchmark next runs. run.sh exits 0 either way, so the target
-# reads the verdict from the result line, the last line of its output
-# (run.sh's stderr names the problem).
+# output-check runs both benchmark workloads at seed 1 and fails unless
+# each is correct: no point failed and its text matches the digest perfbench
+# records for that seed. quick-all-isolated (every quick figure through two
+# -isolate workers) covers every figure at quick scale; fig6-full (full
+# Fig. 6, 107 SemiSpace points) gates the batch engine and the evacuating
+# SemiSpace collector at the scale readers run. Output drift thus fails
+# here before the benchmark next runs. `--seconds 1` makes perfbench's
+# minimum of two passes per workload: about 8 s for quick-all-isolated,
+# and fig6-full adds about 31 s, on a warm build cache on a 2-vCPU host.
+# run.sh exits 0 either way, so the target reads the verdict from the
+# result line, the last line of its output (run.sh's stderr names the
+# problem).
 output-check:
-	@out=$$(bash perfbench/run.sh --workload quick-all-isolated --seed 1 --seconds 1 --trace 0) || exit 1; \
+	@for w in quick-all-isolated fig6-full; do \
+	out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
 	printf '%s\n' "$$out"; \
 	case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
 	*'"correct":true'*) ;; \
-	*) echo "output-check: the pass failed a point or its output differs from the recorded seed-1 digest" >&2; exit 1;; \
-	esac
+	*) echo "output-check: $$w failed a point or its output differs from the recorded seed-1 digest" >&2; exit 1;; \
+	esac; \
+	done
 
 # validate runs cmd/validate at full scale: the configurations behind the
 # paper's 15 quantitative anchors, each checked against its tolerance band.

@@ -298,9 +298,9 @@ func BenchmarkCharacterizeJavac(b *testing.B) {
 
 type benchRoots struct{ refs []heap.Ref }
 
-func (r *benchRoots) Roots(fn func(heap.Ref)) {
-	for _, x := range r.refs {
-		fn(x)
+func (r *benchRoots) Roots(fn func(*heap.Ref)) {
+	for i := range r.refs {
+		fn(&r.refs[i])
 	}
 }
 func (r *benchRoots) RootCount() int { return len(r.refs) }

@@ -163,11 +163,19 @@ type PointID struct {
 
 // ID returns the point's identity.
 func (p Point) ID() PointID {
+	bench := noBenchmark
+	if p.Bench != nil {
+		bench = p.Bench.Name
+	}
 	return PointID{
-		Bench: p.Bench.Name, Flavor: p.Flavor.String(), Collector: p.Collector,
+		Bench: bench, Flavor: p.Flavor.String(), Collector: p.Collector,
 		HeapMB: p.HeapMB, Platform: p.Platform.Name, S10: p.S10, FanOff: p.FanOff,
 	}
 }
+
+// noBenchmark stands in for the name of a point without a benchmark, so
+// the invalid-point error that rejects it can still name it.
+const noBenchmark = "(no benchmark)"
 
 // String is the identity's one rendering: the name fault plans target
 // (-faults panic-point=SUBSTR) and errors, fault reports and fault records

@@ -9,6 +9,7 @@ import (
 
 	"jvmpower/internal/faultinject"
 	"jvmpower/internal/metrics"
+	"jvmpower/internal/platform"
 	"jvmpower/internal/vm"
 )
 
@@ -48,6 +49,49 @@ func TestValidationRejectsBadPoints(t *testing.T) {
 	r.mu.Unlock()
 	if cached != 0 {
 		t.Fatalf("%d invalid points entered the cache", cached)
+	}
+}
+
+// TestInvalidPointErrorsNameThePoint: an invalid point's error renders the
+// point without a formatting panic, even when the field that makes it
+// invalid is the one the name is built from, and names the reason.
+func TestInvalidPointErrorsNameThePoint(t *testing.T) {
+	r := quickRunner(&strings.Builder{})
+	unknownFlavor := dbPoint(t)
+	unknownFlavor.Flavor = vm.Flavor(7)
+	cases := []struct {
+		p    Point
+		want []string
+	}{
+		{Point{Flavor: vm.Jikes, HeapMB: 32, Platform: platform.P6()},
+			[]string{"no benchmark", noBenchmark + "/JikesRVM/default/32MB/P6"}},
+		{unknownFlavor, []string{"unknown VM flavor 7", "_209_db/Flavor(7)/GenMS/64MB/P6"}},
+	}
+	for _, c := range cases {
+		_, err := r.Run(c.p)
+		var inv *InvalidPointError
+		if !errors.As(err, &inv) {
+			t.Fatalf("err = %v, want *InvalidPointError", err)
+		}
+		msg := err.Error()
+		if strings.Contains(msg, "PANIC") {
+			t.Errorf("error panicked while rendering the point: %s", msg)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("error %q does not contain %q", msg, w)
+			}
+		}
+	}
+	// Flavor names still round-trip for the two real VMs, and an unknown
+	// flavor's name parses as none.
+	for _, f := range []vm.Flavor{vm.Jikes, vm.Kaffe} {
+		if got, ok := flavorByName(f.String()); !ok || got != f {
+			t.Errorf("flavorByName(%q) = %v, %v", f, got, ok)
+		}
+	}
+	if _, ok := flavorByName(vm.Flavor(7).String()); ok {
+		t.Error("flavorByName accepted Flavor(7)")
 	}
 }
 

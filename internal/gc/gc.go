@@ -112,9 +112,13 @@ func (e *Env) emit(r CollectionReport) {
 
 // RootProvider enumerates GC roots.
 type RootProvider interface {
-	// Roots calls fn for every root reference. Null refs may be passed and
-	// are ignored by collectors.
-	Roots(fn func(heap.Ref))
+	// Roots calls fn with the address of every root slot, in a fixed
+	// order; slots holding Null may be passed and are ignored. SemiSpace
+	// rewrites each slot to its object's new Ref (see heap.BeginEvacuation);
+	// every other plan only reads them. A caller that may run under
+	// SemiSpace keeps no Ref outside a root slot or an object field across
+	// an allocation.
+	Roots(fn func(*heap.Ref))
 	// RootCount reports approximately how many root slots exist (for work
 	// accounting of the root scan itself).
 	RootCount() int

@@ -1,17 +1,20 @@
 package gc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"jvmpower/internal/heap"
+	"jvmpower/internal/heap/heaptest"
 	"jvmpower/internal/units"
 )
 
 // Property test: for arbitrary object graphs and root sets, a full
 // collection preserves exactly the reachable set (modulo KaffeMS's
 // deliberate conservative over-retention, which may only ADD survivors),
-// and never frees a reachable object.
+// and never frees a reachable object. SemiSpace renumbers its survivors,
+// so there the reachable set is compared by shape (heaptest.Shape).
 
 type graphSpec struct {
 	// Sizes of objects to allocate (bounded); Edges wire object i to
@@ -80,7 +83,30 @@ func TestFullCollectionPreservesReachability(t *testing.T) {
 				}
 
 				want := reachable(w.h, w.roots.refs)
+				before, err := heaptest.ShapeOf(w.h, w.roots.refs)
+				if err != nil {
+					t.Log(err)
+					return false
+				}
 				col.Collect("property")
+
+				// The roots, read back through their slots, must reach
+				// the same graph: sizes, edges, nothing dangling.
+				after, err := heaptest.ShapeOf(w.h, w.roots.refs)
+				if err != nil || !reflect.DeepEqual(after, before) {
+					t.Logf("reachable graph changed (%v): before %+v, after %+v", err, before, after)
+					return false
+				}
+				if renumbers(plan) {
+					// Survivors were renumbered: the table must hold
+					// exactly the reachable graph.
+					if n := int64(len(want)); w.h.LiveCount() != n || int64(w.h.TableLen()-1) != n {
+						t.Logf("live %d objects in a %d-slot table, want the %d reachable ones",
+							w.h.LiveCount(), w.h.TableLen()-1, n)
+						return false
+					}
+					return true
+				}
 
 				// Every reachable object must survive intact; every
 				// unreachable object must be freed (these plans are exact).

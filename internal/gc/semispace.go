@@ -14,15 +14,14 @@ import (
 // proportional to the live set only; dead objects are reclaimed for free.
 // Copying compacts survivors, which is the mutator-locality advantage the
 // paper observes letting SemiSpace beat GenCopy on _209_db at large heaps.
+//
+// The object table is evacuated the same way (heap.BeginEvacuation):
+// survivors move to a fresh table in trace order, and the simulator, too,
+// never touches a dead object again.
 type SemiSpace struct {
 	env      Env
 	heapSize units.ByteSize
 	from, to *heap.BumpSpace
-
-	// allocated tracks every object resident in the from-space so dead
-	// table slots can be reclaimed after a collection. Copying collectors
-	// pay no per-dead-object runtime cost; this list is bookkeeping only.
-	allocated []heap.Ref
 
 	tr    tracer
 	stats Stats
@@ -72,7 +71,6 @@ func (s *SemiSpace) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 		}
 	}
 	r := s.env.Heap.NewObject(size, nrefs, addr)
-	s.allocated = append(s.allocated, r)
 	s.sinceGC += units.ByteSize(size)
 	return r, nil
 }
@@ -86,52 +84,36 @@ func (s *SemiSpace) Collect(reason string) { s.collect(reason) }
 func (s *SemiSpace) collect(reason string) {
 	h := s.env.Heap
 	rep := CollectionReport{Collector: s.Name(), Kind: FullCollection, Reason: reason}
+	liveBefore, bytesBefore := h.LiveCount(), h.LiveBytes()
 
 	s.tr.reset()
-	s.tr.follow = nil
 	var copied int64
 	var copiedBytes units.ByteSize
 	var wCopy Work
 	s.tr.visit = func(r heap.Ref, o *heap.Object) {
+		o.Age++
 		addr, ok := s.to.Alloc(o.Size)
 		if !ok {
 			// The live set exceeds a semi-space: a genuine OOM condition.
-			// Leave the object in place; the retry in Alloc will fail and
-			// surface ErrOutOfMemory.
+			// Leave the object at its address; the retry in Alloc will
+			// fail and surface ErrOutOfMemory.
 			return
 		}
-		h.SetAddr(r, addr)
+		o.Addr = addr
 		copied++
 		copiedBytes += units.ByteSize(o.Size)
 		wCopy.Add(copyWork(o.Size))
 	}
 
-	// Root scan.
+	// Root scan and closure: survivors are copied on first reach and every
+	// slot is rewritten to the copy; what the trace never reaches is dead.
 	nRoots := s.env.Roots.RootCount()
 	s.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
-	s.env.Roots.Roots(s.tr.enqueueRoot)
-	s.tr.drain()
-
-	// Reclaim dead table slots; survivors stay under the same Ref (our
-	// object-table indirection stands in for the pointer-forwarding a real
-	// copying collector performs during the copy itself).
-	live := s.allocated[:0]
-	var freed int64
-	var freedBytes units.ByteSize
-	for _, r := range s.allocated {
-		o := h.Get(r)
-		if o.Flags&heap.FlagMark != 0 {
-			o.Flags &^= heap.FlagMark
-			o.Age++
-			live = append(live, r)
-		} else {
-			freed++
-			freedBytes += units.ByteSize(o.Size)
-			h.Free(r)
-		}
-	}
-	s.allocated = live
+	h.BeginEvacuation()
+	s.env.Roots.Roots(s.tr.forward)
+	s.tr.drainForwarding()
+	h.EndEvacuation()
 
 	// Swap semi-spaces.
 	s.from.Reset()
@@ -140,9 +122,9 @@ func (s *SemiSpace) collect(reason string) {
 
 	rep.ObjectsScanned = s.tr.objectsScanned
 	rep.ObjectsCopied = copied
-	rep.ObjectsFreed = freed
+	rep.ObjectsFreed = liveBefore - h.LiveCount()
 	rep.BytesCopied = copiedBytes
-	rep.BytesFreed = freedBytes
+	rep.BytesFreed = bytesBefore - h.LiveBytes()
 	rep.LiveAfter = s.from.Used()
 	rep.Phases, rep.Work = phased(s.tr.work, wCopy, Work{})
 	s.stats.note(rep)

@@ -4,7 +4,8 @@ import "jvmpower/internal/heap"
 
 // tracer implements worklist-based transitive closure over the live object
 // graph, shared by all collectors. The per-object action (mark vs copy) is
-// supplied by the caller; the tracer handles dedup via FlagMark, worklist
+// supplied by the caller; the tracer handles dedup via FlagMark (or, for
+// SemiSpace's evacuating trace, the heap's forwarding state), worklist
 // management, and work accounting.
 type tracer struct {
 	h        *heap.Heap
@@ -30,9 +31,9 @@ func (t *tracer) reset() {
 	t.work = Work{}
 }
 
-// enqueueRoot offers a root reference to the trace.
-func (t *tracer) enqueueRoot(r heap.Ref) {
-	t.enqueue(r)
+// enqueueRoot offers a root slot's reference to the trace.
+func (t *tracer) enqueueRoot(slot *heap.Ref) {
+	t.enqueue(*slot)
 }
 
 func (t *tracer) enqueue(r heap.Ref) {
@@ -82,6 +83,39 @@ func (t *tracer) scan(r heap.Ref) {
 	t.work.Add(scanWork(len(refs)))
 	for _, c := range refs {
 		t.enqueue(c)
+	}
+}
+
+// forward is enqueue for an evacuating trace (SemiSpace, between
+// heap.BeginEvacuation and EndEvacuation): the first reach of an object
+// copies it into the heap's new table, visits the copy and queues it, and
+// every reach rewrites the slot to the copy's Ref. The heap's forwarding
+// state replaces the mark bit, and follow is not consulted.
+func (t *tracer) forward(slot *heap.Ref) {
+	if *slot == heap.Null {
+		return
+	}
+	r, copied := t.h.Forward(*slot)
+	*slot = r
+	if copied {
+		t.visit(r, t.h.Get(r))
+		t.worklist = append(t.worklist, r)
+	}
+}
+
+// drainForwarding is drain for an evacuating trace: the same depth-first
+// order and per-object work as scan, with each child reached through its
+// field slot so forward can rewrite it.
+func (t *tracer) drainForwarding() {
+	for len(t.worklist) > 0 {
+		r := t.worklist[len(t.worklist)-1]
+		t.worklist = t.worklist[:len(t.worklist)-1]
+		t.objectsScanned++
+		refs := t.h.Get(r).RefsIn(t.h)
+		t.work.Add(scanWork(len(refs)))
+		for i := range refs {
+			t.forward(&refs[i])
+		}
 	}
 }
 

@@ -10,6 +10,13 @@
 // collectors genuinely relocate them. Only the scalar payload is optional —
 // the interpreter materializes field values; the batched mutator engine does
 // not, since no measured quantity depends on them.
+//
+// A Ref is stable until its object dies under every collector except
+// SemiSpace, which evacuates the table itself (BeginEvacuation): each
+// collection renumbers the survivors in trace order and rewrites every
+// root slot and object field that reaches them. Code that may run under
+// SemiSpace therefore holds a Ref across an allocation only in a root slot
+// or an object field.
 package heap
 
 import (
@@ -34,6 +41,10 @@ const (
 	FlagPinned  uint8 = 1 << 3 // never moved (e.g. VM-internal)
 	FlagMature  uint8 = 1 << 4 // resides in a mature space
 	FlagScanned uint8 = 1 << 5 // scratch bit for verification passes
+
+	// flagForwarded marks a from-table object an evacuation has copied;
+	// its Addr then holds the copy's Ref.
+	flagForwarded uint8 = 1 << 6
 )
 
 // inlineRefs is the number of outgoing references stored inside the Object
@@ -55,9 +66,10 @@ const (
 // refArenaChunk is the ref-arena block size in Refs (64 KB blocks).
 const refArenaChunk = 16384
 
-// chunkPool recycles object-table chunks across heaps. Chunks are returned
-// dirty: NewObject fully reinitializes a slot before any field is read, and
-// Get/ForEach never touch slots past h.n, so stale contents are unreachable.
+// chunkPool recycles object-table chunks across heaps and across an
+// evacuation's from- and to-tables. Chunks are returned dirty: NewObject and
+// Forward fully initialize a slot before any field is read, and Get/ForEach
+// never touch slots past h.n, so stale contents are unreachable.
 // Zeroing fresh chunks is the single largest line in the experiment-scale
 // CPU profile; reuse removes it.
 //
@@ -116,8 +128,11 @@ type Object struct {
 
 	// inline backs the references of objects with at most inlineRefs of
 	// them; an object with more keeps its ref-arena offset in inline[0].
-	// Objects must not be copied by value (RefsIn would alias the source's
-	// inline store); they are only ever reached as *Object via Get.
+	// Objects must not be copied by value (a copy's inline references are
+	// not the table's, and a spilled copy shares the source's arena run);
+	// they are only ever reached as *Object via Get. Forward is the one
+	// exception: it moves an object to a new table slot, and the source is
+	// dead from then on.
 	inline [inlineRefs]Ref
 }
 
@@ -150,11 +165,18 @@ type Heap struct {
 
 	released bool // table chunks returned to chunkPool; heap is dead
 
+	// from is the table an evacuation copies out of (fromN slots, Null
+	// included) and fromInts its payloads; all are zero between
+	// evacuations.
+	from     [][]Object
+	fromN    int
+	fromInts map[Ref][]int32
+
 	// arena holds the spilled reference storage of objects with more than
 	// inlineRefs references, addressed by the offsets in their inline[0].
-	// Offsets are stable for the heap's lifetime (the arena only grows);
-	// storage is never recycled within a run, bounding spill volume by
-	// cumulative allocation.
+	// Offsets are stable for the heap's lifetime (the arena only grows, and
+	// an evacuated object keeps its offset); storage is never recycled
+	// within a run, bounding spill volume by cumulative allocation.
 	arena []Ref
 
 	// ints holds interpreter-materialized int payloads by ref. It is a side
@@ -289,6 +311,62 @@ func (h *Heap) Free(r Ref) {
 	}
 	o.Addr = uint64(h.freeHead) // free-list link; dead storage while freed
 	h.freeHead = r
+}
+
+// BeginEvacuation starts a copying collection of the whole table: the
+// current table becomes the from-table and the heap continues with an
+// empty one, which Forward fills with the survivors in the order the
+// collector's trace reaches them; LiveCount/LiveBytes count only those.
+// The collector must rewrite every root slot and object field through
+// Forward, then call EndEvacuation. Dead objects, and their int payloads,
+// are dropped with the from-table without being touched.
+func (h *Heap) BeginEvacuation() {
+	h.from, h.fromN, h.fromInts = h.chunks, h.n, h.ints
+	h.chunks = [][]Object{getChunk()}
+	h.n = 1
+	h.freeHead = Null // free slots belong to the from-table
+	h.ints = nil
+	h.liveCount, h.liveBytes = 0, 0
+}
+
+// Forward returns the new-table Ref of the from-table object r, copying
+// the object and its int payload on the first call for r; copied reports
+// whether this call made the copy. The copy's references name from-table
+// objects until the collector forwards them too. r must be a non-Null
+// from-table Ref.
+func (h *Heap) Forward(r Ref) (nr Ref, copied bool) {
+	if uint64(r)-1 >= uint64(h.fromN)-1 {
+		panic("heap: forwarding a null or out-of-table ref")
+	}
+	o := &h.from[r>>chunkShift][r&chunkMask]
+	if o.Flags&flagForwarded != 0 {
+		return Ref(o.Addr), false
+	}
+	if h.n>>chunkShift == len(h.chunks) {
+		h.chunks = append(h.chunks, getChunk())
+	}
+	nr = Ref(h.n)
+	h.n++
+	h.chunks[nr>>chunkShift][nr&chunkMask] = *o
+	h.liveCount++
+	h.liveBytes += units.ByteSize(o.Size)
+	if h.fromInts != nil { // only the interpreter attaches payloads
+		if s, ok := h.fromInts[r]; ok {
+			h.SetInts(nr, s)
+		}
+	}
+	o.Flags |= flagForwarded
+	o.Addr = uint64(nr) // forwarding index; the source is dead storage now
+	return nr, true
+}
+
+// EndEvacuation finishes an evacuation: the from-table's chunks go back
+// to the chunk pool.
+func (h *Heap) EndEvacuation() {
+	for _, c := range h.from {
+		putChunk(c)
+	}
+	h.from, h.fromN, h.fromInts = nil, 0, nil
 }
 
 // LiveCount reports the number of live (table-resident) objects.

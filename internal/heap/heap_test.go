@@ -142,6 +142,199 @@ func TestChunkPoolReuseConcurrent(t *testing.T) {
 	}
 }
 
+// evacuate runs a minimal copying trace over h, the way SemiSpace does:
+// root slots in order, then each copy's fields depth first, every slot
+// rewritten through Forward.
+func evacuate(h *Heap, roots []Ref) {
+	var work []Ref
+	forward := func(slot *Ref) {
+		if *slot == Null {
+			return
+		}
+		r, copied := h.Forward(*slot)
+		*slot = r
+		if copied {
+			work = append(work, r)
+		}
+	}
+	h.BeginEvacuation()
+	for i := range roots {
+		forward(&roots[i])
+	}
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work = work[:len(work)-1]
+		refs := h.Get(r).RefsIn(h)
+		for i := range refs {
+			forward(&refs[i])
+		}
+	}
+	h.EndEvacuation()
+}
+
+func TestEvacuationMovesSurvivors(t *testing.T) {
+	h := New()
+	// Garbage first, over a chunk's worth, so the from-table spans chunks
+	// and no survivor keeps its Ref by accident.
+	for i := 0; i < chunkSize; i++ {
+		h.NewObject(16, 1, uint64(i)*16)
+	}
+	spilled := h.NewObject(1216, 300, 0xA000)
+	inline := h.NewObject(64, inlineRefs, 0xB000)
+	var targets []Ref
+	for i := 0; i < 8; i++ {
+		targets = append(targets, h.NewObject(uint32(24+8*i), 0, 0xC000+uint64(i)*64))
+	}
+	dead := h.NewObject(32, 0, 0xD000)
+	h.SetInts(inline, []int32{7, 8, 9})
+	h.SetInts(dead, []int32{1})
+	// spilled cycles through all eight targets; inline takes the last four.
+	spilledTarget := func(i int) int { return i % len(targets) }
+	inlineTarget := func(i int) int { return len(targets) - 1 - i }
+	for i, refs := 0, h.Get(spilled).RefsIn(h); i < len(refs); i++ {
+		refs[i] = targets[spilledTarget(i)]
+	}
+	for i, refs := 0, h.Get(inline).RefsIn(h); i < len(refs); i++ {
+		refs[i] = targets[inlineTarget(i)]
+	}
+	oldChunks := append([][]Object(nil), h.chunks...)
+	arenaLen := len(h.arena)
+
+	roots := []Ref{inline, spilled, inline, Null}
+	evacuate(h, roots)
+
+	// Survivors: inline, its 4 targets, spilled, its other 4 targets — in
+	// trace order, so the roots' targets take the first slots.
+	if roots[0] != 1 || roots[2] != 1 || roots[3] != Null {
+		t.Fatalf("roots after evacuation = %v, want [1 _ 1 0]", roots)
+	}
+	if h.LiveCount() != 10 || h.TableLen() != 11 {
+		t.Fatalf("live %d objects in %d slots, want 10 in 11", h.LiveCount(), h.TableLen())
+	}
+	var want units.ByteSize = 1216 + 64
+	for i := range targets {
+		want += units.ByteSize(24 + 8*i)
+	}
+	if h.LiveBytes() != want {
+		t.Fatalf("live bytes %v, want %v", h.LiveBytes(), want)
+	}
+	if len(h.arena) != arenaLen {
+		t.Fatalf("arena grew from %d to %d refs", arenaLen, len(h.arena))
+	}
+	// Targets are told apart by their addresses, which evacuation keeps.
+	checkRefs := func(name string, r Ref, size uint32, nrefs int, target func(int) int) {
+		o := h.Get(r)
+		refs := o.RefsIn(h)
+		if o.Size != size || len(refs) != nrefs {
+			t.Fatalf("%s survivor has size %d and %d refs, want %d and %d", name, o.Size, len(refs), size, nrefs)
+		}
+		for i, c := range refs {
+			want := 0xC000 + uint64(target(i))*64
+			if c == Null || int(c) >= h.TableLen() || h.Get(c).Addr != want {
+				t.Fatalf("%s survivor refs[%d] = %d, want the target at %#x", name, i, c, want)
+			}
+		}
+	}
+	checkRefs("inline", roots[0], 64, inlineRefs, inlineTarget)
+	checkRefs("spilled", roots[1], 1216, 300, spilledTarget)
+	if got := h.IntsOf(roots[0]); len(got) != 3 || got[0] != 7 || got[2] != 9 {
+		t.Fatalf("payload did not move with its object: %v", got)
+	}
+	if len(h.ints) != 1 {
+		t.Fatalf("%d payloads after evacuation, want only the survivor's", len(h.ints))
+	}
+	// The from-table's chunks are back in the pool.
+	chunkPool.mu.Lock()
+	pooled := make(map[*Object]bool)
+	for _, c := range chunkPool.free {
+		pooled[&c[0]] = true
+	}
+	chunkPool.mu.Unlock()
+	for i, c := range oldChunks {
+		if !pooled[&c[0]] {
+			t.Fatalf("from-table chunk %d of %d not returned to the pool", i, len(oldChunks))
+		}
+	}
+	// New allocations fill the table in order after the survivors.
+	if r := h.NewObject(16, 0, 0); r != 11 {
+		t.Fatalf("first allocation after evacuation got Ref %d, want 11", r)
+	}
+	h.Release()
+}
+
+func TestForwardCopiesOnce(t *testing.T) {
+	h := New()
+	a := h.NewObject(40, 2, 0x100)
+	b := h.NewObject(48, 0, 0x200)
+	h.Get(a).RefsIn(h)[1] = b
+	h.BeginEvacuation()
+	nb, copied := h.Forward(b)
+	if !copied || nb != 1 {
+		t.Fatalf("first Forward(b) = %d, %v; want 1, true", nb, copied)
+	}
+	again, copied := h.Forward(b)
+	if copied || again != nb {
+		t.Fatalf("second Forward(b) = %d, %v; want %d, false", again, copied, nb)
+	}
+	na, _ := h.Forward(a)
+	if h.TableLen() != 3 || h.LiveCount() != 2 || h.Get(na).Size != 40 || h.Get(nb).Size != 48 {
+		t.Fatalf("table %d live %d after forwarding two objects, one twice", h.TableLen(), h.LiveCount())
+	}
+	// A copy's fields name from-table objects until they are forwarded.
+	if got := h.Get(na).RefsIn(h)[1]; got != b {
+		t.Fatalf("unforwarded field reads %d, want the old Ref %d", got, b)
+	}
+	h.EndEvacuation()
+}
+
+// TestEvacuationConcurrent evacuates several heaps at once (run it under
+// -race): each evacuation hands whole from-tables back to the shared
+// chunk pool while the others draw their new tables from it.
+func TestEvacuationConcurrent(t *testing.T) {
+	const workers, rounds, objects = 4, 4, chunkSize + chunkSize/2
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := New()
+			defer h.Release()
+			var roots []Ref
+			for round := 0; round < rounds; round++ {
+				// Keep every 16th object on a chain through field 0.
+				for i := 0; i < objects; i++ {
+					nrefs := 1 + i%7 // 5 and up spill to the arena
+					r := h.NewObject(uint32(16+i%64), nrefs, uint64(i)*128)
+					if i%16 == 0 {
+						if len(roots) > 0 {
+							h.Get(r).RefsIn(h)[0] = roots[0]
+						}
+						roots = []Ref{r}
+					}
+				}
+				evacuate(h, roots)
+				n := 0
+				for r := roots[0]; r != Null; r = h.Get(r).RefsIn(h)[0] {
+					if n++; int(r) >= h.TableLen() {
+						errs <- fmt.Errorf("round %d: chain link %d is Ref %d outside the %d-slot table", round, n, r, h.TableLen())
+						return
+					}
+				}
+				if want := (round + 1) * objects / 16; n != want || h.LiveCount() != int64(want) {
+					errs <- fmt.Errorf("round %d: chain of %d with %d live, want %d", round, n, h.LiveCount(), want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestNewObjectPanicsOnRefCountOverflow(t *testing.T) {
 	h := New()
 	h.NewObject(16, 1<<16-1, 0) // the largest count fits

@@ -1,11 +1,14 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/component"
+	"jvmpower/internal/heap"
+	"jvmpower/internal/heap/heaptest"
 	"jvmpower/internal/isa"
 	"jvmpower/internal/units"
 )
@@ -154,6 +157,48 @@ func TestLiveSetBounded(t *testing.T) {
 	if live := v.Heap().LiveBytes(); live > p.LiveTarget+p.LiveTarget/2 {
 		t.Fatalf("live set %v exceeds target %v by >50%%", live, p.LiveTarget)
 	}
+}
+
+// TestCollectionPreservesRootedGraph forces a full collection after a
+// batch run and compares the graph the VM's roots (chain anchors, tables,
+// stack ring) reach before and after it, read back through the root
+// slots. SemiSpace renumbers every survivor, so a root slot the VM does not
+// pass by address, or the collector does not rewrite, shows as a changed
+// graph; and its table must then hold exactly that graph.
+func TestCollectionPreservesRootedGraph(t *testing.T) {
+	for _, col := range []string{"SemiSpace", "MarkSweep", "GenCopy", "GenMS"} {
+		t.Run(col, func(t *testing.T) {
+			v, _ := newTestVM(t, smallProgram(), Jikes, col, 8*units.MB)
+			if err := v.RunProfile(smallProfile()); err != nil {
+				t.Fatal(err)
+			}
+			before := rootShape(t, v)
+			if len(before.Sizes) == 0 {
+				t.Fatal("the roots reach no objects")
+			}
+			v.Collector().Collect("test")
+			after := rootShape(t, v)
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("rooted graph changed across the collection: %d objects before, %d after",
+					len(before.Sizes), len(after.Sizes))
+			}
+			if col == "SemiSpace" && v.Heap().LiveCount() != int64(len(after.Sizes)) {
+				t.Fatalf("%d live objects, want the %d reachable ones", v.Heap().LiveCount(), len(after.Sizes))
+			}
+		})
+	}
+}
+
+// rootShape is the shape of the graph the VM's root slots reach.
+func rootShape(t *testing.T, v *VM) heaptest.Shape {
+	t.Helper()
+	var roots []heap.Ref
+	(*vmRoots)(v).Roots(func(slot *heap.Ref) { roots = append(roots, *slot) })
+	s, err := heaptest.ShapeOf(v.Heap(), roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestRunProfileDeterministic(t *testing.T) {

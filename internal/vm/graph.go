@@ -37,6 +37,7 @@ func (v *VM) initChains() {
 	v.statics = make([]heap.Ref, numChains)
 	v.tables = make([]heap.Ref, numTables)
 	v.stackRing = make([]heap.Ref, ringSlots)
+	v.ringPos = ringSlots - 1 // the first allocation takes slot 0
 }
 
 // vmRoots adapts the VM's root set to gc.RootProvider.
@@ -44,20 +45,22 @@ type vmRoots VM
 
 // Roots implements gc.RootProvider: statics (chain anchors), the mutator
 // stack ring, class static reference slots, and any interpreter frames.
-func (r *vmRoots) Roots(fn func(heap.Ref)) {
+// These slots are the only places the VM keeps a Ref across an allocation,
+// so a moving collector that rewrites them leaves no stale Ref behind.
+func (r *vmRoots) Roots(fn func(*heap.Ref)) {
 	v := (*VM)(r)
-	for _, s := range v.statics {
-		fn(s)
+	for i := range v.statics {
+		fn(&v.statics[i])
 	}
-	for _, s := range v.tables {
-		fn(s)
+	for i := range v.tables {
+		fn(&v.tables[i])
 	}
-	for _, s := range v.stackRing {
-		fn(s)
+	for i := range v.stackRing {
+		fn(&v.stackRing[i])
 	}
 	for _, slots := range v.classStaticRefs {
-		for _, s := range slots {
-			fn(s)
+		for i := range slots {
+			fn(&slots[i])
 		}
 	}
 	if v.interpRoots != nil {
@@ -95,18 +98,21 @@ func (v *VM) allocAppObject(size uint32, nrefs int, longLivedP float64, liveTarg
 	// cluster-continuation probability: objects form short chains that die
 	// together (the cohort structure of real young objects). Deeper
 	// backward wiring would thread reachability through all of allocation
-	// history and inflate the live set without bound.
-	if nrefs > 0 && v.lastAlloc != heap.Null && v.rngFloat() < clusterContinueP {
-		o.RefsIn(v.heap)[0] = v.lastAlloc
-		v.pendingMutInstr += v.col.WriteBarrier(r, v.lastAlloc)
+	// history and inflate the live set without bound. The previous
+	// allocation is read from the ring's newest slot only now, after Alloc,
+	// because a collection inside Alloc may have moved it.
+	prev := v.stackRing[v.ringPos]
+	if nrefs > 0 && prev != heap.Null && v.rngFloat() < clusterContinueP {
+		o.RefsIn(v.heap)[0] = prev
+		v.pendingMutInstr += v.col.WriteBarrier(r, prev)
 	}
-	v.lastAlloc = r
 
-	// Root in the stack ring (overwriting the slot retires an older root).
-	v.stackRing[v.ringPos] = r
+	// Root in the stack ring's next slot, which becomes the newest
+	// (overwriting the slot retires an older root).
 	if v.ringPos++; v.ringPos == ringSlots {
 		v.ringPos = 0
 	}
+	v.stackRing[v.ringPos] = r
 
 	if nrefs > 0 && longLivedP > 0 && v.rngFloat() < longLivedP {
 		v.attachLongLived(r, size, liveTarget)

@@ -120,18 +120,19 @@ func (v *VM) Interpret(l1d cpu.CacheConfig, l2 *cpu.CacheConfig, maxSteps int64)
 	return it.stats, err
 }
 
-// roots enumerates reference slots in all live frames.
-func (it *interp) roots(fn func(heap.Ref)) {
+// roots enumerates reference slots in all live frames, passing each
+// slot's address so a moving collector can rewrite it in place.
+func (it *interp) roots(fn func(*heap.Ref)) {
 	for fi := range it.frames {
 		f := &it.frames[fi]
-		for _, s := range f.locals {
-			if s.isRef {
-				fn(s.r)
+		for i := range f.locals {
+			if f.locals[i].isRef {
+				fn(&f.locals[i].r)
 			}
 		}
-		for _, s := range f.stack {
-			if s.isRef {
-				fn(s.r)
+		for i := range f.stack {
+			if f.stack[i].isRef {
+				fn(&f.stack[i].r)
 			}
 		}
 	}

@@ -131,6 +131,29 @@ func TestInterpretAllocLoopSurvivesWithRoom(t *testing.T) {
 	}
 }
 
+// TestInterpretHeldRefsSurviveCollections collects while references sit
+// in a frame local, on the operand stack, in an object field and in a
+// static slot, then dereferences all four. SemiSpace renumbers every
+// survivor, so each of those slots must have been rewritten.
+func TestInterpretHeldRefsSurviveCollections(t *testing.T) {
+	for _, col := range []string{"SemiSpace", "MarkSweep", "GenCopy", "GenMS"} {
+		t.Run(col, func(t *testing.T) {
+			v, _ := newTestVM(t, buildHeldRefs(100_000), Jikes, col, 1*units.MB)
+			l1, l2 := testCaches()
+			st, err := v.Interpret(l1, l2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := v.Collector().Stats().Collections; n == 0 {
+				t.Fatal("no collection while the references were held")
+			}
+			if st.ReturnValue != 2134 {
+				t.Fatalf("boxes read back as %d, want 2134 (b a c s)", st.ReturnValue)
+			}
+		})
+	}
+}
+
 func TestInterpretKaffe(t *testing.T) {
 	v, exec := newTestVM(t, buildSum(50), Kaffe, "", 4*units.MB)
 	l1, _ := testCaches()

@@ -104,6 +104,49 @@ func buildAllocLoop(n int32, pad int) *classfile.Program {
 	return b.MustBuild()
 }
 
+// buildHeldRefs keeps references in every kind of interpreter root while
+// it allocates garbage boxes of count: box a in local 0, box b on the
+// operand stack, box c only in a.next, box s in a static slot. Afterwards
+// it reads the four boxes' values (1, 2, 3, 4 for a, b, c, s) back through
+// those references and returns them as the digits b a c s, so a reference
+// left pointing at the wrong box changes the result from 2134.
+func buildHeldRefs(garbage int32) *classfile.Program {
+	b := classfile.NewBuilder("heldrefs")
+	obj := b.AddClass(classfile.ClassSpec{Name: "Object"})
+	box := int32(b.AddClass(classfile.ClassSpec{Name: "Box", Super: "Object", StaticRefs: 1,
+		Fields: []classfile.Field{{Name: "next", Kind: classfile.RefField}, {Name: "val", Kind: classfile.IntField}}}))
+	I := classfile.I
+	newBox := func(val int32) []isa.Instr { // leaves the box on the stack
+		return []isa.Instr{I(isa.NEW, box), I(isa.DUP), I(isa.ICONST, val), I(isa.PUTFIELD, 0)}
+	}
+	var code []isa.Instr
+	code = append(code, newBox(1)...)
+	code = append(code, I(isa.ASTORE, 0)) // local 0 = a
+	code = append(code, newBox(2)...)     // b stays on the stack
+	code = append(code, newBox(3)...)
+	code = append(code, I(isa.ALOAD, 0), I(isa.SWAP), I(isa.PUTREF, 0)) // a.next = c
+	code = append(code, newBox(4)...)
+	code = append(code, I(isa.PUTSTATICREF, box, 0)) // static = s
+	loop := int32(len(code) + 2)
+	code = append(code,
+		I(isa.ICONST, garbage), I(isa.ISTORE, 1),
+		I(isa.ILOAD, 1), I(isa.IFLE, loop+9), // loop: while i > 0
+		I(isa.NEW, box), I(isa.POP),
+		I(isa.ILOAD, 1), I(isa.ICONST, 1), I(isa.ISUB), I(isa.ISTORE, 1),
+		I(isa.GOTO, loop),
+	)
+	code = append(code,
+		I(isa.GETFIELD, 0), I(isa.ICONST, 10), I(isa.IMUL), // b
+		I(isa.ALOAD, 0), I(isa.GETFIELD, 0), I(isa.IADD), I(isa.ICONST, 10), I(isa.IMUL), // a
+		I(isa.ALOAD, 0), I(isa.GETREF, 0), I(isa.GETFIELD, 0), I(isa.IADD), I(isa.ICONST, 10), I(isa.IMUL), // c
+		I(isa.GETSTATICREF, box, 0), I(isa.GETFIELD, 0), I(isa.IADD), // s
+		I(isa.IRETURN),
+	)
+	m := b.AddMethod(classfile.MethodSpec{Class: obj, Name: "main", ExtraSlots: 2, Code: code})
+	b.SetEntry(m)
+	return b.MustBuild()
+}
+
 // buildFib computes fib(n) by naive recursion (deep frames, many invokes).
 // fib is method 0 so its recursive INVOKE operand is stable.
 func buildFib(n int32) *classfile.Program {

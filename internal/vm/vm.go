@@ -38,12 +38,15 @@ const (
 	Kaffe
 )
 
-// String returns the VM name.
+// String returns the VM name, or Flavor(N) for a value that names no VM.
 func (f Flavor) String() string {
-	if f == Jikes {
+	switch f {
+	case Jikes:
 		return "JikesRVM"
+	case Kaffe:
+		return "Kaffe"
 	}
-	return "Kaffe"
+	return fmt.Sprintf("Flavor(%d)", uint8(f))
 }
 
 // Executor receives the VM's execution; core.Meter implements it. Execute
@@ -89,8 +92,7 @@ type VM struct {
 	// Roots.
 	statics   []heap.Ref // chain anchors + per-class static ref slots
 	stackRing []heap.Ref
-	ringPos   int
-	lastAlloc heap.Ref
+	ringPos   int // the ring's newest slot, which holds the last allocation
 	// metaBytes is immortal class-metadata footprint (outside the heap).
 	metaBytes units.ByteSize
 
@@ -114,7 +116,7 @@ type VM struct {
 	invoked []bool
 
 	// Interpreter frame roots, registered while interp runs.
-	interpRoots     func(func(heap.Ref))
+	interpRoots     func(func(*heap.Ref))
 	interpRootCount func() int
 
 	rngState uint64
