@@ -113,10 +113,10 @@ fleet-smoke:
 
 # crash-torture is the shell-level durability smoke: the real binary is
 # SIGKILLed at three injected journal offsets (via JVMPOWER_CRASH_JOURNAL),
-# -fsck verifies the wreckage offline, and -resume must reproduce the
-# uninterrupted run's bytes. The in-repo twin,
-# TestKillAnywhereResumeByteIdentical, sweeps the same kill points across
-# the isolate and fleet transports too.
+# -fsck verifies the wreckage offline, and a rerun against the same -cache
+# must reproduce the uninterrupted run's bytes and serve points from the
+# cache. The in-repo twin, TestKillAnywhereResumeByteIdentical, sweeps the
+# same kill points across the isolate and fleet transports too.
 crash-torture:
 	./scripts/crash_torture.sh
 

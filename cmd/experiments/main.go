@@ -16,7 +16,6 @@
 //	experiments -all -isolate 4             # points run in worker subprocesses
 //	experiments -serve-node :9310                     # run a remote executor node
 //	experiments -all -nodes host1:9310,host2:9310     # distribute points across nodes
-//	experiments -merge-journals a.jsonl,b.jsonl -journal merged.jsonl
 //	experiments -all -journal j.jsonl -journal-sync interval=2s
 //	experiments -fsck -cache .points -journal j.jsonl       # offline integrity check
 //	experiments -daemon -http :8080 -cache .points -journal jobs.jsonl
@@ -65,19 +64,17 @@ func run() int {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		metricsFile = flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-		journalFile = flag.String("journal", "", "append one JSONL event per characterization point to this file")
+		journalFile = flag.String("journal", "", "write one JSONL event per characterization point to this file (truncated on open; -daemon appends)")
 		httpAddr    = flag.String("http", "", "serve live /metrics, /debug/vars, and /debug/pprof on this address")
 		faults      = flag.String("faults", "", "fault-injection plan, e.g. drop=0.05,glitch=0.001,seed=7 (see internal/faultinject)")
 		reps        = flag.Int("reps", 1, "repetitions per point; >1 enables quorum selection with MAD outlier rejection")
 		pointTO     = flag.Duration("point-timeout", 0, "wall-time budget per characterization attempt (0 = unbounded)")
-		resume      = flag.Bool("resume", false, "replay -journal to skip points a previous run completed (requires -journal and -cache)")
 		isolate     = flag.Int("isolate", 0, "run each point in one of N supervised worker subprocesses (0 = in-process)")
 		breakerK    = flag.Int("breaker", 0, "with -isolate or -nodes: consecutive executor deaths that open a circuit breaker (0 = default 3, negative = never)")
 		worker      = flag.Bool("worker", false, "internal: run as a point worker speaking the supervisor protocol on stdin/stdout")
 		nodes       = flag.String("nodes", "", "comma-separated remote executor addresses (host:port); points run there")
 		serveNode   = flag.String("serve-node", "", "run as a remote executor node listening on this address (host:port; port 0 picks one)")
 		capacity    = flag.Int("capacity", 0, "with -serve-node: concurrent-point budget advertised to the coordinator (0 = GOMAXPROCS)")
-		mergeList   = flag.String("merge-journals", "", "comma-separated shard journals to merge into -journal FILE, then exit")
 		journalSync = flag.String("journal-sync", "point", "journal durability policy: point (fsync per record), interval[=DUR], or close")
 		fsck        = flag.Bool("fsck", false, "offline integrity check: scan -cache DIR and/or -journal FILE, quarantine/repair corruption, then exit")
 		fsckRepair  = flag.Bool("fsck-repair", false, "with -fsck: rewrite a corrupt journal to its salvaged records (backup kept as FILE.pre-fsck)")
@@ -115,8 +112,6 @@ func run() int {
 			return fail(errors.New("-daemon runs campaigns submitted over HTTP; drop -fig/-all"))
 		case *httpAddr == "" || *journalFile == "" || *cacheDir == "":
 			return fail(errors.New("-daemon needs -http ADDR (the job API), -journal FILE (the durable job log), and -cache DIR (the point store recovery resumes from)"))
-		case *resume:
-			return fail(errors.New("-daemon recovers incomplete jobs from its journal automatically; -resume is the one-shot path"))
 		case *faults != "":
 			return fail(errors.New("-daemon takes fault plans per campaign (the \"faults\" field of the job spec), not globally"))
 		case *serveNode != "":
@@ -139,32 +134,6 @@ func run() int {
 		if rep.Corrupt() {
 			return 4
 		}
-		return 0
-	}
-
-	if *mergeList != "" {
-		// Journal-merge mode: fold shard journals from a split campaign into
-		// one canonical resume journal and exit. The output is order-independent
-		// (see experiments.MergeJournals), so any coordinator can produce it.
-		if *journalFile == "" {
-			return fail(errors.New("-merge-journals needs -journal FILE for the merged output"))
-		}
-		paths := strings.Split(*mergeList, ",")
-		f, err := os.Create(*journalFile)
-		if err != nil {
-			return fail(err)
-		}
-		n, mrep, err := experiments.MergeJournals(f, paths...)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if !mrep.Clean() {
-			fmt.Fprintf(os.Stderr, "experiments: merge salvaged corrupt input(s):\n%s\n", mrep)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: merged %d journal(s): %d completed point(s)\n", len(paths), n)
 		return 0
 	}
 
@@ -307,22 +276,12 @@ func run() int {
 			}
 		}()
 	}
-	if *resume {
-		if *journalFile == "" || *cacheDir == "" {
-			return fail(errors.New("-resume needs -journal FILE (the completion record) and -cache DIR (the data)"))
-		}
-		rrep, err := r.LoadResume(*journalFile)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: resume: %s\n", rrep)
-	}
 	var jnl *metrics.Journal
 	if *journalFile != "" {
 		open := metrics.OpenJournal
-		if *resume || *daemonMode {
-			// The prior run's events are the resume record (and, for the
-			// daemon, the job log recovery replays); append to them.
+		if *daemonMode {
+			// The daemon's journal is the job log recovery replays; append
+			// to it.
 			open = metrics.OpenJournalAppend
 		}
 		j, err := open(*journalFile)

@@ -21,13 +21,13 @@ import (
 
 // The kill-anywhere gate: SIGKILL a real campaign process at injected
 // journal offsets — after the Nth record's group commit, or halfway
-// through writing a record — across every execution transport, then
-// resume from the survivors (per-point sync journal + self-verifying disk
-// cache) and require the finished figure byte-identical to a run that was
-// never interrupted. This is the acceptance test for the whole durability
-// story: if the sync policy under-fsyncs, the salvager over- or
-// under-trims, the cache serves a torn entry, or resume miscounts, the
-// bytes differ or the accounting assertions below catch it.
+// through writing a record — across every execution transport, then rerun
+// the campaign against the same self-verifying disk cache and require the
+// finished figure byte-identical to a run that was never interrupted. This
+// is the acceptance test for the whole durability story: if the sync
+// policy under-fsyncs, the salvager over- or under-trims, the cache serves
+// a torn entry, or a journaled point has no cache entry, the bytes differ
+// or the accounting assertions below catch it.
 
 // crashDriverMain is the re-exec entry point (see TestMain): a real
 // process running a real figure with journal, cache, and optional crash
@@ -44,17 +44,7 @@ func crashDriverMain() int {
 	r.CacheDir = os.Getenv("JVMPOWER_DRIVER_CACHE")
 	r.Metrics = metrics.NewRegistry()
 
-	jpath := os.Getenv("JVMPOWER_DRIVER_JOURNAL")
-	openJournal := metrics.OpenJournal
-	if os.Getenv("JVMPOWER_DRIVER_RESUME") == "1" {
-		rep, err := r.LoadResume(jpath)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "crash-driver: resume: %s\n", rep)
-		openJournal = metrics.OpenJournalAppend
-	}
-	j, err := openJournal(jpath)
+	j, err := metrics.OpenJournal(os.Getenv("JVMPOWER_DRIVER_JOURNAL"))
 	if err != nil {
 		return fail(err)
 	}
@@ -157,15 +147,46 @@ func wantSIGKILL(t *testing.T, err error, stderr string) {
 	}
 }
 
+// journalRecord is a test's view of any journal line: a point record's
+// identity, outcome and source, plus the event field that marks every
+// other record (node, fault, cache, job).
+type journalRecord struct {
+	PointEvent
+	Event string `json:"event"`
+}
+
+// readJournal salvage-decodes the journal at path and returns its point
+// records, every other record dropped, with the salvage accounting.
+func readJournal(t *testing.T, path string) ([]PointEvent, metrics.SalvageReport) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, salvage, err := metrics.DecodeJournalSalvage[journalRecord](f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []PointEvent
+	for _, rec := range recs {
+		if rec.Event == "" {
+			points = append(points, rec.PointEvent)
+		}
+	}
+	return points, salvage
+}
+
 // TestKillAnywhereResumeByteIdentical sweeps SIGKILL injection points —
 // after the 1st and 3rd journal records' group commit, and mid-way through
 // the 2nd record's bytes — across the in-process, isolated-worker, and
 // fleet transports. Every crashed campaign must salvage to exactly the
-// records the sync policy promised durable, and the resumed run's figure
-// must match the uninterrupted run byte for byte.
+// records the sync policy promised durable; a rerun against the same cache
+// must serve every point the crashed journal recorded ok from disk,
+// compute no point twice, and match the uninterrupted run byte for byte.
 func TestKillAnywhereResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns 9 crash/resume subprocess pairs")
+		t.Skip("spawns 9 crash/rerun subprocess pairs")
 	}
 	// The uninterrupted reference: same package, same seed, same quick
 	// mode the driver runs.
@@ -187,11 +208,12 @@ func TestKillAnywhereResumeByteIdentical(t *testing.T) {
 		} {
 			t.Run(mode+"/"+tc.directive, func(t *testing.T) {
 				dir := t.TempDir()
+				crashed := filepath.Join(dir, "run.jsonl")
 				env := map[string]string{
 					"JVMPOWER_DRIVER_FIG":     "fig6",
 					"JVMPOWER_DRIVER_OUT":     filepath.Join(dir, "out.txt"),
 					"JVMPOWER_DRIVER_CACHE":   filepath.Join(dir, "points"),
-					"JVMPOWER_DRIVER_JOURNAL": filepath.Join(dir, "run.jsonl"),
+					"JVMPOWER_DRIVER_JOURNAL": crashed,
 					"JVMPOWER_DRIVER_MODE":    mode,
 				}
 
@@ -208,112 +230,61 @@ func TestKillAnywhereResumeByteIdentical(t *testing.T) {
 				// N's group commit, so exactly N records must be durable;
 				// mid=N crashed halfway through record N's bytes, so N-1
 				// records plus a torn tail.
-				jf, err2 := os.Open(env["JVMPOWER_DRIVER_JOURNAL"])
-				if err2 != nil {
-					t.Fatalf("crashed run left no journal: %v", err2)
-				}
-				_, salvage, err2 := metrics.DecodeJournalSalvage[map[string]any](jf)
-				jf.Close()
-				if err2 != nil {
-					t.Fatal(err2)
-				}
+				points, salvage := readJournal(t, crashed)
 				if salvage.Records != tc.complete || salvage.TornTail != tc.torn {
 					t.Fatalf("salvaged %d records (torn=%v), want %d (torn=%v)",
 						salvage.Records, salvage.TornTail, tc.complete, tc.torn)
 				}
 
-				// Phase 3: fleet campaigns resume from a merged journal —
-				// the merge must swallow the torn shard and note it.
-				if mode == "fleet" {
-					merged := filepath.Join(dir, "merged.jsonl")
-					mf, err := os.Create(merged)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, mrep, err := MergeJournals(mf, env["JVMPOWER_DRIVER_JOURNAL"])
-					if cerr := mf.Close(); err == nil {
-						err = cerr
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if mrep.Clean() != !tc.torn {
-						t.Fatalf("merge report clean=%v over a journal with torn=%v", mrep.Clean(), tc.torn)
-					}
-					env["JVMPOWER_DRIVER_JOURNAL"] = merged
-				}
-
-				// Phase 4: the resume. Same transport, no injection; the
-				// finished figure must match the uninterrupted run exactly.
+				// Phase 3: the rerun. Same transport and cache, no
+				// injection, a fresh journal; the finished figure must
+				// match the uninterrupted run exactly.
 				delete(env, "JVMPOWER_CRASH_JOURNAL")
-				env["JVMPOWER_DRIVER_RESUME"] = "1"
+				env["JVMPOWER_DRIVER_JOURNAL"] = filepath.Join(dir, "rerun.jsonl")
 				if err, stderr := runDriver(t, env); err != nil {
-					t.Fatalf("resume run failed: %v\n%s", err, stderr)
+					t.Fatalf("rerun failed: %v\n%s", err, stderr)
 				}
 				got, err2 := os.ReadFile(env["JVMPOWER_DRIVER_OUT"])
 				if err2 != nil {
 					t.Fatal(err2)
 				}
 				if string(got) != baseline {
-					t.Fatalf("resumed %s/%s output differs from the uninterrupted run", mode, tc.directive)
+					t.Fatalf("rerun %s/%s output differs from the uninterrupted run", mode, tc.directive)
+				}
+
+				// Phase 4: the crash invariant. A point journaled ok has a
+				// cache entry, so the rerun serves every such point from
+				// disk and computes each point at most once across both
+				// lives.
+				computed := make(map[PointID]int)
+				ok := 0
+				for _, ev := range points {
+					if ev.Outcome == "ok" {
+						ok++
+						computed[ev.PointID]++
+					}
+				}
+				rerun, _ := readJournal(t, env["JVMPOWER_DRIVER_JOURNAL"])
+				disk := 0
+				for _, ev := range rerun {
+					if ev.Source == "disk" {
+						disk++
+					} else {
+						computed[ev.PointID]++
+					}
+				}
+				if ok == 0 {
+					t.Fatal("crashed journal holds no ok point record to check")
+				}
+				if disk < ok {
+					t.Fatalf("rerun served %d points from disk, crashed journal recorded %d ok", disk, ok)
+				}
+				for id, n := range computed {
+					if n > 1 {
+						t.Errorf("%s computed %d times", id, n)
+					}
 				}
 			})
 		}
-	}
-}
-
-// TestCrashMidRecordThenCorruptTail is the end-to-end corruption gate: a
-// mid-record crash plus post-hoc bit flips and spliced garbage in the
-// journal must still resume to byte-identical output — the salvager trims
-// to intact records, the cache re-serves them, and recompute covers the
-// rest.
-func TestCrashMidRecordThenCorruptTail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns crash/resume subprocess pair")
-	}
-	var ref strings.Builder
-	if err := quickRunner(&ref).RunFigure("fig6"); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	env := map[string]string{
-		"JVMPOWER_DRIVER_FIG":     "fig6",
-		"JVMPOWER_DRIVER_OUT":     filepath.Join(dir, "out.txt"),
-		"JVMPOWER_DRIVER_CACHE":   filepath.Join(dir, "points"),
-		"JVMPOWER_DRIVER_JOURNAL": filepath.Join(dir, "run.jsonl"),
-		"JVMPOWER_CRASH_JOURNAL":  "mid=4",
-	}
-	err, stderr := runDriver(t, env)
-	wantSIGKILL(t, err, stderr)
-
-	// Make the wreckage worse: flip a byte inside the last intact record
-	// and append garbage — the kind of damage fsck finds in the field.
-	jpath := env["JVMPOWER_DRIVER_JOURNAL"]
-	data, err2 := os.ReadFile(jpath)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-	if len(lines) >= 2 {
-		lines[len(lines)-2][10] ^= 0x20 // corrupt the last complete record
-	}
-	data = append(bytes.Join(lines, []byte("\n")), '\n')
-	data = append(data, []byte("%%% not a journal line %%%\n")...)
-	if err := os.WriteFile(jpath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	delete(env, "JVMPOWER_CRASH_JOURNAL")
-	env["JVMPOWER_DRIVER_RESUME"] = "1"
-	if err, stderr := runDriver(t, env); err != nil {
-		t.Fatalf("resume over corrupted journal failed: %v\n%s", err, stderr)
-	}
-	got, err2 := os.ReadFile(env["JVMPOWER_DRIVER_OUT"])
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if string(got) != ref.String() {
-		t.Fatal("resume over corrupted journal altered figure output")
 	}
 }

@@ -105,9 +105,9 @@ func (s *CampaignSpec) normalize() (*faultinject.Plan, error) {
 	return plan, nil
 }
 
-// JobEvent is one job-log record. Event is always "job", which the
-// point-resume and journal-merge paths skip by design — job history and
-// point history share the journal file but never confuse each other.
+// JobEvent is one job-log record. Event is always "job", which sets it
+// apart from point records — job history and point history share the
+// journal file but never confuse each other.
 // Admission records (accepted, recovered, shed) carry the full spec so
 // recovery can reconstruct the job from the journal alone; progress and
 // terminal records carry only identity and outcome. No record carries a

@@ -150,8 +150,7 @@ func (r *Runner) quarantine(path string, cause error) {
 
 // CacheEvent is the journal record of a disk-cache anomaly: a quarantined
 // corrupt entry or a write failure. Distinguished from PointEvents by the
-// event field ("cache"); resume and merge ignore it, like every non-point
-// record.
+// event field ("cache"), like every non-point record.
 type CacheEvent struct {
 	Event string `json:"event"` // "cache"
 	Kind  string `json:"kind"`  // "corrupt_quarantined", "corrupt_removed", "write_error"

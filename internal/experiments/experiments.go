@@ -105,9 +105,8 @@ type Runner struct {
 	// figure-rendering path; it must not block for long.
 	OnPoint func(p Point, ev PointEvent)
 
-	mu     sync.Mutex
-	cache  map[PointID]*flight
-	resume map[PointID]bool
+	mu    sync.Mutex
+	cache map[PointID]*flight
 
 	faultMu sync.Mutex
 	faults  []FaultRecord
@@ -149,8 +148,8 @@ type Point struct {
 }
 
 // PointID is a point's identity by name: the one declaration the Runner's
-// flights and resume set key on, the disk key hashes, and every journal
-// point record leads with (its JSON tags are the journal's field names).
+// flights key on, the disk key hashes, and every journal point record
+// leads with (its JSON tags are the journal's field names).
 type PointID struct {
 	Bench     string `json:"bench"`
 	Flavor    string `json:"flavor"`

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -169,11 +168,10 @@ func TestFleetByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetResumeByteIdentical pins the fleet resume story: a fleet
-// campaign's journal, passed through MergeJournals, resumes both a fresh
-// fleet run and a single-process run byte-identically — and the resumed
-// fleet executes nothing remotely, because every point is already in the
-// shared cache.
+// TestFleetResumeByteIdentical pins the fleet resume story: rerunning a
+// fleet campaign against its disk cache, on a fresh fleet or in a single
+// process, is byte-identical, serves every point the campaign journaled
+// ok from disk, and executes nothing remotely.
 func TestFleetResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "points")
@@ -203,25 +201,18 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// A merge of one shard must still resolve and canonicalize.
-	mergedPath := filepath.Join(dir, "merged.jsonl")
-	mf, err := os.Create(mergedPath)
-	if err != nil {
-		t.Fatal(err)
+	points, _ := readJournal(t, journalPath)
+	ok := 0
+	for _, ev := range points {
+		if ev.Outcome == "ok" {
+			ok++
+		}
 	}
-	n, _, err := MergeJournals(mf, journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("merge resolved no completed points")
+	if ok == 0 {
+		t.Fatal("fleet campaign journaled no completed point")
 	}
 
-	// Fleet resume: a fresh node counting executions — there must be none.
+	// Fleet rerun: a fresh node counting executions — there must be none.
 	var executed atomic.Int64
 	ln2 := listenLoopback(t)
 	startFleetNode(t, ln2, supervisor.ServeConfig{
@@ -236,9 +227,12 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	r2 := quickRunner(&out2)
 	r2.CacheDir = cacheDir
 	r2.Metrics = metrics.NewRegistry()
-	if _, err := r2.LoadResume(mergedPath); err != nil {
+	rerunPath := filepath.Join(dir, "rerun.jsonl")
+	j2, err := metrics.OpenJournal(rerunPath)
+	if err != nil {
 		t.Fatal(err)
 	}
+	r2.Journal = j2
 	sup2, err := supervisor.New(supervisor.Config{Nodes: []string{ln2.Addr().String()}, Metrics: r2.Metrics, Stderr: io.Discard})
 	if err != nil {
 		t.Fatal(err)
@@ -248,31 +242,42 @@ func TestFleetResumeByteIdentical(t *testing.T) {
 	if err := r2.RunFigure("fig6"); err != nil {
 		t.Fatal(err)
 	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Single-process resume of the same merged journal.
+	// Single-process rerun against the same cache.
 	var out3 strings.Builder
 	r3 := quickRunner(&out3)
 	r3.CacheDir = cacheDir
 	r3.Metrics = metrics.NewRegistry()
-	if _, err := r3.LoadResume(mergedPath); err != nil {
-		t.Fatal(err)
-	}
 	if err := r3.RunFigure("fig6"); err != nil {
 		t.Fatal(err)
 	}
 
 	if out2.String() != out1.String() {
-		t.Fatal("fleet resume output differs from the original fleet campaign")
+		t.Fatal("fleet rerun output differs from the original fleet campaign")
 	}
 	if out3.String() != out1.String() {
-		t.Fatal("single-process resume output differs from the fleet campaign")
+		t.Fatal("single-process rerun output differs from the fleet campaign")
 	}
 	if v := executed.Load(); v != 0 {
-		t.Fatalf("resumed fleet recomputed %d points remotely", v)
+		t.Fatalf("fleet rerun recomputed %d points remotely", v)
 	}
 	for _, r := range []*Runner{r2, r3} {
-		if skipped := r.Metrics.Counter("experiments.resume.skipped").Value(); skipped != int64(n) {
-			t.Fatalf("resume skipped %d points, merged journal resolved %d", skipped, n)
+		hits := r.Metrics.Counter("experiments.diskcache.hits").Value()
+		misses := r.Metrics.Counter("experiments.diskcache.misses").Value()
+		if hits != int64(ok) || misses != 0 {
+			t.Fatalf("rerun: %d disk hits and %d misses, campaign journaled %d ok points", hits, misses, ok)
+		}
+	}
+	rerun, _ := readJournal(t, rerunPath)
+	if len(rerun) != ok {
+		t.Fatalf("fleet rerun journaled %d points, campaign %d", len(rerun), ok)
+	}
+	for _, ev := range rerun {
+		if ev.Source != "disk" {
+			t.Fatalf("fleet rerun journaled %s with source %q, want \"disk\"", ev.PointID, ev.Source)
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // Offline integrity checking: `experiments -fsck` runs the same
 // verification the live paths run — the cache envelope check loadPoint
-// performs, the salvaging decode LoadResume performs — over a whole cache
-// directory and/or journal at rest, so an operator can audit a campaign's
-// durable state without resuming it. Corrupt cache entries are quarantined
+// performs, the salvaging decode daemon recovery performs — over a whole
+// cache directory and/or journal at rest, so an operator can audit a
+// campaign's durable state without rerunning it. Corrupt cache entries are quarantined
 // exactly as a live run would quarantine them; a corrupt journal is
 // reported, and with repair=true rewritten to its salvaged records (the
 // original kept as <path>.pre-fsck).

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -28,10 +26,8 @@ func benchByName(t *testing.T, name string) *workloads.Benchmark {
 
 // TestJournalBytesGolden pins the journal's bytes: the PointEvents
 // observePoint records for points with and without a collector, S10,
-// FanOff and an error, and the lines MergeJournals writes for them. The
-// journal is a campaign's regression record, so a change to how a point's
-// identity is declared must not move a byte of it; the merge permutation
-// tests only compare merged journals with each other.
+// FanOff and an error. The journal is a campaign's regression record, so a
+// change to how a point's identity is declared must not move a byte of it.
 func TestJournalBytesGolden(t *testing.T) {
 	db, javac := benchByName(t, "_209_db"), benchByName(t, "_213_javac")
 	var buf bytes.Buffer
@@ -61,20 +57,6 @@ func TestJournalBytesGolden(t *testing.T) {
 {"bench":"_213_javac","flavor":"JikesRVM","collector":"SemiSpace","heap_mb":32,"platform":"P6","fan_off":true,"outcome":"error","source":"isolated","duration_ms":2,"error":"experiments: injected failure","attempts":3,"crc":"c1:cf215643"}
 `
 	diffLines(t, "journal", buf.String(), wantJournal)
-
-	path := filepath.Join(t.TempDir(), "shard.jsonl")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var merged bytes.Buffer
-	if _, _, err := MergeJournals(&merged, path); err != nil {
-		t.Fatal(err)
-	}
-	wantMerged := `{"bench":"_209_db","flavor":"JikesRVM","collector":"GenMS","heap_mb":64,"platform":"P6","outcome":"ok","source":"merged","duration_ms":0,"crc":"c1:361f5e79"}
-{"bench":"_213_javac","flavor":"JikesRVM","collector":"SemiSpace","heap_mb":32,"platform":"P6","fan_off":true,"outcome":"error","source":"merged","duration_ms":0,"error":"experiments: injected failure","crc":"c1:eef8e1a3"}
-{"bench":"_213_javac","flavor":"Kaffe","heap_mb":16,"platform":"DBPXA255","s10":true,"outcome":"ok","source":"merged","duration_ms":0,"crc":"c1:d03a747f"}
-`
-	diffLines(t, "merged journal", merged.String(), wantMerged)
 }
 
 // diffLines reports every line of got that differs from want.

@@ -32,8 +32,8 @@ import (
 const defaultBreakerThreshold = 3
 
 // NodeEvent is the journal record of an executor lifecycle transition.
-// Distinguished from PointEvents by the event field ("node"); LoadResume
-// ignores it. The "up" detail carries the executor's benchstat-style
+// Distinguished from PointEvents by the event field ("node"), so a reader
+// counting point records skips it. The "up" detail carries the executor's benchstat-style
 // environment capture — per the VM-warmup literature, results from
 // different machines are only comparable with this provenance recorded
 // next to them.

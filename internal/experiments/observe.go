@@ -44,41 +44,27 @@ import (
 //	diskcache.write_errors                    counter  failed cache writes
 //	                                                   (first also journals a
 //	                                                   CacheEvent warning)
-//	resume.unparseable                        counter  journal point records
-//	                                                   skipped by LoadResume
-//	                                                   (unknown VM flavor)
-//	resume.salvage_dropped                    counter  corrupt journal lines
-//	                                                   dropped by the
-//	                                                   salvaging decoder
-//	                                                   during LoadResume
+//
+// A rerun with the same -cache is the resume: diskcache.hits counts the
+// points it served instead of recomputing.
 
 // PointEvent is one run-journal record: the point's identity, where its
-// result came from, how long it took, and how it ended. LoadResume replays
-// these to decide which points a crashed run already completed.
+// result came from, how long it took, and how it ended.
 type PointEvent struct {
 	PointID
 	Outcome string `json:"outcome"` // "ok" or "error"
 	// Source is where the result came from: "computed" (in-process),
 	// "isolated" (a supervised executor, local worker or remote node),
-	// "shared", "disk", "resume", or "merged". Older journals also say
-	// "fleet" for a remote node.
+	// "shared", or "disk". Older journals also say "fleet" for a remote
+	// node, "resume" for a point a journal-replay resume served from disk,
+	// and "merged" in a merged shard journal; none of the three is written
+	// any more.
 	Source     string  `json:"source"`
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
 	// Attempts counts characterization attempts across retries and quorum
 	// repetitions; omitted for cache-served points.
 	Attempts int `json:"attempts,omitempty"`
-}
-
-// journalPoint is the one shape resume and merge decode journal lines
-// into: a point record's identity, outcome and error, plus the event
-// field that marks every other record (node, fault, breaker, cache, job)
-// for skipping.
-type journalPoint struct {
-	PointID
-	Event   string `json:"event"`
-	Outcome string `json:"outcome"`
-	Error   string `json:"error"`
 }
 
 // FaultEvent is the journal record of a permanently failed, degraded
@@ -110,12 +96,6 @@ func (r *Runner) runPoint(p Point, k PointID) (res *core.Result, err error) {
 	}()
 	if cached, ok := r.loadPoint(k); ok {
 		source = "disk"
-		if r.resumed(k) {
-			// A prior run's journal marked this point done and the disk
-			// cache still holds it: the resumed run skips the computation.
-			source = "resume"
-			r.Metrics.Counter("experiments.resume.skipped").Inc()
-		}
 		return cached, nil
 	}
 	if r.Shared != nil {
@@ -143,7 +123,7 @@ func (r *Runner) computePoint(p Point, k PointID) (*core.Result, string, int, er
 // observePoint records one completed point in the registry and journal.
 func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts int, err error) {
 	if r.Metrics != nil {
-		if source == "disk" || source == "resume" {
+		if source == "disk" {
 			r.Metrics.Counter("experiments.diskcache.hits").Inc()
 		} else if r.CacheDir != "" {
 			r.Metrics.Counter("experiments.diskcache.misses").Inc()

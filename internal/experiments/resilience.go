@@ -10,7 +10,6 @@ import (
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/metrics"
 	"jvmpower/internal/stats"
 	"jvmpower/internal/vm"
 )
@@ -417,80 +416,8 @@ func nan() float64 {
 	return zero / zero
 }
 
-// ResumeReport is the accounting of one LoadResume: how much completion
-// state was recovered, and everything that could NOT be used — corrupt
-// journal lines the salvaging reader dropped and point records whose
-// flavor no current build can parse. A resumed campaign that silently
-// under-counts re-runs points it already paid for, so the losses are
-// first-class output, not log noise.
-type ResumeReport struct {
-	// Completed is the number of distinct points the journal proves
-	// finished successfully — what LoadResume historically returned.
-	Completed int
-	// Unparseable counts point-completion records skipped because their
-	// VM flavor is unknown to this build (a journal from a newer or
-	// differently-configured binary).
-	Unparseable int
-	// Salvage is the journal reader's corruption accounting: lines
-	// dropped to checksum or parse failures and whether the journal ended
-	// in a torn tail.
-	Salvage metrics.SalvageReport
-}
-
-// String renders the report the way cmd/experiments prints it.
-func (rr ResumeReport) String() string {
-	s := fmt.Sprintf("%d completed point(s)", rr.Completed)
-	if rr.Unparseable > 0 {
-		s += fmt.Sprintf(", %d record(s) with unknown VM flavor skipped", rr.Unparseable)
-	}
-	if !rr.Salvage.Clean() {
-		s += "; " + rr.Salvage.String()
-	}
-	return s
-}
-
-// LoadResume replays a previous run's journal and marks every point it
-// completed successfully. A resumed run serves those points from the disk
-// cache and re-runs only failed or never-reached points, which is what
-// makes a crashed or interrupted campaign cheap to finish: resume needs
-// the journal for the completion record and the disk cache for the data.
-//
-// The journal is read through the salvaging decoder, so a crash-torn or
-// partially corrupted tail yields the valid prefix plus a report instead
-// of bricking resume — see ResumeReport for what was recovered and what
-// was lost.
-func (r *Runner) LoadResume(journalPath string) (ResumeReport, error) {
-	var rep ResumeReport
-	f, err := os.Open(journalPath)
-	if err != nil {
-		return rep, fmt.Errorf("experiments: resume: %w", err)
-	}
-	defer f.Close()
-	events, salvage, err := metrics.DecodeJournalSalvage[journalPoint](f)
-	if err != nil {
-		return rep, fmt.Errorf("experiments: resume: reading %s: %w", journalPath, err)
-	}
-	rep.Salvage = salvage
-	done := make(map[PointID]bool)
-	for _, ev := range events {
-		if ev.Event != "" || ev.Outcome != "ok" {
-			continue
-		}
-		if _, ok := flavorByName(ev.Flavor); !ok {
-			rep.Unparseable++
-			continue
-		}
-		done[ev.PointID] = true
-	}
-	r.mu.Lock()
-	r.resume = done
-	r.mu.Unlock()
-	rep.Completed = len(done)
-	r.Metrics.Counter("experiments.resume.unparseable").Add(int64(rep.Unparseable))
-	r.Metrics.Counter("experiments.resume.salvage_dropped").Add(int64(salvage.Dropped))
-	return rep, nil
-}
-
+// flavorByName inverts vm.Flavor.String; rebuild parses a wire spec's
+// flavor with it.
 func flavorByName(name string) (vm.Flavor, bool) {
 	for _, f := range []vm.Flavor{vm.Jikes, vm.Kaffe} {
 		if f.String() == name {
@@ -498,11 +425,4 @@ func flavorByName(name string) (vm.Flavor, bool) {
 		}
 	}
 	return 0, false
-}
-
-// resumed reports whether a prior journal marked this point completed.
-func (r *Runner) resumed(k PointID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.resume[k]
 }

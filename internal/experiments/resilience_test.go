@@ -192,9 +192,9 @@ func TestQuorumSelectsARealRep(t *testing.T) {
 // TestFaultCampaignAndResume is the end-to-end acceptance gate for the
 // resilient pipeline: a seeded campaign of 5% DAQ sample drops plus one
 // forced point panic runs RunEverything to completion — every figure
-// emitted, the panicked point recorded in the fault report — and a second
-// -resume run replays the journal, skipping completed points and
-// re-attempting only the missing one.
+// emitted, the panicked point recorded in the fault report — and a rerun
+// against the same cache reproduces it byte for byte, serving completed
+// points from disk and re-attempting only the missing one.
 func TestFaultCampaignAndResume(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
@@ -242,14 +242,25 @@ func TestFaultCampaignAndResume(t *testing.T) {
 		t.Fatal("figures show no degraded cells despite faults")
 	}
 	// points.completed counts every finished point, errored ones included;
-	// the journal marks only the clean ones "ok", which is what resume sees.
+	// the journal marks only the clean ones "ok", and only those reach the
+	// cache.
 	completed := r1.Metrics.Counter("experiments.points.completed").Value() -
 		r1.Metrics.Counter("experiments.points.errors").Value()
 	if completed == 0 {
 		t.Fatal("campaign completed no points")
 	}
+	first, _ := readJournal(t, journalPath)
+	done := make(map[PointID]bool)
+	for _, ev := range first {
+		if ev.Outcome == "ok" {
+			done[ev.PointID] = true
+		}
+	}
+	if int64(len(done)) != completed {
+		t.Fatalf("journal recorded %d ok points, campaign completed %d", len(done), completed)
+	}
 
-	// Second run, resuming: completed points come from the journal+cache,
+	// Second run, against the same cache: completed points come from disk,
 	// only the panicked point is re-attempted (and fails again — the plan
 	// is unchanged — landing back in the fault report).
 	var out2 strings.Builder
@@ -257,37 +268,40 @@ func TestFaultCampaignAndResume(t *testing.T) {
 	r2.CacheDir = cacheDir
 	r2.Faults = mustPlan(t, spec)
 	r2.Metrics = metrics.NewRegistry()
-	rrep, err := r2.LoadResume(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := rrep.Completed
-	if int64(n) != completed {
-		t.Fatalf("resume loaded %d points, campaign completed %d", n, completed)
-	}
-	j2, err := metrics.OpenJournalAppend(journalPath)
+	rerunPath := filepath.Join(dir, "rerun.jsonl")
+	j2, err := metrics.OpenJournal(rerunPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2.Journal = j2
 	if err := r2.RunEverything(); err != nil {
-		t.Fatalf("resume run failed: %v", err)
+		t.Fatalf("rerun failed: %v", err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	skipped := r2.Metrics.Counter("experiments.resume.skipped").Value()
-	if skipped != int64(n) {
-		t.Fatalf("resume skipped %d points, journal recorded %d", skipped, n)
+	if out2.String() != out1.String() {
+		t.Fatal("rerun output differs from the campaign's")
+	}
+	if hits := r2.Metrics.Counter("experiments.diskcache.hits").Value(); hits != completed {
+		t.Fatalf("rerun served %d points from disk, campaign completed %d", hits, completed)
 	}
 	if len(r2.Faulted()) == 0 {
-		t.Fatal("resume run did not re-attempt the missing point")
+		t.Fatal("rerun did not re-attempt the missing point")
 	}
 	// Only the still-failing point should have been recomputed: every disk
-	// miss in the resume run must correspond to an errored attempt.
+	// miss in the rerun must correspond to an errored attempt.
 	misses := r2.Metrics.Counter("experiments.diskcache.misses").Value()
 	errs := r2.Metrics.Counter("experiments.points.errors").Value()
 	if errs == 0 || misses != errs {
-		t.Fatalf("resume run recomputed %d points but only %d errored", misses, errs)
+		t.Fatalf("rerun recomputed %d points but only %d errored", misses, errs)
+	}
+	// The rerun's journal says the same: a point is a "disk" record exactly
+	// when the campaign journaled it ok.
+	rerun, _ := readJournal(t, rerunPath)
+	for _, ev := range rerun {
+		if (ev.Source == "disk") != done[ev.PointID] {
+			t.Errorf("rerun journaled %s with source %q; campaign journaled it ok: %v", ev.PointID, ev.Source, done[ev.PointID])
+		}
 	}
 }

@@ -35,12 +35,10 @@ const Null Ref = 0
 
 // Object flag bits used by the collectors.
 const (
-	FlagMark    uint8 = 1 << 0 // mark-sweep mark bit / tricolor non-white
-	FlagGray    uint8 = 1 << 1 // tricolor gray (queued, not yet scanned)
-	FlagRemset  uint8 = 1 << 2 // recorded in a generational remembered set
-	FlagPinned  uint8 = 1 << 3 // never moved (e.g. VM-internal)
-	FlagMature  uint8 = 1 << 4 // resides in a mature space
-	FlagScanned uint8 = 1 << 5 // scratch bit for verification passes
+	FlagMark   uint8 = 1 << 0 // mark-sweep mark bit / tricolor non-white
+	FlagGray   uint8 = 1 << 1 // tricolor gray (queued, not yet scanned)
+	FlagRemset uint8 = 1 << 2 // recorded in a generational remembered set
+	FlagMature uint8 = 1 << 4 // resides in a mature space
 
 	// flagForwarded marks a from-table object an evacuation has copied;
 	// its Addr then holds the copy's Ref.

@@ -8,7 +8,7 @@ import (
 // FuzzJournalDecode hammers the salvaging journal reader with arbitrary
 // bytes: crash-truncated tails, bit-flipped envelopes, spliced garbage,
 // whatever the mutator invents. The reader is the crash-recovery path —
-// LoadResume and MergeJournals are built on it — so it must never panic,
+// daemon job recovery and -fsck are built on it — so it must never panic,
 // never error on in-memory input, and hold its accounting invariants; and
 // re-encoding whatever it salvaged must produce a journal that salvages
 // clean (a repaired journal cannot need repairing again).

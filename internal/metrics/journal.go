@@ -21,10 +21,10 @@ import (
 // record order. The experiments dispatcher journals one event per
 // characterization point (key, outcome, duration, cache source), so a
 // stalled or failed `-all` run shows exactly which of the hundreds of
-// points is responsible — and, since the journal doubles as the resume
-// record, a crashed campaign restarts from it.
+// points is responsible — and, since the daemon's job log is a journal, a
+// crashed daemon recovers its jobs from it.
 //
-// Because resume depends on it, the journal is a write-ahead log, not a
+// Because recovery depends on it, the journal is a write-ahead log, not a
 // best-effort trace:
 //
 //   - every record carries a trailing CRC32C envelope (see EncodeRecord),
@@ -36,7 +36,8 @@ import (
 //   - readers come in two flavors: DecodeJournal (strict — any bad line
 //     is an error naming its line number) and DecodeJournalSalvage
 //     (drops bad lines and torn tails, reports what it dropped, returns
-//     every valid record — the reader resume and merge are built on).
+//     every valid record — the reader daemon recovery and fsck are built
+//     on).
 //
 // Records are mutex-serialized. A nil *Journal is a valid no-op, mirroring
 // the registry's nil-safety.
@@ -70,7 +71,7 @@ const (
 	// SyncInterval flushes and fsyncs when Interval has elapsed since the
 	// last sync, checked at each Record (no background goroutine, so a
 	// journal never outlives its records' determinism). A crash loses at
-	// most the last interval's records — resume then recomputes them.
+	// most the last interval's records.
 	SyncInterval
 	// SyncClose buffers everything until Close, the pre-WAL behavior: the
 	// cheapest policy and the one a SIGKILL hurts most.
@@ -128,8 +129,8 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // OpenJournalAppend opens (creating if needed) a journal file at path and
-// appends to it — the resume path, where the prior run's events must
-// survive as the record of what already completed.
+// appends to it — the daemon's job log, where the prior life's events
+// must survive as the record of which jobs recovery requeues.
 func OpenJournalAppend(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -227,8 +228,9 @@ func (j *Journal) Record(event any) error {
 	if j.crashAfter > 0 && j.records == j.crashAfter {
 		// Post-record injection: the record went through the configured
 		// sync policy and nothing else. Under SyncPoint it is durable and
-		// resume recovers it; under SyncClose it is buffered and the
-		// SIGKILL eats it — the difference the recovery gate measures.
+		// the salvaging reader recovers it; under SyncClose it is buffered
+		// and the SIGKILL eats it — the difference the recovery gate
+		// measures.
 		sigkillSelf()
 	}
 	return j.err
@@ -282,7 +284,7 @@ func sigkillSelf() {
 
 // Close flushes buffered events and closes the underlying file, returning
 // the first error seen over the journal's lifetime. File-backed journals are
-// fsynced before close: the journal is the resume record, and a flush that
+// fsynced before close: the journal is a durable record, and a flush that
 // only reached the page cache protects against nothing a crash would do.
 func (j *Journal) Close() error {
 	if j == nil {

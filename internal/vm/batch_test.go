@@ -159,6 +159,77 @@ func TestLiveSetBounded(t *testing.T) {
 	}
 }
 
+// TestCollectorWorkPinned pins each Jikes plan's collector work over one
+// batch run (smallProfile in an 8 MB heap): collections by kind, objects
+// scanned, copied and freed, and bytes copied and freed. A run is
+// deterministic, so the counts are exact. A change to what the VM
+// allocates, roots or links, or to what a collector traces, copies or
+// frees, moves them. A Ref held across a SemiSpace allocation usually
+// does not; TestCohortLinkAfterCollectingAlloc checks that case.
+func TestCollectorWorkPinned(t *testing.T) {
+	type work struct {
+		Collections, Nursery, Full, Increments int64
+		Scanned, Copied, Freed                 int64
+		BytesCopied, BytesFreed                units.ByteSize
+	}
+	for _, c := range []struct {
+		col  string
+		want work
+	}{
+		{"SemiSpace", work{7, 0, 7, 0, 63939, 63939, 374630, 4048296, 23779178}},
+		{"MarkSweep", work{4, 0, 4, 0, 33733, 0, 319909, 0, 20308454}},
+		{"GenCopy", work{13, 13, 0, 0, 19206, 19206, 374690, 1217396, 23782794}},
+		{"GenMS", work{12, 12, 0, 0, 18240, 18240, 357556, 1155404, 22696231}},
+	} {
+		t.Run(c.col, func(t *testing.T) {
+			v, _ := newTestVM(t, smallProgram(), Jikes, c.col, 8*units.MB)
+			if err := v.RunProfile(smallProfile()); err != nil {
+				t.Fatal(err)
+			}
+			st := v.Collector().Stats()
+			got := work{st.Collections, st.NurseryCollections, st.FullCollections, st.Increments,
+				st.ObjectsScanned, st.ObjectsCopied, st.ObjectsFreed, st.BytesCopied, st.BytesFreed}
+			if got != c.want {
+				t.Errorf("collector work\n got %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestCohortLinkAfterCollectingAlloc allocates application objects under
+// SemiSpace until 16 allocations have collected, and checks the cohort
+// link each of them made: it must name the object the ring's previous
+// newest slot holds after the collection. SemiSpace renumbers survivors,
+// so a previous-object Ref read before Alloc names whatever object took
+// its old number. Collector counts rarely show such a link, because the
+// new object usually dies before the next collection.
+func TestCohortLinkAfterCollectingAlloc(t *testing.T) {
+	v, _ := newTestVM(t, smallProgram(), Jikes, "SemiSpace", 2*units.MB)
+	linked := 0
+	for collecting := 0; collecting < 16; {
+		before := v.Collector().Stats().Collections
+		r, err := v.allocAppObject(64, 2, 0, 0) // no long-lived chains
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Collector().Stats().Collections == before {
+			continue
+		}
+		collecting++
+		link := v.heap.Get(r).RefsIn(v.heap)[0]
+		if link == heap.Null {
+			continue
+		}
+		linked++
+		if want := v.stackRing[(v.ringPos+ringSlots-1)%ringSlots]; link != want {
+			t.Fatalf("collecting allocation linked Ref %d, want the previous object's Ref %d", link, want)
+		}
+	}
+	if linked == 0 {
+		t.Fatal("no collecting allocation made a cohort link")
+	}
+}
+
 // TestCollectionPreservesRootedGraph forces a full collection after a
 // batch run and compares the graph the VM's roots (chain anchors, tables,
 // stack ring) reach before and after it, read back through the root

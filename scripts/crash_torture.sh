@@ -4,11 +4,13 @@
 # reference, then for three injected kill points (after the 1st record's
 # group commit, mid-way through the 2nd record's bytes, after the 3rd
 # record) SIGKILLs a journaled+cached campaign via JVMPOWER_CRASH_JOURNAL,
-# verifies `-fsck` sees exactly the expected damage, resumes with
-# `-resume`, and diffs the finished figure against the reference — which
-# must be byte-identical (only the wall-clock trailer is stripped). This is
-# the shell-level twin of TestKillAnywhereResumeByteIdentical, exercising
-# the real binary, real flag wiring, and a real SIGKILL death.
+# verifies `-fsck` sees exactly the expected damage, reruns the campaign
+# against the same `-cache` with a fresh journal, and diffs the finished
+# figure against the reference — which must be byte-identical (only the
+# wall-clock trailer is stripped) — and the rerun's journal must show
+# points served from the cache. This is the shell-level twin of
+# TestKillAnywhereResumeByteIdentical, exercising the real binary, real
+# flag wiring, and a real SIGKILL death.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,16 +60,19 @@ for directive in after=1 mid=2 after=3; do
         fail "$directive: fsck exited $fsck_status, want $want_fsck"
     fi
 
-    # Phase 3: the resume. It must finish cleanly and reproduce the
-    # reference bytes exactly.
-    "$tmp/experiments" -fig fig6 -quick -cache "$cache" -journal "$journal" -resume \
-        > "$dir/resumed-raw.txt" 2> "$dir/resumed.log"
-    strip_timing "$dir/resumed-raw.txt" "$dir/resumed.txt"
-    if ! diff -u "$tmp/clean.txt" "$dir/resumed.txt"; then
-        cat "$dir/resumed.log" >&2
-        fail "$directive: resumed output differs from the uninterrupted run"
+    # Phase 3: the rerun from cache. It must finish cleanly, reproduce the
+    # reference bytes exactly, and serve at least one point from the cache
+    # the crashed run left.
+    "$tmp/experiments" -fig fig6 -quick -cache "$cache" -journal "$dir/rerun.jsonl" \
+        > "$dir/rerun-raw.txt" 2> "$dir/rerun.log"
+    strip_timing "$dir/rerun-raw.txt" "$dir/rerun.txt"
+    if ! diff -u "$tmp/clean.txt" "$dir/rerun.txt"; then
+        cat "$dir/rerun.log" >&2
+        fail "$directive: rerun output differs from the uninterrupted run"
     fi
+    grep -q '"source":"disk"' "$dir/rerun.jsonl" ||
+        fail "$directive: rerun journal holds no \"source\":\"disk\" record"
     echo "crash_torture: $directive OK"
 done
 
-echo "crash_torture: OK — 3 kill points survived; resumed output byte-identical"
+echo "crash_torture: OK — 3 kill points survived; rerun from cache byte-identical"
