@@ -81,27 +81,24 @@ output-check:
 validate:
 	$(GO) run ./cmd/validate
 
-# fuzz gives each native fuzz target a short budget. The targets guard the
-# untrusted-input parsers — the fault-plan grammar, the binary program codec,
-# and the supervisor wire protocol (frames and point specs) — plus the
-# salvaging journal decoder, the crash-recovery path.
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultinject/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalProgram -fuzztime 10s ./internal/classfile/
-	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSpec -fuzztime 10s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalHello -fuzztime 10s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/metrics/
+# fuzz gives each native fuzz target a FUZZTIME budget (10s by default).
+# The targets guard the untrusted-input parsers — the fault-plan grammar
+# and the supervisor wire protocol (frames, point specs and handshakes) —
+# plus the salvaging journal decoder, the crash-recovery path.
+FUZZTIME ?= 10s
 
-# fuzz-smoke is the CI-sized version of fuzz: a few seconds per target,
-# enough to replay the corpus and catch regressions in the parsers.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/faultinject/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/pointproto/
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSpec -fuzztime $(FUZZTIME) ./internal/pointproto/
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalHello -fuzztime $(FUZZTIME) ./internal/pointproto/
+	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/metrics/
+
+# fuzz-smoke is the CI-sized version of fuzz over the same target list: a
+# few seconds per target, enough to replay the corpus and catch regressions
+# in the parsers.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 3s ./internal/faultinject/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalProgram -fuzztime 3s ./internal/classfile/
-	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 3s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSpec -fuzztime 3s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalHello -fuzztime 3s ./internal/pointproto/
-	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 3s ./internal/metrics/
+	$(MAKE) fuzz FUZZTIME=3s
 
 # fleet-smoke is the shell-level distributed smoke: the real binary runs a
 # quick Figure 6 campaign across two loopback `-serve-node` executors and

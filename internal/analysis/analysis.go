@@ -154,14 +154,6 @@ func Build(benchmark, vmName, collector, platformName string, heapMB int,
 	return d
 }
 
-// EnergyFrac reports a component's share of total (CPU+mem) energy.
-func (d *Decomposition) EnergyFrac(id component.ID) float64 {
-	if d.TotalEnergy == 0 {
-		return 0
-	}
-	return float64(d.CPUEnergy[id]+d.MemEnergy[id]) / float64(d.TotalEnergy)
-}
-
 // CPUEnergyFrac reports a component's share of processor energy — the
 // quantity Figures 6, 9 and 11 plot.
 func (d *Decomposition) CPUEnergyFrac(id component.ID) float64 {

@@ -128,7 +128,7 @@ func TestOverallPeak(t *testing.T) {
 func TestZeroDecomposition(t *testing.T) {
 	a := NewAggregator(time.Millisecond)
 	d := Build("empty", "Kaffe", "KaffeMS", "P6", 64, a, nil)
-	if d.EnergyFrac(component.App) != 0 || d.JVMEnergyFrac() != 0 ||
+	if d.CPUEnergyFrac(component.App) != 0 || d.JVMEnergyFrac() != 0 ||
 		d.MemEnergyFrac() != 0 || d.TimeFrac(component.GC) != 0 {
 		t.Fatal("zero run should report zero fractions, not NaN")
 	}

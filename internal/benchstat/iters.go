@@ -8,14 +8,14 @@ import (
 	"math"
 )
 
-// IterRecord is one line of the per-iteration JSONL stream the benchmark
-// harness emits under its -iters flag: the wall-clock nanoseconds of one
-// in-process iteration of one benchmark. The in-process ordering is what
-// makes warmup segmentation meaningful — across processes every iteration
-// starts cold.
+// IterRecord is what ParseIters reads of one line of the per-iteration
+// JSONL stream the benchmark harness emits under its -iters flag: the
+// wall-clock nanoseconds of one in-process iteration of one benchmark.
+// The line's "iter" index is not decoded: emission order carries it, and
+// the in-process ordering is what makes warmup segmentation meaningful —
+// across processes every iteration starts cold.
 type IterRecord struct {
 	Benchmark string  `json:"benchmark"`
-	Iter      int     `json:"iter"`
 	Ns        float64 `json:"ns"`
 }
 

@@ -24,11 +24,8 @@ type ClassID int32
 // MethodID indexes a method within a Program (global across classes).
 type MethodID int32
 
-// NoClass and NoMethod are sentinel "none" values.
-const (
-	NoClass  ClassID  = -1
-	NoMethod MethodID = -1
-)
+// NoClass is the sentinel "none" class, the Super of a root class.
+const NoClass ClassID = -1
 
 // FieldKind distinguishes scalar from reference fields; the garbage
 // collector only traces reference fields.

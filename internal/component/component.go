@@ -47,9 +47,6 @@ func (id ID) String() string {
 	return "?"
 }
 
-// Valid reports whether id is a defined component.
-func (id ID) Valid() bool { return id < N }
-
 // JikesComponents lists the components monitored for the Jikes RVM, in the
 // order Figure 6 stacks them.
 func JikesComponents() []ID {

@@ -18,17 +18,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestValidity(t *testing.T) {
-	for id := ID(0); id < N; id++ {
-		if !id.Valid() {
-			t.Errorf("%v invalid", id)
-		}
-	}
-	if N.Valid() {
-		t.Error("N should be invalid")
-	}
-}
-
 func TestComponentSets(t *testing.T) {
 	if len(JikesComponents()) != 5 {
 		t.Error("Jikes decomposition has five stacked components (Fig. 6)")

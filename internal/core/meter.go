@@ -202,9 +202,6 @@ func (m *Meter) FaultCounts() map[string]int64 {
 	return out
 }
 
-// Platform returns the platform under test.
-func (m *Meter) Platform() platform.Platform { return m.plat }
-
 // Now returns the simulated wall-clock time since the session began.
 func (m *Meter) Now() units.Duration { return m.now }
 
@@ -287,24 +284,6 @@ func (m *Meter) accountAt(id component.ID, r cpu.Result, delta cpu.Counters, op 
 	if cpuP > m.truePeak[id] {
 		m.truePeak[id] = cpuP
 	}
-}
-
-// IdleFor advances the session with nothing scheduled: both devices sit at
-// idle power and the port reads Idle.
-func (m *Meter) IdleFor(d units.Duration) {
-	if d <= 0 {
-		return
-	}
-	m.port.Write(component.Idle)
-	cpuP := m.plat.CPUPower.IdlePower()
-	memP := m.plat.MemPower.Idle
-	m.thermalModel.Step(m.thermalState, cpuP, d)
-	m.daq.Observe(d, cpuP, memP)
-	m.hpm.Observe(d, component.Idle, cpu.Counters{})
-	m.now += d
-	m.trueCPUEnergy[component.Idle] += cpuP.For(d)
-	m.trueMemEnergy[component.Idle] += memP.For(d)
-	m.trueTime[component.Idle] += d
 }
 
 // TrueCPUEnergy returns ground-truth processor energy for a component.

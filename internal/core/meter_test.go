@@ -98,26 +98,6 @@ func TestMeasurementChainError(t *testing.T) {
 	}
 }
 
-func TestIdleAccounting(t *testing.T) {
-	m, agg := newTestMeter(t, true)
-	m.IdleFor(10 * time.Millisecond)
-	if m.Now() != 10*time.Millisecond {
-		t.Fatalf("now = %v", m.Now())
-	}
-	idleP := m.Platform().CPUPower.IdlePower()
-	wantE := idleP.For(10 * time.Millisecond)
-	if got := m.TrueCPUEnergy(component.Idle); math.Abs(float64(got-wantE)) > 1e-9 {
-		t.Fatalf("idle energy %v, want %v", got, wantE)
-	}
-	if agg.Samples(component.Idle) == 0 {
-		t.Fatal("no idle samples")
-	}
-	m.IdleFor(0) // no-op
-	if m.Now() != 10*time.Millisecond {
-		t.Fatal("zero idle advanced time")
-	}
-}
-
 func TestThermalIntegration(t *testing.T) {
 	m, _ := newTestMeter(t, true)
 	start := m.Thermal().TempC

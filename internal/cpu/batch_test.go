@@ -96,14 +96,14 @@ func TestCycleCarry(t *testing.T) {
 	c := NewCore(testConfig())
 	var trueCycles float64
 	for i := 0; i < 50000; i++ {
-		r := c.Execute(Slice{
+		r, _ := c.ExecuteBatch(Slice{
 			Instructions: 777,
 			Reads:        13,
 			Writes:       7,
 			Locality:     0.9,
 			MLP:          1.3,
 			WorkingSet:   64 * units.KB,
-		})
+		}, 1)
 		trueCycles += r.Cycles
 	}
 	drift := trueCycles - float64(c.Counters().Cycles)

@@ -232,18 +232,6 @@ func (c *SetAssocCache) MissRate() float64 {
 	return float64(c.misses) / float64(c.accesses)
 }
 
-// Reset clears contents and counters.
-func (c *SetAssocCache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0)
-		c.stamp[i] = 0
-	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
-	c.clock, c.accesses, c.misses, c.lastWay = 0, 0, 0, 0
-}
-
 // MissProfile is the analytic model's output for one batch of accesses:
 // how the batch decomposes across the hierarchy.
 type MissProfile struct {

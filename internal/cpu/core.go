@@ -172,31 +172,18 @@ func NewCore(cfg Config) *Core {
 	return &Core{cfg: cfg}
 }
 
-// Config returns the core's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Counters returns the current HPM register values.
 func (c *Core) Counters() Counters { return c.counters }
 
-// Execute runs a slice through the analytic model and returns its cost.
-func (c *Core) Execute(s Slice) Result {
-	return c.ExecuteScaled(s, 1.0)
-}
-
-// ExecuteScaled is Execute under dynamic frequency scaling: the clock runs
-// at freqScale of nominal, so memory latency (fixed in nanoseconds) costs
-// proportionally fewer cycles and wall time stretches by 1/freqScale —
-// which is why memory-bound phases lose little performance at low
-// frequency, the effect DVFS governors exploit.
-func (c *Core) ExecuteScaled(s Slice, freqScale float64) Result {
-	r, _ := c.ExecuteBatch(s, freqScale)
-	return r
-}
-
-// ExecuteBatch is ExecuteScaled for callers that also need the HPM
-// counter delta the slice produced: the delta is returned directly
-// instead of forcing a snapshot-and-subtract of the whole counter struct
-// around the call (the pattern core.Meter charges every slice with).
+// ExecuteBatch runs a slice through the analytic model and returns its
+// cost and the HPM counter delta it produced (returned directly instead of
+// forcing a snapshot-and-subtract of the whole counter struct around the
+// call, the pattern core.Meter charges every slice with). Under dynamic
+// frequency scaling the clock runs at freqScale of nominal (1 is nominal),
+// so memory latency (fixed in nanoseconds) costs proportionally fewer
+// cycles and wall time stretches by 1/freqScale — which is why
+// memory-bound phases lose little performance at low frequency, the
+// effect DVFS governors exploit.
 func (c *Core) ExecuteBatch(s Slice, freqScale float64) (Result, Counters) {
 	accesses := s.Reads + s.Writes
 	prof := AnalyticMisses(accesses, s.Locality, s.WorkingSet, c.cfg.L1D, c.cfg.L2)
@@ -204,16 +191,10 @@ func (c *Core) ExecuteBatch(s Slice, freqScale float64) (Result, Counters) {
 	return c.retireScaled(s.Instructions, prof, ifm, s.MLP, freqScale)
 }
 
-// ExecuteMeasured runs a slice whose cache behavior was determined by the
-// set-associative simulator (interpreter mode): the caller supplies actual
-// miss counts instead of a locality characterization.
-func (c *Core) ExecuteMeasured(instructions int64, prof MissProfile, ifetchMisses int64) Result {
-	r, _ := c.ExecuteMeasuredBatch(instructions, prof, ifetchMisses)
-	return r
-}
-
-// ExecuteMeasuredBatch is ExecuteMeasured returning the HPM counter delta
-// alongside the result.
+// ExecuteMeasuredBatch runs a slice whose cache behavior was determined by
+// the set-associative simulator (interpreter mode): the caller supplies
+// actual miss counts instead of a locality characterization. It returns
+// the cost and the HPM counter delta.
 func (c *Core) ExecuteMeasuredBatch(instructions int64, prof MissProfile, ifetchMisses int64) (Result, Counters) {
 	// Interpreter access streams are dependent loads; MLP near 1.
 	return c.retireScaled(instructions, prof, ifetchMisses, 1.2, 1.0)

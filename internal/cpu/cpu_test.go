@@ -76,18 +76,6 @@ func TestSetAssocCacheLRU(t *testing.T) {
 	}
 }
 
-func TestSetAssocCacheReset(t *testing.T) {
-	c := NewSetAssocCache(CacheConfig{Size: 1024, LineSize: 64, Ways: 2})
-	c.Access(0)
-	c.Reset()
-	if c.Accesses() != 0 || c.Misses() != 0 {
-		t.Fatal("counters not reset")
-	}
-	if c.Access(0) {
-		t.Fatal("contents survived reset")
-	}
-}
-
 func TestAnalyticMissesMonotonicity(t *testing.T) {
 	cfg := testConfig()
 	// Higher locality -> fewer L1 misses.
@@ -137,11 +125,11 @@ func TestAnalyticMissesNoL2(t *testing.T) {
 
 func TestCoreExecute(t *testing.T) {
 	core := NewCore(testConfig())
-	r := core.Execute(Slice{
+	r, _ := core.ExecuteBatch(Slice{
 		Instructions: 1_000_000,
 		Reads:        300_000, Writes: 100_000,
 		Locality: 0.9, MLP: 1.4, WorkingSet: 1 * units.MB,
-	})
+	}, 1)
 	if r.Cycles <= 600_000 {
 		t.Fatalf("cycles %v below base CPI floor", r.Cycles)
 	}
@@ -169,8 +157,8 @@ func TestMLPReducesStallCycles(t *testing.T) {
 	low.MLP = 1
 	high := s
 	high.MLP = 6
-	c1 := NewCore(testConfig()).Execute(low)
-	c2 := NewCore(testConfig()).Execute(high)
+	c1, _ := NewCore(testConfig()).ExecuteBatch(low, 1)
+	c2, _ := NewCore(testConfig()).ExecuteBatch(high, 1)
 	if c2.Cycles >= c1.Cycles {
 		t.Fatalf("MLP 6 not faster than MLP 1: %v vs %v", c2.Cycles, c1.Cycles)
 	}
@@ -181,7 +169,7 @@ func TestMLPReducesStallCycles(t *testing.T) {
 
 func TestExecuteMeasured(t *testing.T) {
 	core := NewCore(testConfig())
-	r := core.ExecuteMeasured(100_000, MissProfile{L1Misses: 5_000, L2Misses: 1_000}, 50)
+	r, _ := core.ExecuteMeasuredBatch(100_000, MissProfile{L1Misses: 5_000, L2Misses: 1_000}, 50)
 	if r.L1DMisses != 5_000 || r.L2Misses != 1_000 || r.IFetchMisses != 50 {
 		t.Fatalf("measured result %+v", r)
 	}

@@ -158,11 +158,10 @@ type DAQ struct {
 	samplesC *metrics.Counter
 	batchesC *metrics.Counter
 
-	// Fault injection (nil when disabled). dropped counts samples lost to
+	// Fault injection (nil when disabled). droppedC counts samples lost to
 	// injected SampleDrop faults; they are excluded from the samples count,
 	// as a conversion that never completed is on a real card.
 	inj      *faultinject.Injector
-	dropped  int64
 	droppedC *metrics.Counter
 	satC     *metrics.Counter
 }
@@ -268,7 +267,6 @@ func (d *DAQ) applyFaults(buf []Sample) []Sample {
 	w := 0
 	for i := range buf {
 		if d.inj.Fire(faultinject.SampleDrop) {
-			d.dropped++
 			d.droppedC.Inc()
 			continue
 		}
@@ -287,9 +285,6 @@ func (d *DAQ) applyFaults(buf []Sample) []Sample {
 	}
 	return buf[:w]
 }
-
-// Dropped reports how many samples injected faults have lost.
-func (d *DAQ) Dropped() int64 { return d.dropped }
 
 // Now reports acquisition time.
 func (d *DAQ) Now() units.Duration { return d.now }

@@ -155,7 +155,6 @@ type DaemonConfig struct {
 	Supervisor       *supervisor.Supervisor
 	BreakerThreshold int
 	PointTimeout     time.Duration
-	Retries          int
 	// MaxQueue, MaxInflight, QuotaRate, QuotaBurst configure admission
 	// control (see jobqueue.Config for defaults).
 	MaxQueue    int
@@ -438,7 +437,6 @@ func (d *Daemon) execute(ctx context.Context, j *jobqueue.Job) error {
 	r.Quick = dj.spec.Quick
 	r.Faults = dj.plan
 	r.Reps = dj.spec.Reps
-	r.Retries = d.cfg.Retries
 	r.PointTimeout = d.cfg.PointTimeout
 	r.CacheDir = d.cfg.CacheDir
 	r.Metrics = d.cfg.Metrics

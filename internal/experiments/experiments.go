@@ -67,10 +67,6 @@ type Runner struct {
 	// long as one survives. Reps<=1 runs each point once, bit-identical to
 	// a runner without the field.
 	Reps int
-	// Retries bounds re-attempts after a transient injected fault: 0 means
-	// the default (2), negative disables retries. Panics, timeouts, and
-	// genuine errors are never retried — the simulation is deterministic.
-	Retries int
 	// PointTimeout bounds each characterization attempt's wall time; 0
 	// (the default) leaves attempts unbounded and on the goroutine-free
 	// fast path.

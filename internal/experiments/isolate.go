@@ -96,7 +96,6 @@ func (r *Runner) wireSpec(p Point) pointproto.Spec {
 		Quick:     r.Quick,
 		Faults:    r.Faults.String(),
 		Reps:      r.Reps,
-		Retries:   r.Retries,
 	}
 }
 

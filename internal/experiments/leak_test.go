@@ -60,7 +60,6 @@ func TestNoGoroutineLeakAfterRunAll(t *testing.T) {
 	r.Metrics = metrics.NewRegistry()
 	r.Faults = mustPlan(t, "drop=0.05,seed=2")
 	r.PointTimeout = 3 * time.Millisecond // some attempts finish, some are abandoned
-	r.Retries = -1
 	ctx, cancel := context.WithCancel(context.Background())
 	r.Ctx = ctx
 	go func() {

@@ -24,9 +24,9 @@ import (
 //	                                                   existing flight vs
 //	                                                   owning a new one
 //	diskcache.hits / diskcache.misses         counter  persistent-cache
-//	                                                   split (misses only
-//	                                                   counted when -cache
-//	                                                   is enabled)
+//	                                                   split (both present,
+//	                                                   zero or not, when
+//	                                                   -cache is enabled)
 //	points.completed / points.errors          counter  unique points
 //	point.seconds                             histogram point latency
 //	workers.active                            gauge    live worker count
@@ -123,10 +123,16 @@ func (r *Runner) computePoint(p Point, k PointID) (*core.Result, string, int, er
 // observePoint records one completed point in the registry and journal.
 func (r *Runner) observePoint(p Point, source string, d time.Duration, attempts int, err error) {
 	if r.Metrics != nil {
-		if source == "disk" {
-			r.Metrics.Counter("experiments.diskcache.hits").Inc()
-		} else if r.CacheDir != "" {
-			r.Metrics.Counter("experiments.diskcache.misses").Inc()
+		if r.CacheDir != "" {
+			// Both exist from the first point on, so a fully warm rerun
+			// reports misses = 0 rather than no misses line at all.
+			hits := r.Metrics.Counter("experiments.diskcache.hits")
+			misses := r.Metrics.Counter("experiments.diskcache.misses")
+			if source == "disk" {
+				hits.Inc()
+			} else {
+				misses.Inc()
+			}
 		}
 		r.Metrics.Counter("experiments.points.completed").Inc()
 		if err != nil {

@@ -239,6 +239,35 @@ func TestDiskCacheSharedDir(t *testing.T) {
 	}
 }
 
+// TestWarmRerunReportsZeroMisses: a rerun that serves every point from the
+// disk cache still lists experiments.diskcache.misses in its metrics
+// snapshot, at 0, beside hits for every point.
+func TestWarmRerunReportsZeroMisses(t *testing.T) {
+	dir := t.TempDir()
+	var cold strings.Builder
+	r1 := quickRunner(&cold)
+	r1.CacheDir = dir
+	if err := r1.RunFigure("fig6"); err != nil {
+		t.Fatal(err)
+	}
+
+	var warm strings.Builder
+	r2 := quickRunner(&warm)
+	r2.CacheDir = dir
+	r2.Metrics = metrics.NewRegistry()
+	if err := r2.RunFigure("fig6"); err != nil {
+		t.Fatal(err)
+	}
+	counters := r2.Metrics.Snapshot().Counters
+	misses, ok := counters["experiments.diskcache.misses"]
+	if !ok || misses != 0 {
+		t.Fatalf("warm rerun snapshot: diskcache.misses = %d (listed %t), want 0 listed", misses, ok)
+	}
+	if hits, points := counters["experiments.diskcache.hits"], counters["experiments.points.completed"]; hits == 0 || hits != points {
+		t.Fatalf("warm rerun served %d of %d points from disk", hits, points)
+	}
+}
+
 // TestRunAllUtilizationMetrics checks the dispatcher's worker-utilization
 // instruments line up with the work done.
 func TestRunAllUtilizationMetrics(t *testing.T) {

@@ -91,8 +91,7 @@ func abortive(err error) bool {
 	return errors.As(err, &inv) || errors.Is(err, context.Canceled)
 }
 
-// defaultRetries bounds how many times a transient fault is re-attempted
-// when Runner.Retries is unset.
+// defaultRetries bounds how many times a transient fault is re-attempted.
 const defaultRetries = 2
 
 // retryBackoffBase is the first retry's delay; attempt n waits
@@ -186,15 +185,9 @@ func abs(x float64) float64 {
 // simulation — only faults whose injection rolls fresh dice per attempt
 // (faultinject.PointFail) can clear on retry.
 func (r *Runner) attemptWithRetry(p Point, seed uint64) (*core.Result, int, error) {
-	retries := r.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
 	for attempt := 0; ; attempt++ {
 		res, err := r.attemptGuarded(p, seed, attempt)
-		if err == nil || !faultinject.IsTransient(err) || attempt >= retries {
+		if err == nil || !faultinject.IsTransient(err) || attempt >= defaultRetries {
 			return res, attempt + 1, err
 		}
 		r.Metrics.Counter("experiments.points.retries").Inc()
@@ -310,10 +303,9 @@ func (r *Runner) attemptOnce(p Point, seed uint64, attempt int, stop <-chan stru
 
 // FaultRecord is one permanently failed point in a figure's fault report.
 type FaultRecord struct {
-	Figure   string `json:"figure"`
-	Point    string `json:"point"`
-	Error    string `json:"error"`
-	Attempts int    `json:"attempts"`
+	Figure string `json:"figure"`
+	Point  string `json:"point"`
+	Error  string `json:"error"`
 }
 
 // recordFault appends a tolerated failure to the runner's fault report,

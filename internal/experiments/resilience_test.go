@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"maps"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,23 +124,54 @@ func TestZeroRatePlanIsByteIdentical(t *testing.T) {
 }
 
 // TestRetriesRecoverTransientFaults injects point-level transient failures
-// at a high rate and checks the retry loop absorbs them: the figure
-// completes with no degraded points, and the retry counter shows the
-// machinery actually fired.
+// at a high rate and checks the retry loop against the fixed budget of
+// defaultRetries re-attempts: over every point the figure characterizes, a
+// point degrades exactly when each of its attempts 0..defaultRetries draws
+// a failure, and the retry counter equals the re-attempts those draws
+// imply.
 func TestRetriesRecoverTransientFaults(t *testing.T) {
 	var buf strings.Builder
 	r := quickRunner(&buf)
 	r.Faults = mustPlan(t, "fail=0.3,seed=5")
-	r.Retries = 8
 	r.Metrics = metrics.NewRegistry()
+	var mu sync.Mutex
+	var keys []string
+	r.OnPoint = func(p Point, _ PointEvent) {
+		mu.Lock()
+		keys = append(keys, p.String())
+		mu.Unlock()
+	}
 	if err := r.RunFigure("fig7"); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.Faulted()); n != 0 {
-		t.Fatalf("%d points degraded despite retries", n)
+
+	wantDegraded := map[string]bool{}
+	var wantRetries int64
+	for _, key := range keys {
+		failed := 0 // leading attempts that draw a failure
+		for failed <= defaultRetries && r.Faults.PointFails(key, failed) {
+			failed++
+		}
+		if failed > defaultRetries {
+			wantDegraded[key] = true
+		}
+		wantRetries += int64(min(failed, defaultRetries))
 	}
-	if r.Metrics.Counter("experiments.points.retries").Value() == 0 {
-		t.Fatal("no retries recorded at fail=0.3: injection not firing")
+	if wantRetries == 0 || len(wantDegraded) == 0 {
+		t.Fatalf("fail=0.3,seed=5 draws %d retries and %d exhausted points: the test no longer covers both outcomes",
+			wantRetries, len(wantDegraded))
+	}
+
+	gotDegraded := map[string]bool{}
+	for _, rec := range r.Faulted() {
+		gotDegraded[rec.Point] = true
+	}
+	if !maps.Equal(gotDegraded, wantDegraded) {
+		t.Fatalf("degraded points %v, want exactly those that fail attempts 0..%d: %v",
+			gotDegraded, defaultRetries, wantDegraded)
+	}
+	if got := r.Metrics.Counter("experiments.points.retries").Value(); got != wantRetries {
+		t.Fatalf("experiments.points.retries = %d, want %d", got, wantRetries)
 	}
 }
 
@@ -149,7 +182,6 @@ func TestPointTimeoutDegrades(t *testing.T) {
 	var buf strings.Builder
 	r := quickRunner(&buf)
 	r.PointTimeout = time.Nanosecond
-	r.Retries = -1 // timeouts are transient; don't waste attempts
 	if err := r.RunFigure("fig1"); err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,6 @@ func rebuild(spec pointproto.Spec) (*Runner, Point, error) {
 	inner.Seed = spec.Seed
 	inner.Faults = plan
 	inner.Reps = spec.Reps
-	inner.Retries = spec.Retries
 	p := Point{
 		Bench:     bench,
 		Flavor:    flavor,

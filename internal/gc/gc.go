@@ -128,10 +128,6 @@ type RootProvider interface {
 type Collector interface {
 	// Name returns the plan name as the paper uses it (e.g. "SemiSpace").
 	Name() string
-	// Generational reports whether the plan uses a nursery + write barrier.
-	Generational() bool
-	// Moving reports whether the plan relocates objects.
-	Moving() bool
 
 	// Alloc allocates an object, collecting as needed. It returns
 	// ErrOutOfMemory when even a full collection cannot make room.
@@ -147,8 +143,6 @@ type Collector interface {
 	// Collect forces a full collection.
 	Collect(reason string)
 
-	// HeapSize reports the configured total heap extent.
-	HeapSize() units.ByteSize
 	// MutatorLocality reports a [0,1] locality-quality factor for mutator
 	// heap accesses under the current heap layout: copying plans compact
 	// the live set (high), free-list plans fragment over time (lower).

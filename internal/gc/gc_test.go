@@ -239,9 +239,6 @@ func TestCopyingCollectorsMoveObjects(t *testing.T) {
 			if before == after {
 				t.Fatalf("%s: object did not move on full collection", plan)
 			}
-			if !w.col.Moving() {
-				t.Fatalf("%s: Moving() is false for a moving plan", plan)
-			}
 		})
 	}
 	for _, plan := range []string{"MarkSweep", "KaffeMS"} {
@@ -254,28 +251,14 @@ func TestCopyingCollectorsMoveObjects(t *testing.T) {
 			if w.h.Get(r).Addr != before {
 				t.Fatalf("%s: non-moving plan moved an object", plan)
 			}
-			if w.col.Moving() {
-				t.Fatalf("%s: Moving() is true for a non-moving plan", plan)
-			}
 		})
 	}
 }
 
-func TestGenerationalFlag(t *testing.T) {
-	want := map[string]bool{
-		"SemiSpace": false, "MarkSweep": false,
-		"GenCopy": true, "GenMS": true, "KaffeMS": false,
-	}
-	for plan, gen := range want {
-		w := newWorld(t, plan, 4*units.MB)
-		if w.col.Generational() != gen {
-			t.Errorf("%s: Generational() = %v, want %v", plan, w.col.Generational(), gen)
-		}
-		if w.col.Name() != plan {
-			t.Errorf("%s: Name() = %q", plan, w.col.Name())
-		}
-		if w.col.HeapSize() != 4*units.MB {
-			t.Errorf("%s: HeapSize() = %v", plan, w.col.HeapSize())
+func TestNewNamesPlan(t *testing.T) {
+	for _, plan := range allPlans {
+		if w := newWorld(t, plan, 4*units.MB); w.col.Name() != plan {
+			t.Errorf("New(%q).Name() = %q", plan, w.col.Name())
 		}
 	}
 }

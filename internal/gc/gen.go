@@ -15,7 +15,6 @@ import (
 // space is managed, which they supply through the hooks below.
 type genBase struct {
 	env      Env
-	heapSize units.ByteSize
 	planName string
 
 	nursery     *heap.BumpSpace
@@ -58,16 +57,10 @@ func NurserySize(heapSize units.ByteSize) units.ByteSize {
 	return n
 }
 
-func (g *genBase) initNursery(lay *heap.Layout) {
-	g.nursery = heap.NewBumpSpace("nursery", lay.Take(NurserySize(g.heapSize)))
+func (g *genBase) initNursery(lay *heap.Layout, heapSize units.ByteSize) {
+	g.nursery = heap.NewBumpSpace("nursery", lay.Take(NurserySize(heapSize)))
 	g.tr.h = g.env.Heap
 }
-
-// Generational implements Collector.
-func (g *genBase) Generational() bool { return true }
-
-// HeapSize implements Collector.
-func (g *genBase) HeapSize() units.ByteSize { return g.heapSize }
 
 // Stats implements Collector.
 func (g *genBase) Stats() Stats { return g.stats }

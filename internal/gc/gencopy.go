@@ -25,10 +25,9 @@ type GenCopy struct {
 func NewGenCopy(heapSize units.ByteSize, env Env) *GenCopy {
 	g := &GenCopy{}
 	g.env = env
-	g.heapSize = heapSize
 	g.planName = "GenCopy"
 	lay := heap.NewLayout()
-	g.initNursery(lay)
+	g.initNursery(lay, heapSize)
 	matureHalf := (heapSize - g.nursery.Extent()) / 2
 	g.matureFrom = heap.NewBumpSpace("mature-0", lay.Take(matureHalf))
 	g.matureTo = heap.NewBumpSpace("mature-1", lay.Take(matureHalf))
@@ -43,9 +42,6 @@ func NewGenCopy(heapSize units.ByteSize, env Env) *GenCopy {
 
 // Name implements Collector.
 func (g *GenCopy) Name() string { return "GenCopy" }
-
-// Moving implements Collector.
-func (g *GenCopy) Moving() bool { return true }
 
 // Alloc implements Collector.
 func (g *GenCopy) Alloc(size uint32, nrefs int) (heap.Ref, error) {

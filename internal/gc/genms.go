@@ -22,10 +22,9 @@ type GenMS struct {
 func NewGenMS(heapSize units.ByteSize, env Env) *GenMS {
 	g := &GenMS{}
 	g.env = env
-	g.heapSize = heapSize
 	g.planName = "GenMS"
 	lay := heap.NewLayout()
-	g.initNursery(lay)
+	g.initNursery(lay, heapSize)
 	g.mature = heap.NewFreeListSpace("mature-ms", lay.Take(heapSize-g.nursery.Extent()))
 
 	g.promote = func(size uint32) (uint64, bool) { return g.mature.Alloc(size) }
@@ -38,10 +37,6 @@ func NewGenMS(heapSize units.ByteSize, env Env) *GenMS {
 
 // Name implements Collector.
 func (g *GenMS) Name() string { return "GenMS" }
-
-// Moving implements Collector: the nursery copies, so the plan moves
-// objects even though the mature space does not.
-func (g *GenMS) Moving() bool { return true }
 
 // Alloc implements Collector.
 func (g *GenMS) Alloc(size uint32, nrefs int) (heap.Ref, error) {

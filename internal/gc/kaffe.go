@@ -65,15 +65,6 @@ func NewKaffeMS(heapSize units.ByteSize, env Env) *KaffeMS {
 // Name implements Collector.
 func (k *KaffeMS) Name() string { return "KaffeMS" }
 
-// Generational implements Collector.
-func (k *KaffeMS) Generational() bool { return false }
-
-// Moving implements Collector: conservative collectors cannot move objects.
-func (k *KaffeMS) Moving() bool { return false }
-
-// HeapSize implements Collector.
-func (k *KaffeMS) HeapSize() units.ByteSize { return k.heapSize }
-
 // Stats implements Collector.
 func (k *KaffeMS) Stats() Stats { return k.stats }
 

@@ -16,9 +16,8 @@ import (
 // proportional to the whole space and loses mutator locality to
 // fragmentation.
 type MarkSweep struct {
-	env      Env
-	heapSize units.ByteSize
-	space    *heap.FreeListSpace
+	env   Env
+	space *heap.FreeListSpace
 
 	allocated []heap.Ref
 	tr        tracer
@@ -29,9 +28,8 @@ type MarkSweep struct {
 func NewMarkSweep(heapSize units.ByteSize, env Env) *MarkSweep {
 	lay := heap.NewLayout()
 	m := &MarkSweep{
-		env:      env,
-		heapSize: heapSize,
-		space:    heap.NewFreeListSpace("ms", lay.Take(heapSize)),
+		env:   env,
+		space: heap.NewFreeListSpace("ms", lay.Take(heapSize)),
 	}
 	m.tr.h = env.Heap
 	return m
@@ -39,15 +37,6 @@ func NewMarkSweep(heapSize units.ByteSize, env Env) *MarkSweep {
 
 // Name implements Collector.
 func (m *MarkSweep) Name() string { return "MarkSweep" }
-
-// Generational implements Collector.
-func (m *MarkSweep) Generational() bool { return false }
-
-// Moving implements Collector.
-func (m *MarkSweep) Moving() bool { return false }
-
-// HeapSize implements Collector.
-func (m *MarkSweep) HeapSize() units.ByteSize { return m.heapSize }
 
 // Stats implements Collector.
 func (m *MarkSweep) Stats() Stats { return m.stats }

@@ -20,7 +20,6 @@ import (
 // never touches a dead object again.
 type SemiSpace struct {
 	env      Env
-	heapSize units.ByteSize
 	from, to *heap.BumpSpace
 
 	tr    tracer
@@ -35,10 +34,9 @@ func NewSemiSpace(heapSize units.ByteSize, env Env) *SemiSpace {
 	lay := heap.NewLayout()
 	half := heapSize / 2
 	s := &SemiSpace{
-		env:      env,
-		heapSize: heapSize,
-		from:     heap.NewBumpSpace("ss-0", lay.Take(half)),
-		to:       heap.NewBumpSpace("ss-1", lay.Take(half)),
+		env:  env,
+		from: heap.NewBumpSpace("ss-0", lay.Take(half)),
+		to:   heap.NewBumpSpace("ss-1", lay.Take(half)),
 	}
 	s.tr.h = env.Heap
 	return s
@@ -46,15 +44,6 @@ func NewSemiSpace(heapSize units.ByteSize, env Env) *SemiSpace {
 
 // Name implements Collector.
 func (s *SemiSpace) Name() string { return "SemiSpace" }
-
-// Generational implements Collector.
-func (s *SemiSpace) Generational() bool { return false }
-
-// Moving implements Collector.
-func (s *SemiSpace) Moving() bool { return true }
-
-// HeapSize implements Collector.
-func (s *SemiSpace) HeapSize() units.ByteSize { return s.heapSize }
 
 // Stats implements Collector.
 func (s *SemiSpace) Stats() Stats { return s.stats }

@@ -36,7 +36,6 @@ const Null Ref = 0
 // Object flag bits used by the collectors.
 const (
 	FlagMark   uint8 = 1 << 0 // mark-sweep mark bit / tricolor non-white
-	FlagGray   uint8 = 1 << 1 // tricolor gray (queued, not yet scanned)
 	FlagRemset uint8 = 1 << 2 // recorded in a generational remembered set
 	FlagMature uint8 = 1 << 4 // resides in a mature space
 
@@ -381,17 +380,6 @@ func (h *Heap) AllocBytes() units.ByteSize { return h.allocBytes }
 
 // TableLen reports the current object-table length (diagnostics/tests).
 func (h *Heap) TableLen() int { return h.n }
-
-// ForEach calls fn for every live object. The callback must not allocate or
-// free heap objects.
-func (h *Heap) ForEach(fn func(Ref, *Object)) {
-	for i := 1; i < h.n; i++ {
-		o := &h.chunks[i>>chunkShift][i&chunkMask]
-		if o.Size != 0 {
-			fn(Ref(i), o)
-		}
-	}
-}
 
 // SetAddr relocates an object to a new simulated address (copying GC).
 func (h *Heap) SetAddr(r Ref, addr uint64) { h.Get(r).Addr = addr }

@@ -356,18 +356,6 @@ func TestHeapGetPanicsOnNull(t *testing.T) {
 	h.Get(Null)
 }
 
-func TestForEach(t *testing.T) {
-	h := New()
-	a := h.NewObject(16, 0, 0)
-	b := h.NewObject(16, 0, 16)
-	h.Free(a)
-	var seen []Ref
-	h.ForEach(func(r Ref, o *Object) { seen = append(seen, r) })
-	if len(seen) != 1 || seen[0] != b {
-		t.Fatalf("ForEach saw %v, want [%d]", seen, b)
-	}
-}
-
 func TestArraySize(t *testing.T) {
 	if got := ArraySize(10, 4); got != 8+4+40 {
 		t.Fatalf("array size = %d", got)

@@ -299,20 +299,6 @@ func (s *FreeListSpace) Fragmentation() float64 {
 	return float64(s.freeCellBytes) / assigned
 }
 
-// Reset discards all allocations.
-func (s *FreeListSpace) Reset() {
-	s.cursor = s.region.Base
-	for k := range s.stacks {
-		s.stacks[k] = s.stacks[k][:0]
-	}
-	clear(s.cellState)
-	for i := range s.blocks {
-		s.blocks[i] = blockInfo{class: -1}
-	}
-	s.freeBlocks = s.freeBlocks[:0]
-	s.usedBytes, s.freeCellBytes = 0, 0
-}
-
 // Layout carves a total heap extent into named regions. It mirrors the
 // fixed-heap-size configuration the paper uses (-Xms == -Xmx).
 type Layout struct {

@@ -128,18 +128,6 @@ func TestFreeListExhaustion(t *testing.T) {
 	}
 }
 
-func TestFreeListReset(t *testing.T) {
-	s := newFLS(64 * units.KB)
-	s.Alloc(100)
-	s.Reset()
-	if s.Used() != 0 || s.Footprint() != 0 || s.Fragmentation() != 0 {
-		t.Fatal("reset left state behind")
-	}
-	if _, ok := s.Alloc(100); !ok {
-		t.Fatal("alloc after reset failed")
-	}
-}
-
 // Property: under arbitrary alloc/free sequences the space's accounting
 // invariants hold: Used ≥ 0, Used + free cells ≤ carved footprint ≤ extent,
 // and all addresses stay in-region and distinct among live cells.

@@ -118,6 +118,3 @@ func (s *Sampler) Time(c component.ID) units.Duration {
 
 // Ticks reports total timer ticks taken.
 func (s *Sampler) Ticks() int64 { return s.ticks }
-
-// Period reports the OS timer period.
-func (s *Sampler) Period() units.Duration { return s.period }

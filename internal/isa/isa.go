@@ -131,21 +131,6 @@ func (op Opcode) IsReturn() bool {
 	return op == RETURN || op == IRETURN || op == ARETURN
 }
 
-// TouchesMemory reports whether op performs a data memory access beyond the
-// operand stack (field, static, or array traffic). The timing model charges
-// these against the data cache.
-func (op Opcode) TouchesMemory() bool {
-	switch op {
-	case GETFIELD, PUTFIELD, GETREF, PUTREF, IALOAD, IASTORE,
-		GETSTATIC, PUTSTATIC, GETSTATICREF, PUTSTATICREF, ARRAYLEN:
-		return true
-	}
-	return false
-}
-
-// Allocates reports whether op allocates heap storage.
-func (op Opcode) Allocates() bool { return op == NEW || op == NEWARRAY }
-
 // Instr is one fixed-format instruction. The meaning of A and B depends on
 // the opcode; see the opcode list.
 type Instr struct {
@@ -164,15 +149,6 @@ func (in Instr) String() string {
 	default:
 		return fmt.Sprintf("%s %d", in.Op, in.A)
 	}
-}
-
-// Disassemble renders code with PC labels, one instruction per line.
-func Disassemble(code []Instr) string {
-	out := ""
-	for pc, in := range code {
-		out += fmt.Sprintf("%4d: %s\n", pc, in)
-	}
-	return out
 }
 
 // Validate performs a lightweight structural verification of a method body:

@@ -30,12 +30,6 @@ func TestOpcodeClassification(t *testing.T) {
 	if !RETURN.IsReturn() || !IRETURN.IsReturn() || GOTO.IsReturn() {
 		t.Fatal("return classification wrong")
 	}
-	if !GETFIELD.TouchesMemory() || !IASTORE.TouchesMemory() || IADD.TouchesMemory() {
-		t.Fatal("memory classification wrong")
-	}
-	if !NEW.Allocates() || !NEWARRAY.Allocates() || GETFIELD.Allocates() {
-		t.Fatal("allocation classification wrong")
-	}
 	if !NOP.Valid() || Opcode(250).Valid() {
 		t.Fatal("validity classification wrong")
 	}
@@ -78,13 +72,6 @@ func TestValidateAllowsGotoTail(t *testing.T) {
 	}
 	if err := Validate(code); err != nil {
 		t.Fatalf("loop with goto tail rejected: %v", err)
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	out := Disassemble([]Instr{{Op: ICONST, A: 3}, {Op: RETURN}})
-	if !strings.Contains(out, "0: iconst 3") || !strings.Contains(out, "1: return") {
-		t.Fatalf("unexpected disassembly:\n%s", out)
 	}
 }
 

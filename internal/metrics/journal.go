@@ -130,13 +130,37 @@ func OpenJournal(path string) (*Journal, error) {
 
 // OpenJournalAppend opens (creating if needed) a journal file at path and
 // appends to it — the daemon's job log, where the prior life's events
-// must survive as the record of which jobs recovery requeues.
+// must survive as the record of which jobs recovery requeues. A prior
+// life killed mid-record leaves a torn last line; it is ended first, so
+// the torn bytes stay one dropped line instead of swallowing the first
+// new record.
 func OpenJournalAppend(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := endLastLine(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return NewJournal(f), nil
+}
+
+// endLastLine appends a newline to a non-empty file that does not end in
+// one.
+func endLastLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
 }
 
 // SetSync sets the journal's durability policy. interval is used only by
@@ -246,18 +270,6 @@ func (j *Journal) maybeSync() {
 			j.syncLocked()
 		}
 	}
-}
-
-// Sync forces buffered records to disk now — group commit on demand,
-// whatever the policy. Nil-safe.
-func (j *Journal) Sync() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.syncLocked()
-	return j.err
 }
 
 func (j *Journal) syncLocked() {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -468,6 +469,43 @@ func TestSalvageRandomCorruption(t *testing.T) {
 		if len(got) > len(want) {
 			t.Fatalf("trial %d: salvage invented records (%d > %d)", trial, len(got), len(want))
 		}
+	}
+}
+
+// TestAppendAfterTornTail: a journal whose last life died mid-record is
+// reopened for append. The torn line must stay one dropped line, not
+// swallow the first record of the new life.
+func TestAppendAfterTornTail(t *testing.T) {
+	evs := someEvents(4)
+	first := journalBytes(t, evs[0])
+	second := journalBytes(t, evs[1])
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	torn := append(append([]byte(nil), first...), second[:len(second)/2]...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournalAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs[2:] {
+		if err := j.Record(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := DecodeJournalSalvage[testEvent](mustOpen(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []testEvent{evs[0], evs[2], evs[3]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("salvaged %+v, want %+v", got, want)
+	}
+	if rep.Dropped != 1 || rep.TornTail {
+		t.Fatalf("report %+v, want one dropped line and no torn tail", rep)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // Version is the protocol version carried in the NodeHello handshake;
 // supervisor and executor must agree exactly (they are the same binary in
 // normal use, but a stale binary must be rejected, not misparsed).
-const Version = 1
+const Version = 2
 
 // MaxPayload bounds any single frame's payload. Specs are tens of bytes
 // and results are a few kilobytes of gob; anything near the cap is a
@@ -148,11 +148,10 @@ type Spec struct {
 	S10       bool
 	FanOff    bool
 
-	Seed    uint64
-	Quick   bool
-	Faults  string // canonical fault-plan spec (faultinject.Plan.String)
-	Reps    int
-	Retries int
+	Seed   uint64
+	Quick  bool
+	Faults string // canonical fault-plan spec (faultinject.Plan.String)
+	Reps   int
 }
 
 // maxSpecString bounds any single encoded spec string; real benchmark and
@@ -172,7 +171,6 @@ func MarshalSpec(s Spec) []byte {
 	b = binary.AppendUvarint(b, s.Seed)
 	b = appendBool(b, s.Quick)
 	b = binary.AppendVarint(b, int64(s.Reps))
-	b = binary.AppendVarint(b, int64(s.Retries))
 	return b
 }
 
@@ -191,7 +189,6 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	s.Seed = d.uvarint()
 	s.Quick = d.bool()
 	s.Reps = int(d.varint())
-	s.Retries = int(d.varint())
 	if d.err != nil {
 		return Spec{}, d.err
 	}

@@ -92,7 +92,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{},
 		{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "SemiSpace", HeapMB: 32,
-			Platform: "P6", Seed: 42, Quick: true, Reps: 3, Retries: -1},
+			Platform: "P6", Seed: 42, Quick: true, Reps: 3},
 		{Bench: "fop", Flavor: "Kaffe", HeapMB: 128, Platform: "DBPXA255",
 			S10: true, FanOff: true, Faults: "drop=0.05,seed=7", Seed: 1},
 	}

@@ -54,9 +54,6 @@ func (m CPUModel) Power(ipc float64) units.Power {
 	return m.Idle + units.Power(float64(m.ActiveMax)*u)
 }
 
-// IdlePower returns power when nothing is scheduled.
-func (m CPUModel) IdlePower() units.Power { return m.Idle }
-
 // MemoryModel maps DRAM activity to main-memory power: a standby term plus
 // per-access energy.
 type MemoryModel struct {
@@ -79,9 +76,4 @@ func (m MemoryModel) Validate() error {
 // Power returns instantaneous memory power at the given access rate.
 func (m MemoryModel) Power(accessesPerSecond float64) units.Power {
 	return m.Idle + units.Power(float64(m.EnergyPerAccess)*accessesPerSecond)
-}
-
-// Energy returns the memory energy of n accesses over duration d.
-func (m MemoryModel) Energy(n int64, d units.Duration) units.Energy {
-	return m.Idle.For(d) + m.EnergyPerAccess.Times(float64(n))
 }

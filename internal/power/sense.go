@@ -1,8 +1,6 @@
 package power
 
 import (
-	"fmt"
-
 	"jvmpower/internal/faultinject"
 	"jvmpower/internal/units"
 )
@@ -55,17 +53,6 @@ func NewSenseChannel(railVolts, resistorOhms float64, seed uint64) *SenseChannel
 		NoiseFloorWatts:   0.004 * railVolts, // scales with the rail
 		seed:              seed,
 	}
-}
-
-// Validate checks the channel's parameters.
-func (s *SenseChannel) Validate() error {
-	if s.RailVolts <= 0 || s.ResistorOhms <= 0 {
-		return fmt.Errorf("power: sense channel rail %vV resistor %vΩ", s.RailVolts, s.ResistorOhms)
-	}
-	if s.ADCBits < 1 || s.ADCBits > 24 || s.ADCFullScaleVolts <= 0 {
-		return fmt.Errorf("power: sense channel ADC %d bits, %vV full scale", s.ADCBits, s.ADCFullScaleVolts)
-	}
-	return nil
 }
 
 // SetInjector installs a fault injector on the channel (nil disables

@@ -1,16 +1,15 @@
 // Package stats provides the small statistical utilities used by the
-// measurement and analysis layers: running means, extrema, exponentially
-// weighted moving averages, histograms, and percentile computation.
+// measurement and analysis layers: running means, extrema and variance,
+// percentiles, medians and MAD-based outlier rejection.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Running accumulates a stream of samples and reports count, mean, min, max
-// and variance without retaining the samples (Welford's algorithm).
+// and sample variance without retaining the samples (Welford's algorithm).
 type Running struct {
 	n        int64
 	mean, m2 float64
@@ -33,18 +32,6 @@ func (r *Running) Add(x float64) {
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
-}
-
-// AddN incorporates the same sample n times in O(1): it merges the
-// degenerate accumulator {n, mean: x, m2: 0} rather than looping Add. A
-// repeated sample contributes no spread of its own, so the merge is exact
-// in real arithmetic; starting from an empty accumulator it is also
-// bit-identical to n successive Add calls. n <= 0 is a no-op.
-func (r *Running) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	r.Merge(Running{n: n, mean: x, min: x, max: x})
 }
 
 // Count reports the number of samples seen.
@@ -74,23 +61,6 @@ func (r *Running) Max() float64 {
 	return r.max
 }
 
-// Variance reports the population variance of the samples (÷n). This is
-// the right form when the accumulator has seen the whole population — the
-// figure pipelines (fig6/fig8/fig9/fig11, analysis.DwellRecorder,
-// cmd/validate) aggregate over every point in a figure cell, so their
-// spread is descriptive, not inferential. For inference from a sample to
-// a larger population (confidence intervals, significance tests) use
-// SampleVariance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev reports the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
 // SampleVariance reports the unbiased sample variance (÷n−1, Bessel's
 // correction) — the estimator the benchmark-statistics layer uses when
 // the observed repetitions stand in for the distribution of all possible
@@ -104,57 +74,6 @@ func (r *Running) SampleVariance() float64 {
 
 // SampleStdDev reports the sample standard deviation (√SampleVariance).
 func (r *Running) SampleStdDev() float64 { return math.Sqrt(r.SampleVariance()) }
-
-// Merge folds another accumulator's samples into r.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent samples more heavily.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one sample.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value, e.init = x, true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value reports the current average, or 0 if no samples.
-func (e *EWMA) Value() float64 { return e.value }
 
 // sortedFinite returns a sorted copy of xs with NaNs removed.
 // sort.Float64s leaves NaNs in unspecified positions, so a single NaN
@@ -296,58 +215,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (all values must be positive),
-// or 0 for an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); samples outside the
-// range land in saturating edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	count  int64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add incorporates a sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.count++
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() int64 { return h.count }
-
-// BinCenter reports the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
 }

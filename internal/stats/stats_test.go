@@ -23,70 +23,9 @@ func TestRunningBasics(t *testing.T) {
 	if r.Min() != 2 || r.Max() != 6 {
 		t.Fatalf("min/max = %v/%v, want 2/6", r.Min(), r.Max())
 	}
-	wantVar := ((2.-4)*(2.-4) + 0 + (6.-4)*(6.-4)) / 3
-	if math.Abs(r.Variance()-wantVar) > 1e-12 {
-		t.Fatalf("variance = %v, want %v", r.Variance(), wantVar)
-	}
-}
-
-func TestRunningAddN(t *testing.T) {
-	var r Running
-	r.AddN(5, 4)
-	if r.Count() != 4 || r.Mean() != 5 || r.Variance() != 0 {
-		t.Fatalf("AddN: count=%d mean=%v var=%v", r.Count(), r.Mean(), r.Variance())
-	}
-	if r.Min() != 5 || r.Max() != 5 {
-		t.Fatalf("AddN min/max = %v/%v, want 5/5", r.Min(), r.Max())
-	}
-	r.AddN(7, 0)
-	r.AddN(7, -3)
-	if r.Count() != 4 {
-		t.Fatalf("AddN with n<=0 must be a no-op, count=%d", r.Count())
-	}
-}
-
-// AddN(x, n) from an empty accumulator must be bit-for-bit identical to n
-// successive Add(x) calls: with identical samples every incremental delta
-// after the first Add is exactly zero, so the closed-form merge and the
-// loop agree exactly, not just within rounding.
-func TestRunningAddNBitIdenticalFromEmpty(t *testing.T) {
-	cases := []struct {
-		x float64
-		n int64
-	}{{5, 4}, {0.1, 7}, {-3.75, 1}, {1e17, 12}, {math.Pi, 1000}}
-	for _, c := range cases {
-		var byN, byLoop Running
-		byN.AddN(c.x, c.n)
-		for i := int64(0); i < c.n; i++ {
-			byLoop.Add(c.x)
-		}
-		if byN != byLoop {
-			t.Fatalf("AddN(%v,%d)=%+v, loop=%+v", c.x, c.n, byN, byLoop)
-		}
-	}
-}
-
-// After a mixed prior stream the closed form and the loop compute the same
-// real-arithmetic quantity but round differently, so equality is modulo a
-// tight relative tolerance.
-func TestRunningAddNMatchesLoopAfterStream(t *testing.T) {
-	var byN, byLoop Running
-	for _, x := range []float64{1, 5, 2, 8} {
-		byN.Add(x)
-		byLoop.Add(x)
-	}
-	byN.AddN(3.5, 6)
-	for i := 0; i < 6; i++ {
-		byLoop.Add(3.5)
-	}
-	if byN.Count() != byLoop.Count() || byN.Min() != byLoop.Min() || byN.Max() != byLoop.Max() {
-		t.Fatalf("count/min/max diverged: %+v vs %+v", byN, byLoop)
-	}
-	if math.Abs(byN.Mean()-byLoop.Mean()) > 1e-12*math.Abs(byLoop.Mean()) {
-		t.Fatalf("mean %v vs loop %v", byN.Mean(), byLoop.Mean())
-	}
-	if math.Abs(byN.Variance()-byLoop.Variance()) > 1e-12*byLoop.Variance() {
-		t.Fatalf("variance %v vs loop %v", byN.Variance(), byLoop.Variance())
+	wantVar := ((2.-4)*(2.-4) + 0 + (6.-4)*(6.-4)) / 2
+	if math.Abs(r.SampleVariance()-wantVar) > 1e-12 {
+		t.Fatalf("sample variance = %v, want %v", r.SampleVariance(), wantVar)
 	}
 }
 
@@ -102,79 +41,13 @@ func TestSampleVariance(t *testing.T) {
 	for _, x := range []float64{4, 6} {
 		r.Add(x)
 	}
-	// {2,4,6}: population variance 8/3, sample variance 8/2 = 4.
-	if math.Abs(r.Variance()-8.0/3) > 1e-12 {
-		t.Fatalf("population variance = %v, want 8/3", r.Variance())
-	}
+	// {2,4,6}: sum of squared deviations 8, sample variance 8/2 = 4.
 	if math.Abs(r.SampleVariance()-4) > 1e-12 {
 		t.Fatalf("sample variance = %v, want 4", r.SampleVariance())
 	}
 	if math.Abs(r.SampleStdDev()-2) > 1e-12 {
 		t.Fatalf("sample stddev = %v, want 2", r.SampleStdDev())
 	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 5, 2, 8, -3, 7, 0.5}
-	var whole Running
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var a, b Running
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), whole.Count())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 {
-		t.Fatalf("merged mean %v, want %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v, want %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged min/max %v/%v, want %v/%v", a.Min(), a.Max(), whole.Min(), whole.Max())
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.Count() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.Count() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first sample should initialize: %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAInvalidAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for alpha out of range")
-		}
-	}()
-	NewEWMA(0)
 }
 
 func TestPercentile(t *testing.T) {
@@ -331,75 +204,11 @@ func TestFilterOutliersMADTies(t *testing.T) {
 	}
 }
 
-// Merge must agree with a single-pass reference accumulator over random
-// split points, not just the one hand-picked split in
-// TestRunningMergeMatchesSequential.
-func TestRunningMergeAgainstSinglePassReference(t *testing.T) {
-	xs := []float64{3.25, -1.5, 0, 8.125, 2.75, 2.75, -9, 4.5, 1e6, -1e6, 0.003}
-	var whole Running
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	for split := 0; split <= len(xs); split++ {
-		var a, b Running
-		for _, x := range xs[:split] {
-			a.Add(x)
-		}
-		for _, x := range xs[split:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.Count() != whole.Count() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-			t.Fatalf("split %d: count/min/max diverged: %+v vs %+v", split, a, whole)
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-6 {
-			t.Fatalf("split %d: mean %v, want %v", split, a.Mean(), whole.Mean())
-		}
-		if math.Abs(a.SampleVariance()-whole.SampleVariance()) > 1e-9*whole.SampleVariance() {
-			t.Fatalf("split %d: sample variance %v, want %v", split, a.SampleVariance(), whole.SampleVariance())
-		}
-	}
-}
-
-func TestMeanGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Fatalf("mean = %v", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("mean of empty = %v", got)
 	}
-	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("geomean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{1, -1}); got != 0 {
-		t.Fatalf("geomean with nonpositive = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0.5, 2.5, 9.9, 15} {
-		h.Add(x)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Bins[0] != 2 { // -1 saturates into bin 0, plus 0.5
-		t.Fatalf("bin 0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 9.9 and saturated 15
-		t.Fatalf("bin 4 = %d, want 2", h.Bins[4])
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("bin 0 center = %v, want 1", got)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid shape")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }

@@ -617,6 +617,12 @@ func (s *Supervisor) died(n *node, ce *CrashError) {
 			tripped = n.breaker.Record(true)
 		}
 	}
+	// Retire the executor before failing its points: a caller woken by a
+	// failed point then already sees the breaker open.
+	if tripped {
+		n.down = true
+		s.cfg.Metrics.Counter("supervisor.breakers.opened").Inc()
+	}
 	var requeue []*task
 	for _, id := range sortedIDs(n.inflight) {
 		t := n.inflight[id]
@@ -634,10 +640,6 @@ func (s *Supervisor) died(n *node, ce *CrashError) {
 		requeue = append(requeue, t)
 	}
 	s.queue = append(requeue, s.queue...)
-	if tripped {
-		n.down = true
-		s.cfg.Metrics.Counter("supervisor.breakers.opened").Inc()
-	}
 	s.failIfAllDownLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()

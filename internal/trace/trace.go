@@ -6,7 +6,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -35,29 +34,6 @@ func WriteCSV(w io.Writer, samples []daq.Sample) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// jsonSample is the JSON wire form of one sample.
-type jsonSample struct {
-	TimeUS    int64   `json:"time_us"`
-	CPUWatts  float64 `json:"cpu_w"`
-	MemWatts  float64 `json:"mem_w"`
-	Component string  `json:"component"`
-}
-
-// WriteJSON writes samples as a JSON array.
-func WriteJSON(w io.Writer, samples []daq.Sample) error {
-	out := make([]jsonSample, len(samples))
-	for i, s := range samples {
-		out[i] = jsonSample{
-			TimeUS:    s.Time.Microseconds(),
-			CPUWatts:  float64(s.CPU),
-			MemWatts:  float64(s.Mem),
-			Component: s.Component.String(),
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }
 
 // WindowPoint is one point of a windowed power series.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -30,26 +29,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "GC") || !strings.Contains(lines[2], "App") {
 		t.Fatalf("rows:\n%s", out)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var b strings.Builder
-	samples := []daq.Sample{
-		{Time: 40 * time.Microsecond, CPU: 12.5, Mem: 0.5, Component: component.GC},
-	}
-	if err := WriteJSON(&b, samples); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != 1 || parsed[0]["component"] != "GC" {
-		t.Fatalf("parsed %v", parsed)
-	}
-	if parsed[0]["time_us"].(float64) != 40 {
-		t.Fatalf("time %v", parsed[0]["time_us"])
 	}
 }
 

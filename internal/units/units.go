@@ -32,21 +32,6 @@ const (
 	GB ByteSize = 1 << 30
 )
 
-// Joules returns e as a float64 number of Joules.
-func (e Energy) Joules() float64 { return float64(e) }
-
-// Watts returns p as a float64 number of Watts.
-func (p Power) Watts() float64 { return float64(p) }
-
-// Milliwatts returns p in milliwatts.
-func (p Power) Milliwatts() float64 { return float64(p) * 1e3 }
-
-// Bytes returns b as an int64 byte count.
-func (b ByteSize) Bytes() int64 { return int64(b) }
-
-// Times scales an energy by a dimensionless factor.
-func (e Energy) Times(k float64) Energy { return Energy(float64(e) * k) }
-
 // Over returns the average power of consuming e over d.
 // It returns 0 for non-positive durations.
 func (e Energy) Over(d Duration) Power {

@@ -28,12 +28,6 @@ func TestPowerFor(t *testing.T) {
 	}
 }
 
-func TestEnergyTimes(t *testing.T) {
-	if got := Energy(3).Times(2.5); got != Energy(7.5) {
-		t.Fatalf("3 J × 2.5 = %v, want 7.5", got)
-	}
-}
-
 func TestEnergyDelay(t *testing.T) {
 	edp := EnergyDelay(Energy(10), 3*time.Second)
 	if math.Abs(float64(edp)-30) > 1e-9 {

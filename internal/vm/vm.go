@@ -64,8 +64,6 @@ type Config struct {
 	// GenCopy, GenMS; Kaffe always uses KaffeMS (leave empty).
 	Collector string
 	HeapSize  units.ByteSize
-	// HotThresholdBytecodes tunes the AOS (0 = default).
-	HotThresholdBytecodes int64
 	// Seed drives all deterministic pseudo-randomness in the run.
 	Seed uint64
 }
@@ -157,17 +155,13 @@ func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
 	default:
 		return nil, fmt.Errorf("vm: unknown flavor %d", cfg.Flavor)
 	}
-	hot := cfg.HotThresholdBytecodes
-	if hot <= 0 {
-		hot = DefaultHotThreshold
-	}
 
 	v := &VM{
 		cfg:      cfg,
 		exec:     exec,
 		prog:     prog,
 		heap:     heap.New(),
-		aos:      jit.NewAOS(hot),
+		aos:      jit.NewAOS(DefaultHotThreshold),
 		invoked:  make([]bool, len(prog.Methods)),
 		rngState: cfg.Seed ^ 0xD1B54A32D192ED03,
 	}
@@ -235,9 +229,6 @@ func (v *VM) Loader() *classloader.Loader { return v.loader }
 
 // AOS exposes the adaptive optimization system.
 func (v *VM) AOS() *jit.AOS { return v.aos }
-
-// Program returns the loaded program.
-func (v *VM) Program() *classfile.Program { return v.prog }
 
 // rng returns the next deterministic pseudo-random uint64 (splitmix64).
 func (v *VM) rng() uint64 {
