@@ -133,8 +133,8 @@ func BenchmarkFig7EDPFaultsZero(b *testing.B) {
 
 // BenchmarkFig7EDPIsolateOff regenerates Figure 7 with the process-isolation
 // machinery reachable but disabled: no Supervisor, so runPoint takes the
-// in-process branch, and a configured breaker threshold that never
-// materializes a breaker (they exist only under isolation). The delta
+// in-process branch and no figure breaker materializes (they exist only
+// under isolation). The delta
 // against BenchmarkFig7EDP prices the nil checks isolation threads through
 // the dispatch path; bench.sh's isolate mode records both in BENCH_4.json
 // along with the PR 3 baseline, and the budget against that baseline is <1%.
@@ -143,7 +143,6 @@ func BenchmarkFig7EDPIsolateOff(b *testing.B) {
 		t0 := time.Now()
 		r := experiments.NewRunner(io.Discard)
 		r.Quick = true
-		r.BreakerThreshold = 3
 		if err := r.RunFigure("fig7"); err != nil {
 			b.Fatal(err)
 		}

@@ -67,10 +67,8 @@ func run() int {
 		journalFile = flag.String("journal", "", "write one JSONL event per characterization point to this file (truncated on open; -daemon appends)")
 		httpAddr    = flag.String("http", "", "serve live /metrics, /debug/vars, and /debug/pprof on this address")
 		faults      = flag.String("faults", "", "fault-injection plan, e.g. drop=0.05,glitch=0.001,seed=7 (see internal/faultinject)")
-		reps        = flag.Int("reps", 1, "repetitions per point; >1 enables quorum selection with MAD outlier rejection")
 		pointTO     = flag.Duration("point-timeout", 0, "wall-time budget per characterization attempt (0 = unbounded)")
 		isolate     = flag.Int("isolate", 0, "run each point in one of N supervised worker subprocesses (0 = in-process)")
-		breakerK    = flag.Int("breaker", 0, "with -isolate or -nodes: consecutive executor deaths that open a circuit breaker (0 = default 3, negative = never)")
 		worker      = flag.Bool("worker", false, "internal: run as a point worker speaking the supervisor protocol on stdin/stdout")
 		nodes       = flag.String("nodes", "", "comma-separated remote executor addresses (host:port); points run there")
 		serveNode   = flag.String("serve-node", "", "run as a remote executor node listening on this address (host:port; port 0 picks one)")
@@ -104,9 +102,9 @@ func run() int {
 	}
 
 	if *daemonMode {
-		// The daemon's per-campaign knobs (seed, quick, faults, reps,
-		// deadline) arrive in each job's spec; the flags below would be
-		// silently ignored or conflict outright, so refuse them loudly.
+		// The daemon's per-campaign knobs (seed, quick, faults, deadline)
+		// arrive in each job's spec; the flags below would be silently
+		// ignored or conflict outright, so refuse them loudly.
 		switch {
 		case *fig != "" || *all:
 			return fail(errors.New("-daemon runs campaigns submitted over HTTP; drop -fig/-all"))
@@ -171,7 +169,6 @@ func run() int {
 	r.Seed = *seed
 	r.CacheDir = *cacheDir
 	r.Metrics = reg
-	r.Reps = *reps
 	r.PointTimeout = *pointTO
 
 	if *faults != "" {
@@ -236,15 +233,14 @@ func run() int {
 		cfg := supervisor.Config{
 			Workers: *isolate,
 			// The point budget is enforced from outside: a local worker is
-			// SIGKILLed instead of a goroutine being abandoned, so the
-			// whole point (all reps and retries) shares one wall-clock
+			// SIGKILLed instead of stopping at its next cancellation poll,
+			// so the whole point (every retry) shares one wall-clock
 			// budget.
-			PointTimeout:     *pointTO,
-			MemLimit:         os.Getenv("JVMPOWER_WORKER_GOMEMLIMIT"),
-			BreakerThreshold: *breakerK,
-			Metrics:          reg,
-			Stderr:           os.Stderr,
-			OnNodeEvent:      r.ObserveNodeEvent,
+			PointTimeout: *pointTO,
+			MemLimit:     os.Getenv("JVMPOWER_WORKER_GOMEMLIMIT"),
+			Metrics:      reg,
+			Stderr:       os.Stderr,
+			OnNodeEvent:  r.ObserveNodeEvent,
 		}
 		if *isolate > 0 {
 			exe, err := os.Executable()
@@ -264,9 +260,6 @@ func run() int {
 		}
 		defer sup.Close()
 		r.Supervisor = sup
-		r.BreakerThreshold = *breakerK
-	} else if *breakerK != 0 {
-		return fail(errors.New("-breaker requires -isolate or -nodes (breakers count executor deaths)"))
 	}
 
 	if *metricsFile != "" {
@@ -320,19 +313,18 @@ func run() int {
 	recovered := 0
 	if *daemonMode {
 		dmn = experiments.NewDaemon(experiments.DaemonConfig{
-			Journal:          jnl,
-			JournalPath:      *journalFile,
-			Metrics:          reg,
-			CacheDir:         *cacheDir,
-			Supervisor:       r.Supervisor,
-			BreakerThreshold: *breakerK,
-			PointTimeout:     *pointTO,
-			MaxQueue:         *queueDepth,
-			MaxInflight:      *maxInflight,
-			QuotaRate:        *quotaRate,
-			QuotaBurst:       *quotaBurst,
-			DefaultDeadline:  *jobDeadline,
-			Log:              os.Stderr,
+			Journal:         jnl,
+			JournalPath:     *journalFile,
+			Metrics:         reg,
+			CacheDir:        *cacheDir,
+			Supervisor:      r.Supervisor,
+			PointTimeout:    *pointTO,
+			MaxQueue:        *queueDepth,
+			MaxInflight:     *maxInflight,
+			QuotaRate:       *quotaRate,
+			QuotaBurst:      *quotaBurst,
+			DefaultDeadline: *jobDeadline,
+			Log:             os.Stderr,
 		})
 		var err error
 		if recovered, err = dmn.Recover(); err != nil {

@@ -44,9 +44,8 @@ type RunConfig struct {
 	// Cancel, when non-nil, aborts the run at the next VM segment boundary
 	// once closed: Characterize returns an error wrapping vm.ErrCancelled
 	// and the partial measurement is discarded. This is how a dispatcher
-	// that has timed an attempt out reclaims the goroutine and the CPU it
-	// was burning, instead of letting the abandoned simulation run to
-	// completion.
+	// stops an attempt that has outlived its budget or its run, instead of
+	// letting the simulation run to completion.
 	Cancel <-chan struct{}
 }
 

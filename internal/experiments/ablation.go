@@ -32,7 +32,7 @@ func (r *Runner) AblationSampling() error {
 	err = r.dispatch(len(periods), func(i int) error {
 		plat := platform.P6()
 		plat.DAQPeriod = periods[i]
-		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 48, Platform: plat}, r.Seed)
+		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 48, Platform: plat})
 		cfg.IdealChannels = true // isolate sampling error from chain noise
 		res, err := core.Characterize(cfg)
 		if err != nil {
@@ -46,7 +46,7 @@ func (r *Runner) AblationSampling() error {
 			sampled := float64(res.Decomposition.CPUEnergy[id])
 			return fmt.Sprintf("%+.1f%%", (sampled/truth-1)*100)
 		}
-		totalTruth := float64(res.Meter.TrueTotalCPUEnergy()) - float64(res.Meter.TrueCPUEnergy(component.Idle))
+		totalTruth := float64(res.Meter.TrueTotalCPUEnergy())
 		totalErr := fmt.Sprintf("%+.2f%%", (float64(res.Decomposition.TotalCPUEnergy)/totalTruth-1)*100)
 		rows[i] = []string{periods[i].String(), fmt.Sprintf("%d", res.Meter.DAQSamples()),
 			errFor(component.GC), errFor(component.ClassLoader),
@@ -88,7 +88,7 @@ func (r *Runner) AblationMLP() error {
 		plat := platform.P6()
 		plat.CPU.MLPSupport = mlps[i]
 		res, err := core.Characterize(r.runConfig(
-			Point{Bench: bench, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 32, Platform: plat}, r.Seed))
+			Point{Bench: bench, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 32, Platform: plat}))
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ package experiments
 // salvage-decodes the journal, finds every job with an admission record
 // but no terminal record, and requeues it. Re-running is cheap and
 // byte-identical: completed points are served from the content-addressed
-// disk cache (keyed by seed, quick, faults, and reps), so a recovered job
+// disk cache (keyed by seed, quick, and faults), so a recovered job
 // recomputes only the points its first life never finished. Point-level
 // resume state deliberately lives in the cache, not the journal — a
 // JobEvent carries no wall-clock timestamp, keeping the journal
@@ -49,8 +49,8 @@ import (
 )
 
 // CampaignSpec is one job's payload: which figures to render and the
-// exact execution identity (seed, quick, faults, reps) that keys the
-// disk cache. Two specs that agree on the identity fields dedupe their
+// exact execution identity (seed, quick, faults) that keys the disk
+// cache. Two specs that agree on the identity fields dedupe their
 // overlapping points through the shared flight table and the cache.
 type CampaignSpec struct {
 	// Figures names the figures to render, in order (see FigureNames).
@@ -62,8 +62,6 @@ type CampaignSpec struct {
 	// Faults is a fault-injection plan in the -faults flag syntax
 	// ("drop=0.05,glitch=0.001,seed=7"); empty disables injection.
 	Faults string `json:"faults,omitempty"`
-	// Reps is the per-point quorum repetition count; <=1 runs once.
-	Reps int `json:"reps,omitempty"`
 	// Priority orders the queue: higher runs first, ties FIFO.
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds the job's total queued+running time in
@@ -88,9 +86,6 @@ func (s *CampaignSpec) normalize() (*faultinject.Plan, error) {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.Reps < 0 {
-		return nil, fmt.Errorf("campaign: negative reps %d", s.Reps)
 	}
 	if s.DeadlineMS < 0 {
 		return nil, fmt.Errorf("campaign: negative deadline_ms %d", s.DeadlineMS)
@@ -122,14 +117,10 @@ type JobEvent struct {
 	Client string `json:"client,omitempty"`
 	Reason string `json:"reason,omitempty"`
 
-	// Spec fields, present on admission records only.
-	Figures    []string `json:"figures,omitempty"`
-	Seed       uint64   `json:"seed,omitempty"`
-	Quick      bool     `json:"quick,omitempty"`
-	Faults     string   `json:"faults,omitempty"`
-	Reps       int      `json:"reps,omitempty"`
-	Priority   int      `json:"priority,omitempty"`
-	DeadlineMS int64    `json:"deadline_ms,omitempty"`
+	// The campaign spec, present on admission records only. Its fields
+	// sit inline in the record; its client is the record's own Client,
+	// which hides the spec's.
+	*CampaignSpec
 
 	// Point is the per-point progress payload, present on "point"
 	// records only — the same PointEvent a one-shot run would journal,
@@ -152,9 +143,8 @@ type DaemonConfig struct {
 	CacheDir string
 	// Supervisor routes point computation exactly as on a Runner; nil
 	// computes in-process.
-	Supervisor       *supervisor.Supervisor
-	BreakerThreshold int
-	PointTimeout     time.Duration
+	Supervisor   *supervisor.Supervisor
+	PointTimeout time.Duration
 	// MaxQueue, MaxInflight, QuotaRate, QuotaBurst configure admission
 	// control (see jobqueue.Config for defaults).
 	MaxQueue    int
@@ -319,7 +309,6 @@ type JobStatus struct {
 	Seed      uint64   `json:"seed"`
 	Quick     bool     `json:"quick,omitempty"`
 	Faults    string   `json:"faults,omitempty"`
-	Reps      int      `json:"reps,omitempty"`
 	Recovered bool     `json:"recovered,omitempty"`
 	// Points counts completed points so far; Events the job-log length.
 	Points int `json:"points"`
@@ -365,7 +354,7 @@ func (d *Daemon) status(dj *daemonJob, qs jobqueue.Status) JobStatus {
 	return JobStatus{
 		ID: dj.id, Client: qs.Client, State: string(qs.State), Reason: qs.Reason,
 		Priority: qs.Priority, Figures: dj.spec.Figures, Seed: dj.spec.Seed,
-		Quick: dj.spec.Quick, Faults: dj.spec.Faults, Reps: dj.spec.Reps,
+		Quick: dj.spec.Quick, Faults: dj.spec.Faults,
 		Recovered: dj.recovered, Points: points, Events: events,
 	}
 }
@@ -436,12 +425,10 @@ func (d *Daemon) execute(ctx context.Context, j *jobqueue.Job) error {
 	r.Seed = dj.spec.Seed
 	r.Quick = dj.spec.Quick
 	r.Faults = dj.plan
-	r.Reps = dj.spec.Reps
 	r.PointTimeout = d.cfg.PointTimeout
 	r.CacheDir = d.cfg.CacheDir
 	r.Metrics = d.cfg.Metrics
 	r.Supervisor = d.cfg.Supervisor
-	r.BreakerThreshold = d.cfg.BreakerThreshold
 	r.Ctx = ctx
 	r.Shared = d.shared
 	// No Runner journal: the runner's PointEvents are journaled as
@@ -500,12 +487,7 @@ func reasonSuffix(reason string) string {
 // admissionEvent builds the full-spec record shared by accepted,
 // recovered, and shed transitions.
 func admissionEvent(id, state string, spec CampaignSpec) JobEvent {
-	return JobEvent{
-		Event: "job", Job: id, State: state, Client: spec.Client,
-		Figures: spec.Figures, Seed: spec.Seed, Quick: spec.Quick,
-		Faults: spec.Faults, Reps: spec.Reps, Priority: spec.Priority,
-		DeadlineMS: spec.DeadlineMS,
-	}
+	return JobEvent{Event: "job", Job: id, State: state, Client: spec.Client, CampaignSpec: &spec}
 }
 
 // record journals ev and appends it to the job's event stream.
@@ -598,11 +580,11 @@ func (d *Daemon) Recover() (int, error) {
 			continue
 		}
 		ev := admitted[id]
-		spec := CampaignSpec{
-			Figures: ev.Figures, Seed: ev.Seed, Quick: ev.Quick,
-			Faults: ev.Faults, Reps: ev.Reps, Priority: ev.Priority,
-			Client: ev.Client,
+		var spec CampaignSpec
+		if ev.CampaignSpec != nil {
+			spec = *ev.CampaignSpec
 		}
+		spec.Client, spec.DeadlineMS = ev.Client, 0
 		plan, err := spec.normalize()
 		if err != nil {
 			// The spec was valid when first admitted; a parse failure here

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +76,20 @@ func TestDaemonHTTPLifecycle(t *testing.T) {
 	herr := decodeBody[httpError](t, resp)
 	if herr.Reason != "bad_request" || herr.RequestID == "" {
 		t.Fatalf("error body = %+v", herr)
+	}
+	// A field the spec does not declare, such as the retired "reps", is
+	// refused rather than silently ignored.
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"figures":["fig6"],"quick":true,"reps":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	}
+	if herr := decodeBody[httpError](t, resp); herr.Reason != "bad_request" || herr.RequestID == "" ||
+		!strings.Contains(herr.Error, `unknown field "reps"`) {
+		t.Fatalf("unknown field: error body = %+v", herr)
 	}
 
 	resp = postJob(t, srv, quickSpec(7, "alice"))

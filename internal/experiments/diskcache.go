@@ -51,12 +51,14 @@ const corruptDirName = "corrupt"
 // diskKey names the cache file for a point under the current runner
 // settings. It hashes the Go syntax of the whole PointID (%#v, which names
 // and quotes every field and bypasses String), so no identity field can be
-// left out. The fault plan's canonical spec and the repetition count are
-// part of the key: a fault campaign's perturbed results must never be
-// served to a clean run, nor a single-rep result to a quorum run.
+// left out. The fault plan's canonical spec is part of the key: a fault
+// campaign's perturbed results must never be served to a clean run. The
+// literal "reps=1" is what every key hashed when a point could also be
+// characterized as a quorum of repetitions; it stays so that every cache
+// written since keeps its names.
 func (r *Runner) diskKey(id PointID) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%#v|seed=%d|quick=%t|faults=%s|reps=%d",
-		diskCacheVersion, id, r.Seed, r.Quick, r.Faults.String(), max(r.Reps, 1))))
+	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%#v|seed=%d|quick=%t|faults=%s|reps=1",
+		diskCacheVersion, id, r.Seed, r.Quick, r.Faults.String())))
 	return fmt.Sprintf("%x.point", h[:12])
 }
 

@@ -69,7 +69,7 @@ func (r *Runner) DVFS() error {
 			return err
 		}
 		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: runs[i].collector,
-			HeapMB: runs[i].heapMB, Platform: p6}, r.Seed)
+			HeapMB: runs[i].heapMB, Platform: p6})
 		cfg.DVFSPolicy = runs[i].policy
 		res, err := core.Characterize(cfg)
 		decs[i] = res.Decomposition

@@ -33,7 +33,7 @@ func (r *Runner) Dwell() error {
 	}
 	dwells := make([]*analysis.DwellRecorder, len(runs))
 	err = r.dispatch(len(runs), func(i int) error {
-		cfg := r.runConfig(runs[i].point, r.Seed)
+		cfg := r.runConfig(runs[i].point)
 		// The recorder only observes: the run's own aggregator already
 		// receives every sample, so the recorder forwards to an empty sink.
 		dwell := analysis.NewDwellRecorder(daq.MultiSink{}, cfg.Platform.DAQPeriod)

@@ -61,20 +61,15 @@ type Runner struct {
 	// the dispatcher itself. Nil (the default) leaves every layer on its
 	// exact uninstrumented path.
 	Faults *faultinject.Plan
-	// Reps, when >1, runs each point that many times with derived seeds
-	// and selects a quorum result by MAD outlier rejection on total energy
-	// (see quorumSelect); individual repetition failures are tolerated as
-	// long as one survives. Reps<=1 runs each point once, bit-identical to
-	// a runner without the field.
-	Reps int
-	// PointTimeout bounds each characterization attempt's wall time; 0
-	// (the default) leaves attempts unbounded and on the goroutine-free
-	// fast path.
+	// PointTimeout bounds each in-process characterization attempt's wall
+	// time: the VM stops at its next segment boundary past the budget and
+	// the point degrades with a timeout error. 0 (the default) leaves
+	// attempts unbounded.
 	PointTimeout time.Duration
-	// Ctx, when non-nil, cancels the run: in-flight attempts, and the runs
-	// of the figures that characterize outside Run, are abandoned, and
-	// every subsequent Run returns context.Canceled, which RunAll and the
-	// figures treat as abortive.
+	// Ctx, when non-nil, cancels the run: in-flight simulations, in Run
+	// and in the figures that characterize outside it, stop at their next
+	// segment boundary, and every subsequent Run returns context.Canceled,
+	// which RunAll and the figures treat as abortive.
 	Ctx context.Context
 
 	// Supervisor, when non-nil, routes every computed point to an
@@ -82,12 +77,8 @@ type Runner struct {
 	// isolate.go) — instead of computing in-process. The supervisor then
 	// enforces the point budget from outside (configure PointTimeout on
 	// it, not here), and executor deaths feed per-figure circuit
-	// breakers.
+	// breakers that open after supervisor.TripThreshold of them.
 	Supervisor *supervisor.Supervisor
-	// BreakerThreshold is the consecutive-executor-death count that trips
-	// a figure's circuit breaker: 0 means the default (3), negative
-	// disables tripping. Ignored without a Supervisor.
-	BreakerThreshold int
 
 	// Shared, when non-nil, coalesces in-flight computations with other
 	// runners through a cross-runner flight table keyed by the
@@ -232,13 +223,13 @@ func (r *Runner) Run(p Point) (*core.Result, error) {
 // that panics mid-point.
 var characterize = core.Characterize
 
-// runConfig is the one derivation of the run that characterizes p at
-// seed: the benchmark's program and profile (its S10 input when asked for,
-// scaled down in Quick mode), the VM configuration, the cooling state, and
-// cancellation by r.Ctx. computeOnce swaps in its attempt's stop channel
-// and adds instrumentation and faults; the figures that characterize
-// outside Run add only their own extra.
-func (r *Runner) runConfig(p Point, seed uint64) core.RunConfig {
+// runConfig is the one derivation of the run that characterizes p: the
+// benchmark's program and profile (its S10 input when asked for, scaled
+// down in Quick mode), the VM configuration at the runner's seed, the
+// cooling state, and cancellation by r.Ctx. computeOnce swaps in its
+// attempt's cancel channel and adds instrumentation and faults; the
+// figures that characterize outside Run add only their own extra.
+func (r *Runner) runConfig(p Point) core.RunConfig {
 	profile := p.Bench.Profile
 	if p.S10 {
 		profile = workloads.S10Profile(p.Bench)
@@ -252,7 +243,7 @@ func (r *Runner) runConfig(p Point, seed uint64) core.RunConfig {
 			Flavor:    p.Flavor,
 			Collector: p.Collector,
 			HeapSize:  units.ByteSize(p.HeapMB) * units.MB,
-			Seed:      seed,
+			Seed:      r.Seed,
 		},
 		Program: p.Bench.Program(),
 		Profile: profile,
@@ -261,16 +252,14 @@ func (r *Runner) runConfig(p Point, seed uint64) core.RunConfig {
 	}
 }
 
-// computeOnce runs one characterization of p at the given seed (which is
-// the runner's seed except under quorum repetitions). stop, when non-nil,
+// computeOnce runs one characterization of p. cancel, when non-nil,
 // aborts the simulation at its next segment boundary once closed (see
-// core.RunConfig.Cancel); attemptGuarded closes it when it abandons a
-// timed-out or cancelled attempt, so the goroutine stops burning CPU
-// instead of simulating to completion. Persistence and resilience live
-// above, in computeResilient.
-func (r *Runner) computeOnce(p Point, seed uint64, stop <-chan struct{}) (*core.Result, error) {
-	cfg := r.runConfig(p, seed)
-	cfg.Metrics, cfg.Faults, cfg.Cancel = r.Metrics, r.Faults, stop
+// core.RunConfig.Cancel); attemptOnce passes the run's context, narrowed
+// to the point timeout. Persistence and retries live above, in
+// computeResilient.
+func (r *Runner) computeOnce(p Point, cancel <-chan struct{}) (*core.Result, error) {
+	cfg := r.runConfig(p)
+	cfg.Metrics, cfg.Faults, cfg.Cancel = r.Metrics, r.Faults, cancel
 	res, err := characterize(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", p, err)
@@ -365,8 +354,9 @@ func (r *Runner) dispatch(n int, job func(i int) error) error {
 }
 
 // runCtx is r.Ctx, or a context that is never cancelled when r.Ctx is nil.
-// Its Done channel is the Cancel channel of every characterization a figure
-// runs outside Run: nil, the VM's zero-cost path, when nothing can cancel.
+// Its Done channel is the Cancel channel of every characterization, in Run
+// (narrowed by a point timeout) and outside it: nil, the VM's zero-cost
+// path, when nothing can cancel.
 func (r *Runner) runCtx() context.Context {
 	if r.Ctx == nil {
 		return context.Background()

@@ -35,7 +35,7 @@ func (r *Runner) HPMPower() error {
 			return nil, nil, err
 		}
 		pt := Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 64, Platform: platform.P6()}
-		cfg := r.runConfig(pt, r.Seed)
+		cfg := r.runConfig(pt)
 		agg := analysis.NewAggregator(cfg.Platform.DAQPeriod)
 		meter, err := core.NewMeter(cfg.Platform, core.MeterOptions{Sink: agg, FanOn: cfg.FanOn, Seed: cfg.VM.Seed, IdealChannels: true})
 		if err != nil {

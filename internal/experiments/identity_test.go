@@ -26,8 +26,10 @@ func benchByName(t *testing.T, name string) *workloads.Benchmark {
 
 // TestJournalBytesGolden pins the journal's bytes: the PointEvents
 // observePoint records for points with and without a collector, S10,
-// FanOff and an error. The journal is a campaign's regression record, so a
-// change to how a point's identity is declared must not move a byte of it.
+// FanOff and an error, and the daemon's job records for an admission with
+// every spec field set, a point and a terminal transition. The journal is
+// a campaign's regression record, so a change to how a point's identity or
+// a campaign is declared must not move a byte of it.
 func TestJournalBytesGolden(t *testing.T) {
 	db, javac := benchByName(t, "_209_db"), benchByName(t, "_213_javac")
 	var buf bytes.Buffer
@@ -49,12 +51,28 @@ func TestJournalBytesGolden(t *testing.T) {
 	} {
 		r.observePoint(c.p, c.source, c.d, c.attempts, c.err)
 	}
+	spec := CampaignSpec{Figures: []string{"fig6", "mem"}, Seed: 7, Quick: true,
+		Faults: "drop=0.05,seed=3", Priority: 2, DeadlineMS: 60000, Client: "alice"}
+	pe := PointEvent{PointID: PointID{Bench: "_209_db", Flavor: "JikesRVM", Collector: "GenMS", HeapMB: 64, Platform: "P6"},
+		Outcome: "ok", Source: "computed", DurationMS: 1.5, Attempts: 1}
+	for _, ev := range []JobEvent{
+		admissionEvent("job-000001", "accepted", spec),
+		{Event: "job", Job: "job-000001", State: "point", Point: &pe},
+		{Event: "job", Job: "job-000001", State: "completed", Client: "alice"},
+	} {
+		if err := r.Journal.Record(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := r.Journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wantJournal := `{"bench":"_209_db","flavor":"JikesRVM","collector":"GenMS","heap_mb":64,"platform":"P6","outcome":"ok","source":"computed","duration_ms":1.5,"attempts":1,"crc":"c1:b851fbbf"}
 {"bench":"_213_javac","flavor":"Kaffe","heap_mb":16,"platform":"DBPXA255","s10":true,"outcome":"ok","source":"disk","duration_ms":0.25,"crc":"c1:e8f5e8a8"}
 {"bench":"_213_javac","flavor":"JikesRVM","collector":"SemiSpace","heap_mb":32,"platform":"P6","fan_off":true,"outcome":"error","source":"isolated","duration_ms":2,"error":"experiments: injected failure","attempts":3,"crc":"c1:cf215643"}
+{"event":"job","job":"job-000001","state":"accepted","client":"alice","figures":["fig6","mem"],"seed":7,"quick":true,"faults":"drop=0.05,seed=3","priority":2,"deadline_ms":60000,"crc":"c1:357eb7fa"}
+{"event":"job","job":"job-000001","state":"point","point":{"bench":"_209_db","flavor":"JikesRVM","collector":"GenMS","heap_mb":64,"platform":"P6","outcome":"ok","source":"computed","duration_ms":1.5,"attempts":1},"crc":"c1:05b0d3c9"}
+{"event":"job","job":"job-000001","state":"completed","client":"alice","crc":"c1:cfbc8ca9"}
 `
 	diffLines(t, "journal", buf.String(), wantJournal)
 }
@@ -76,9 +94,10 @@ func diffLines(t *testing.T, what, got, want string) {
 
 // TestDiskKeyCompleteness: the disk key changes when anything that
 // determines a point's bytes changes — each identity field, the seed, the
-// quick flag, the fault plan, the repetition count — and is equal for
-// equal inputs. A field left out of the key would serve one point's
-// result for another.
+// quick flag, the fault plan — and is equal for equal inputs. A field left
+// out of the key would serve one point's result for another. The base
+// point's key is pinned too: a key that moves orphans every cache written
+// before the change.
 func TestDiskKeyCompleteness(t *testing.T) {
 	javac := benchByName(t, "_213_javac")
 	base := Point{Bench: javac, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 48, Platform: platform.P6()}
@@ -89,6 +108,9 @@ func TestDiskKeyCompleteness(t *testing.T) {
 	}
 	key := func(r *Runner, p Point) string { return r.diskKey(p.ID()) }
 	ref := key(runner(), base)
+	if want := "caa40d2db01c5d7d7eea5def.point"; ref != want {
+		t.Fatalf("base point's disk key = %s, want %s", ref, want)
+	}
 	same := base
 	same.Bench, same.Platform = benchByName(t, "_213_javac"), platform.P6()
 	if got := key(runner(), same); got != ref {
@@ -114,7 +136,6 @@ func TestDiskKeyCompleteness(t *testing.T) {
 		{"seed", nil, func(r *Runner) { r.Seed = 2 }},
 		{"quick", nil, func(r *Runner) { r.Quick = false }},
 		{"faults", nil, func(r *Runner) { r.Faults = plan }},
-		{"reps", nil, func(r *Runner) { r.Reps = 3 }},
 	} {
 		p, r := base, runner()
 		if c.point != nil {

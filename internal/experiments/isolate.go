@@ -20,16 +20,12 @@ import (
 // serves, so figures cannot tell the difference (the byte-identical
 // guarantee the isolation and fleet gates pin).
 //
-// What a local worker buys over the in-process guard: a point that exceeds
-// its budget or wedges is SIGKILLed and its CPU and heap actually come
-// back (the in-process guard can only abandon the goroutine and let the
-// cancellation poll wind it down); a point that OOMs takes a worker, not
-// the campaign. Executor deaths surface as *supervisor.CrashError, which
-// is what feeds the per-figure circuit breakers.
-
-// defaultBreakerThreshold is the consecutive-executor-death count that
-// trips a figure's circuit breaker when Runner.BreakerThreshold is unset.
-const defaultBreakerThreshold = 3
+// What a local worker buys over the in-process path: a point that wedges
+// is SIGKILLed and its CPU and heap actually come back (in-process, only
+// the VM's own cancellation poll can stop it); a point that OOMs takes a
+// worker, not the campaign. Executor deaths surface as
+// *supervisor.CrashError, which is what feeds the per-figure circuit
+// breakers.
 
 // NodeEvent is the journal record of an executor lifecycle transition.
 // Distinguished from PointEvents by the event field ("node"), so a reader
@@ -95,7 +91,6 @@ func (r *Runner) wireSpec(p Point) pointproto.Spec {
 		Seed:      r.Seed,
 		Quick:     r.Quick,
 		Faults:    r.Faults.String(),
-		Reps:      r.Reps,
 	}
 }
 
@@ -123,13 +118,6 @@ func (r *Runner) breaker(fig string) *supervisor.Breaker {
 	if r.Supervisor == nil {
 		return nil
 	}
-	threshold := r.BreakerThreshold
-	if threshold == 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if threshold < 0 {
-		threshold = 0 // explicit opt-out: a breaker that never trips
-	}
 	r.breakerMu.Lock()
 	defer r.breakerMu.Unlock()
 	if r.breakers == nil {
@@ -137,7 +125,7 @@ func (r *Runner) breaker(fig string) *supervisor.Breaker {
 	}
 	b, ok := r.breakers[fig]
 	if !ok {
-		b = supervisor.NewBreaker(threshold)
+		b = new(supervisor.Breaker)
 		r.breakers[fig] = b
 	}
 	return b
@@ -164,19 +152,12 @@ func (r *Runner) observeBreaker(b *supervisor.Breaker, fig string, err error) {
 	}
 	r.Metrics.Counter("experiments.breaker.tripped").Inc()
 	r.printf("  [%s] circuit breaker open: %d consecutive worker deaths; remaining cells degrade\n",
-		fig, r.breakerThresholdEffective())
+		fig, supervisor.TripThreshold)
 	if r.Journal != nil {
 		_ = r.Journal.Record(FaultEvent{
 			Event:  "breaker",
 			Figure: fig,
-			Error:  fmt.Sprintf("circuit breaker open after %d consecutive worker deaths", r.breakerThresholdEffective()),
+			Error:  fmt.Sprintf("circuit breaker open after %d consecutive worker deaths", supervisor.TripThreshold),
 		})
 	}
-}
-
-func (r *Runner) breakerThresholdEffective() int {
-	if r.BreakerThreshold > 0 {
-		return r.BreakerThreshold
-	}
-	return defaultBreakerThreshold
 }

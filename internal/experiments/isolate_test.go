@@ -193,9 +193,9 @@ func TestBreakerTripsOnConsecutiveDeaths(t *testing.T) {
 			crashes++
 		}
 	}
-	if crashes != defaultBreakerThreshold {
+	if crashes != supervisor.TripThreshold {
 		t.Fatalf("%d crash records before the trip, want exactly the threshold %d (render order is deterministic)",
-			crashes, defaultBreakerThreshold)
+			crashes, supervisor.TripThreshold)
 	}
 	if skipped == 0 {
 		t.Fatal("no cells were degraded by the open breaker")

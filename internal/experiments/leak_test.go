@@ -35,23 +35,10 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
-// waitGaugeZero waits for a gauge to drain to 0.
-func waitGaugeZero(t *testing.T, reg *metrics.Registry, name string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.Gauge(name).Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("gauge %s stuck at %v", name, reg.Gauge(name).Value())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestNoGoroutineLeakAfterRunAll exercises the three abandonment paths at
 // once — per-attempt timeouts, injected faults, and mid-run cancellation —
-// and asserts goroutine hygiene afterwards: the attempts.inflight gauge
-// drains to zero (every abandoned attempt terminated rather than simulating
-// on as orphan work) and no goroutine outlives the sweep.
+// and asserts goroutine hygiene afterwards: no goroutine outlives the
+// sweep.
 func TestNoGoroutineLeakAfterRunAll(t *testing.T) {
 	check := leakCheck(t)
 
@@ -73,14 +60,13 @@ func TestNoGoroutineLeakAfterRunAll(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitGaugeZero(t, r.Metrics, "experiments.attempts.inflight")
 	check()
 }
 
 // TestTimedOutPointTerminates is the regression test for the abandoned-
 // attempt leak: before cancellation was threaded into the VM's batch loop,
 // a timed-out attempt kept simulating to completion as orphan work. Now a
-// closed stop channel must surface vm.ErrCancelled from inside the
+// closed cancel channel must surface vm.ErrCancelled from inside the
 // simulation in a small fraction of the point's full runtime — proof the
 // poll actually cuts the work short between bytecode segments, not merely
 // that the error is plumbed.
@@ -90,7 +76,7 @@ func TestTimedOutPointTerminates(t *testing.T) {
 	p := dbPoint(t)
 
 	t0 := time.Now()
-	if _, err := r.computeOnce(p, r.Seed, nil); err != nil {
+	if _, err := r.computeOnce(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(t0)
@@ -98,7 +84,7 @@ func TestTimedOutPointTerminates(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop) // cancelled before the first segment
 	t0 = time.Now()
-	_, err := r.computeOnce(p, r.Seed, stop)
+	_, err := r.computeOnce(p, stop)
 	cancelled := time.Since(t0)
 	if !errors.Is(err, vm.ErrCancelled) {
 		t.Fatalf("cancelled attempt returned %v, want vm.ErrCancelled", err)

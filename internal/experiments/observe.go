@@ -62,8 +62,8 @@ type PointEvent struct {
 	Source     string  `json:"source"`
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
-	// Attempts counts characterization attempts across retries and quorum
-	// repetitions; omitted for cache-served points.
+	// Attempts counts characterization attempts, the first one and its
+	// retries; omitted for cache-served points.
 	Attempts int `json:"attempts,omitempty"`
 }
 
@@ -109,7 +109,7 @@ func (r *Runner) runPoint(p Point, k PointID) (res *core.Result, err error) {
 }
 
 // computePoint routes one cache-missed point to its executor: the
-// supervisor or the in-process resilience stack, reporting which as the
+// supervisor or the in-process attempt path, reporting which as the
 // journal source.
 func (r *Runner) computePoint(p Point, k PointID) (*core.Result, string, int, error) {
 	if r.Supervisor != nil {

@@ -10,17 +10,17 @@ import (
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/stats"
 	"jvmpower/internal/vm"
 )
 
 // Resilient acquisition. A real measurement campaign loses points: the
 // chain faults, a run stalls, the operator interrupts. This file makes the
 // dispatcher survive all of that the way the paper's week-long campaigns
-// had to — bounded retries for transient faults, per-attempt timeouts and
-// panic isolation, repetition quorums with robust outlier rejection, and
-// graceful degradation where a dead point becomes a missing figure cell
-// plus a fault-report entry instead of an aborted run.
+// had to — immediate bounded retries for transient faults, per-attempt
+// timeouts and panic isolation, and graceful degradation where a dead
+// point becomes a missing figure cell plus a fault-report entry instead of
+// an aborted run. A point is one deterministic run from the seed, so it is
+// characterized once: a repetition would only replay the same bytes.
 //
 // The failure taxonomy has exactly two kinds:
 //
@@ -94,200 +94,44 @@ func abortive(err error) bool {
 // defaultRetries bounds how many times a transient fault is re-attempted.
 const defaultRetries = 2
 
-// retryBackoffBase is the first retry's delay; attempt n waits
-// base<<n, scaled by a deterministic jitter in [0.5, 1.5).
-const retryBackoffBase = 2 * time.Millisecond
-
-// computeResilient produces one point's result through the full hardening
-// stack: Reps quorum repetitions, each with bounded transient-fault
-// retries, per-attempt timeout and panic isolation. It returns the result,
-// the total number of characterization attempts, and the terminal error.
-// On success the quorum-selected result is persisted to the disk cache.
+// computeResilient characterizes p in-process: one attempt, re-attempted
+// at once, up to defaultRetries times, while it fails with a transient
+// injected fault. A completed result is persisted to the disk cache. It
+// returns the result, the number of attempts, and the terminal error.
 func (r *Runner) computeResilient(p Point, k PointID) (*core.Result, int, error) {
-	reps := r.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	results := make([]*core.Result, 0, reps)
-	attempts := 0
-	var lastErr error
-	for rep := 0; rep < reps; rep++ {
-		res, n, err := r.attemptWithRetry(p, repSeed(r.Seed, rep))
-		attempts += n
-		if err != nil {
-			if abortive(err) {
-				return nil, attempts, err
-			}
-			// Quorum mode tolerates individual rep loss: the surviving
-			// repetitions still vote. With reps==1 the loop ends and the
-			// error is the outcome.
-			lastErr = err
-			continue
-		}
-		results = append(results, res)
-	}
-	if len(results) == 0 {
-		return nil, attempts, lastErr
-	}
-	res := quorumSelect(results)
-	r.storePoint(k, res)
-	return res, attempts, nil
-}
-
-// repSeed derives the simulation seed for repetition rep. Repetition 0
-// uses the runner's seed unchanged, so Reps=1 is bit-identical to a plain
-// run; later reps get well-separated streams.
-func repSeed(seed uint64, rep int) uint64 {
-	if rep == 0 {
-		return seed
-	}
-	return seed + uint64(rep)*0x9E3779B97F4A7C15
-}
-
-// quorumSelect reduces the surviving repetitions to one result: MAD
-// outlier rejection (k=3.5) on total energy, then the survivor whose
-// energy is nearest the survivors' median. The selected repetition's
-// Result is returned whole — a median of full decompositions would
-// fabricate a run that never executed.
-func quorumSelect(results []*core.Result) *core.Result {
-	if len(results) == 1 {
-		return results[0]
-	}
-	energies := make([]float64, len(results))
-	for i, res := range results {
-		energies[i] = float64(res.Decomposition.TotalEnergy)
-	}
-	keep := stats.FilterOutliersMAD(energies, 3.5)
-	kept := make([]float64, len(keep))
-	for i, idx := range keep {
-		kept[i] = energies[idx]
-	}
-	med := stats.Median(kept)
-	best := keep[0]
-	for _, idx := range keep[1:] {
-		if abs(energies[idx]-med) < abs(energies[best]-med) {
-			best = idx
-		}
-	}
-	return results[best]
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// attemptWithRetry runs one repetition, re-attempting transient injected
-// faults with exponential backoff and deterministic jitter. Panics,
-// timeouts, and genuine errors are permanent for a deterministic
-// simulation — only faults whose injection rolls fresh dice per attempt
-// (faultinject.PointFail) can clear on retry.
-func (r *Runner) attemptWithRetry(p Point, seed uint64) (*core.Result, int, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := r.attemptGuarded(p, seed, attempt)
-		if err == nil || !faultinject.IsTransient(err) || attempt >= defaultRetries {
-			return res, attempt + 1, err
+		res, err := r.attemptOnce(p, attempt)
+		if err == nil {
+			r.storePoint(k, res)
+			return res, attempt + 1, nil
+		}
+		if !faultinject.IsTransient(err) || attempt >= defaultRetries {
+			return nil, attempt + 1, err
 		}
 		r.Metrics.Counter("experiments.points.retries").Inc()
-		sleepBackoff(p.String(), attempt, r.Ctx)
 	}
 }
 
-// sleepBackoff waits out one retry's backoff: retryBackoffBase<<attempt
-// scaled by a jitter in [0.5, 1.5) hashed from (key, attempt), so a
-// campaign's retry schedule replays exactly. Cancellation cuts the wait.
-func sleepBackoff(key string, attempt int, ctx context.Context) {
-	d := retryBackoffBase << uint(attempt)
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	h = (h ^ uint64(attempt)) * 1099511628211
-	jitter := 0.5 + float64(h>>11)/float64(1<<53)
-	d = time.Duration(float64(d) * jitter)
-	if ctx == nil {
-		time.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// attemptGuarded runs one characterization attempt under the runner's
-// timeout and cancellation context. With neither configured it calls the
-// attempt directly on the caller's goroutine — the default path adds no
-// goroutine, channel, or timer.
-//
-// When the guard abandons an attempt (timeout or cancellation) it closes
-// the attempt's stop channel; the VM layer polls it at segment boundaries
-// (core.RunConfig.Cancel), so the abandoned goroutine stops simulating
-// within one segment instead of running the point to completion as orphan
-// work. The experiments.attempts.inflight gauge counts guard goroutines
-// whose attempt has not yet returned — after abandoned attempts wind down
-// it reads 0.
-func (r *Runner) attemptGuarded(p Point, seed uint64, attempt int) (*core.Result, error) {
-	if r.PointTimeout <= 0 && r.Ctx == nil {
-		return r.attemptOnce(p, seed, attempt, nil)
-	}
-	if r.Ctx != nil {
-		if err := r.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	stop := make(chan struct{})
-	ch := make(chan outcome, 1) // buffered: an abandoned attempt must not leak
-	inflight := r.Metrics.Gauge("experiments.attempts.inflight")
-	inflight.Add(1)
-	go func() {
-		defer inflight.Add(-1)
-		res, err := r.attemptOnce(p, seed, attempt, stop)
-		ch <- outcome{res, err}
-	}()
-	var timeout <-chan time.Time
-	if r.PointTimeout > 0 {
-		t := time.NewTimer(r.PointTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	var cancelled <-chan struct{}
-	if r.Ctx != nil {
-		cancelled = r.Ctx.Done()
-	}
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timeout:
-		close(stop)
-		r.Metrics.Counter("experiments.points.timeouts").Inc()
-		return nil, fmt.Errorf("experiments: %s exceeded point timeout %v: %w",
-			p, r.PointTimeout, context.DeadlineExceeded)
-	case <-cancelled:
-		close(stop)
-		return nil, r.Ctx.Err()
-	}
-}
-
-// attemptOnce is one characterization attempt: injected point-level faults
-// fire here, and any panic below — injected or a genuine simulator bug —
-// is recovered into the returned error so one dead point cannot take down
-// the dispatcher.
-func (r *Runner) attemptOnce(p Point, seed uint64, attempt int, stop <-chan struct{}) (res *core.Result, err error) {
+// attemptOnce is one characterization attempt, on the caller's goroutine.
+// Injected point-level faults fire here, and any panic below — injected or
+// a genuine simulator bug — is recovered into the returned error so one
+// dead point cannot take down the dispatcher. The VM polls r.runCtx(),
+// narrowed to PointTimeout when one is set, at every segment boundary. A
+// cancelled run comes back as r.Ctx's error, and an attempt that outlives
+// its budget as a timeout, whether the VM stopped at a poll or finished
+// first: while every CPU is busy simulating, the deadline's timer can fire
+// several milliseconds late.
+func (r *Runner) attemptOnce(p Point, attempt int) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
 			err = fmt.Errorf("experiments: panic computing %s: %v", p, v)
 		}
 	}()
+	ctx := r.runCtx()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if r.Faults != nil {
 		key := p.String()
 		if r.Faults.PointPanics(key) {
@@ -298,7 +142,23 @@ func (r *Runner) attemptOnce(p Point, seed uint64, attempt int, stop <-chan stru
 				key, attempt, &faultinject.Fault{Class: faultinject.PointFail, Site: key})
 		}
 	}
-	return r.computeOnce(p, seed, stop)
+	var deadline time.Time
+	if r.PointTimeout > 0 {
+		deadline = time.Now().Add(r.PointTimeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	res, err = r.computeOnce(p, ctx.Done())
+	if err := r.runCtx().Err(); err != nil {
+		return nil, err
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		r.Metrics.Counter("experiments.points.timeouts").Inc()
+		return nil, fmt.Errorf("experiments: %s exceeded point timeout %v: %w",
+			p, r.PointTimeout, context.DeadlineExceeded)
+	}
+	return res, err
 }
 
 // FaultRecord is one permanently failed point in a figure's fault report.
@@ -354,10 +214,11 @@ func (r *Runner) WriteFaultReport(w *os.File) {
 // on. Abortive errors propagate.
 //
 // Under isolation each figure also has a circuit breaker fed by worker
-// deaths: once the figure has lost BreakerThreshold consecutive cells to
-// crashed workers, its remaining cells degrade immediately instead of
-// feeding more points to a pool that is dying on every one — the
-// looping-forever failure mode that kills week-long campaigns.
+// deaths: once the figure has lost supervisor.TripThreshold
+// consecutive cells to crashed workers, its remaining cells degrade
+// immediately instead of feeding more points to a pool that is dying on
+// every one — the looping-forever failure mode that kills week-long
+// campaigns.
 func (r *Runner) cell(fig string, p Point) (*core.Result, bool, error) {
 	b := r.breaker(fig)
 	if !b.Allow() {

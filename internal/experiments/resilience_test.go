@@ -176,49 +176,34 @@ func TestRetriesRecoverTransientFaults(t *testing.T) {
 }
 
 // TestPointTimeoutDegrades gives every attempt an impossible budget and
-// checks the guard converts the overrun into a degraded cell rather than a
-// figure failure or a hang.
+// checks the attempt converts the overrun into a degraded cell rather than
+// a figure failure or a hang: every fault is a timeout, each counted, and
+// no goroutine outlives the figure.
 func TestPointTimeoutDegrades(t *testing.T) {
+	check := leakCheck(t)
 	var buf strings.Builder
 	r := quickRunner(&buf)
+	r.Metrics = metrics.NewRegistry()
 	r.PointTimeout = time.Nanosecond
 	if err := r.RunFigure("fig1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Faulted()) == 0 {
+	faulted := r.Faulted()
+	if len(faulted) == 0 {
 		t.Fatal("1ns budget produced no degraded points")
+	}
+	for _, rec := range faulted {
+		if !strings.Contains(rec.Error, "exceeded point timeout") {
+			t.Errorf("fault record %+v is not a timeout", rec)
+		}
+	}
+	if got := r.Metrics.Counter("experiments.points.timeouts").Value(); got <= 0 {
+		t.Fatalf("experiments.points.timeouts = %d, want > 0", got)
 	}
 	if !strings.Contains(buf.String(), "figure skipped") {
 		t.Fatalf("fig1 output missing degradation notice:\n%s", buf.String())
 	}
-}
-
-// TestQuorumSelectsARealRep: quorum mode must return one of the actual
-// repetition results verbatim — never a fabricated average — and the
-// selected rep must be the one nearest the median total energy.
-func TestQuorumSelectsARealRep(t *testing.T) {
-	p := dbPoint(t)
-	var b1, b2 strings.Builder
-	probe := quickRunner(&b1)
-	three := quickRunner(&b2)
-	three.Reps = 3
-	got, err := three.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	match := false
-	for rep := 0; rep < 3; rep++ {
-		res, err := probe.computeOnce(p, repSeed(probe.Seed, rep), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Decomposition == got.Decomposition && res.GCStats == got.GCStats {
-			match = true
-		}
-	}
-	if !match {
-		t.Fatal("quorum result matches none of the repetition results")
-	}
+	check()
 }
 
 // TestFaultCampaignAndResume is the end-to-end acceptance gate for the

@@ -16,8 +16,7 @@ import (
 // same point twice. SharedFlights closes that gap: it coalesces in-flight
 // computations across runners, keyed by the content-addressed disk-cache
 // key — the same identity the disk cache stores under, which folds in
-// seed, quick, fault plan, and reps, so only byte-identical work ever
-// coalesces.
+// seed, quick, and fault plan, so only byte-identical work ever coalesces.
 //
 // It is an in-flight dedupe, not a store: a completed flight is forgotten
 // immediately (the disk cache is the durable memo), so memory stays

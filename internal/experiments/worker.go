@@ -23,13 +23,13 @@ import (
 // either as a local worker (`experiments -worker`, on its stdin/stdout) or
 // as a remote node (`experiments -serve-node`, over TCP). Both speak the
 // same node dialect (supervisor.ServeConn). Each spec is rebuilt into the
-// point and an inner Runner, which computes through the exact resilience
-// stack the in-process path uses (computeResilient: quorum repetitions,
-// transient-fault retries, panic isolation). The result payload is the gob
-// of a workerResult — whose Outcome is the same core.Outcome the disk
-// cache persists — so the supervisor's side consumes an executor's result
-// exactly as it consumes a cache hit, which is what makes executor and
-// in-process runs byte-identical at the same seed.
+// point and an inner Runner, which computes through the attempt path the
+// in-process run uses (computeResilient: transient-fault retries, panic
+// isolation). The result payload is the gob of a workerResult — whose
+// Outcome is the same core.Outcome the disk cache persists — so the
+// supervisor's side consumes an executor's result exactly as it consumes a
+// cache hit, which is what makes executor and in-process runs
+// byte-identical at the same seed.
 
 // workerResult is the payload of a task-result frame: either a completed
 // point (OK with its Outcome) or the attempt chain's terminal error,
@@ -87,7 +87,7 @@ func killSelf(sig syscall.Signal) {
 }
 
 // HandleSpec is a remote node's point handler: it reconstructs the point
-// and computes through the same resilience stack as every other path,
+// and computes through the same attempt path as every other route,
 // returning the workerResult gob the supervisor decodes. Errors encode into
 // the payload rather than escaping — a node answers every task it accepts.
 func HandleSpec(spec pointproto.Spec) []byte {
@@ -120,7 +120,7 @@ func ServeNode(ctx context.Context, addr string, capacity int, drain <-chan stru
 	return err
 }
 
-// specResult computes one rebuilt spec through the resilience stack,
+// specResult computes one rebuilt spec through the attempt path,
 // folding the outcome — completed point, point failure, or a rebuild
 // error — into the workerResult shape both transports carry.
 func specResult(inner *Runner, p Point, perr error) workerResult {
@@ -153,8 +153,8 @@ func encodePoint(inner *Runner, p Point, perr error) []byte {
 
 // rebuild reconstructs the characterization point and an inner Runner from
 // a wire spec. The inner runner carries exactly the settings that determine
-// a point's bytes (seed, quick, fault plan, reps, retries) and none of the
-// supervision — timeouts, cancellation, and kill are the supervisor's job.
+// a point's bytes (seed, quick, fault plan) and none of the supervision —
+// timeouts, cancellation, and kill are the supervisor's job.
 func rebuild(spec pointproto.Spec) (*Runner, Point, error) {
 	bench, err := workloads.ByName(spec.Bench)
 	if err != nil {
@@ -176,7 +176,6 @@ func rebuild(spec pointproto.Spec) (*Runner, Point, error) {
 	inner.Quick = spec.Quick
 	inner.Seed = spec.Seed
 	inner.Faults = plan
-	inner.Reps = spec.Reps
 	p := Point{
 		Bench:     bench,
 		Flavor:    flavor,

@@ -56,7 +56,7 @@ type CollectionReport struct {
 	// sweep), in execution order; the VM emits one GC slice per phase so
 	// the DAQ sees the power texture of real collections (pointer-chasing
 	// trace vs streaming copy/sweep).
-	Phases []PhaseWork
+	Phases []Work
 
 	RootsScanned   int64
 	ObjectsScanned int64
@@ -70,23 +70,17 @@ type CollectionReport struct {
 	Work Work
 }
 
-// PhaseWork is one phase's share of a collection's work.
-type PhaseWork struct {
-	Phase string
-	Work  Work
-}
-
 // phased assembles the Phases list and total work from per-phase buckets,
-// skipping empty phases.
-func phased(trace, copy, sweep Work) ([]PhaseWork, Work) {
-	var out []PhaseWork
+// in execution order (trace, copy, sweep), skipping empty phases.
+func phased(trace, copy, sweep Work) ([]Work, Work) {
+	var out []Work
 	var total Work
-	for _, pw := range []PhaseWork{{"trace", trace}, {"copy", copy}, {"sweep", sweep}} {
-		if pw.Work.IsZero() {
+	for _, w := range []Work{trace, copy, sweep} {
+		if w.IsZero() {
 			continue
 		}
-		total.Add(pw.Work)
-		out = append(out, pw)
+		total.Add(w)
+		out = append(out, w)
 	}
 	return out, total
 }

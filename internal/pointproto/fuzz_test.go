@@ -132,7 +132,7 @@ func FuzzUnmarshalSpec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(MarshalSpec(Spec{}))
 	f.Add(MarshalSpec(Spec{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "GenMS",
-		HeapMB: 96, Platform: "P6", Seed: 7, Quick: true, Faults: "drop=0.05", Reps: 3}))
+		HeapMB: 96, Platform: "P6", Seed: 7, Quick: true, Faults: "drop=0.05"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalSpec(data)
 		if err != nil {

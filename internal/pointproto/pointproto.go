@@ -25,8 +25,9 @@ import (
 
 // Version is the protocol version carried in the NodeHello handshake;
 // supervisor and executor must agree exactly (they are the same binary in
-// normal use, but a stale binary must be rejected, not misparsed).
-const Version = 2
+// normal use, but a stale binary must be rejected, not misparsed). v3: the
+// Spec lost its repetition count.
+const Version = 3
 
 // MaxPayload bounds any single frame's payload. Specs are tens of bytes
 // and results are a few kilobytes of gob; anything near the cap is a
@@ -137,8 +138,9 @@ func eofToUnexpected(err error) error {
 // Spec is one characterization point, serialized supervisor->executor:
 // the point identity plus every runner setting that determines its result.
 // The executor reconstructs a Runner from it and computes through the
-// exact resilience stack the in-process path uses, which is what makes
-// executor and in-process runs byte-identical at the same seed.
+// same attempt path (retries of transient faults, panic recovery) the
+// in-process run uses, which is what makes executor and in-process runs
+// byte-identical at the same seed.
 type Spec struct {
 	Bench     string
 	Flavor    string
@@ -151,7 +153,6 @@ type Spec struct {
 	Seed   uint64
 	Quick  bool
 	Faults string // canonical fault-plan spec (faultinject.Plan.String)
-	Reps   int
 }
 
 // maxSpecString bounds any single encoded spec string; real benchmark and
@@ -169,9 +170,7 @@ func MarshalSpec(s Spec) []byte {
 	b = appendBool(b, s.S10)
 	b = appendBool(b, s.FanOff)
 	b = binary.AppendUvarint(b, s.Seed)
-	b = appendBool(b, s.Quick)
-	b = binary.AppendVarint(b, int64(s.Reps))
-	return b
+	return appendBool(b, s.Quick)
 }
 
 // UnmarshalSpec decodes a spec, rejecting malformed or trailing input.
@@ -188,7 +187,6 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	s.FanOff = d.bool()
 	s.Seed = d.uvarint()
 	s.Quick = d.bool()
-	s.Reps = int(d.varint())
 	if d.err != nil {
 		return Spec{}, d.err
 	}

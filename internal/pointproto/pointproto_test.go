@@ -92,7 +92,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{},
 		{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "SemiSpace", HeapMB: 32,
-			Platform: "P6", Seed: 42, Quick: true, Reps: 3},
+			Platform: "P6", Seed: 42, Quick: true},
 		{Bench: "fop", Flavor: "Kaffe", HeapMB: 128, Platform: "DBPXA255",
 			S10: true, FanOff: true, Faults: "drop=0.05,seed=7", Seed: 1},
 	}
@@ -144,7 +144,7 @@ func TestNodeHelloRoundTrip(t *testing.T) {
 // TestTaskRoundTrip checks the multiplexed task and completion codecs.
 func TestTaskRoundTrip(t *testing.T) {
 	want := Task{ID: 7, Spec: Spec{Bench: "_209_db", Flavor: "JikesRVM", Collector: "GenMS",
-		HeapMB: 64, Platform: "P6", Seed: 3, Reps: 2}}
+		HeapMB: 64, Platform: "P6", Seed: 3}}
 	got, err := UnmarshalTask(MarshalTask(want))
 	if err != nil {
 		t.Fatal(err)

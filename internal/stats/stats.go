@@ -1,6 +1,6 @@
 // Package stats provides the small statistical utilities used by the
 // measurement and analysis layers: running means, extrema and variance,
-// percentiles, medians and MAD-based outlier rejection.
+// percentiles and medians.
 package stats
 
 import (
@@ -78,9 +78,9 @@ func (r *Running) SampleStdDev() float64 { return math.Sqrt(r.SampleVariance()) 
 // sortedFinite returns a sorted copy of xs with NaNs removed.
 // sort.Float64s leaves NaNs in unspecified positions, so a single NaN
 // sample would otherwise silently corrupt every order statistic computed
-// here — and through MAD, every quorum decision downstream. NaNs carry no
-// ordering information; dropping them keeps the statistics of the samples
-// that do. Infinities are kept: they order correctly.
+// here. NaNs carry no ordering information; dropping them keeps the
+// statistics of the samples that do. Infinities are kept: they order
+// correctly.
 func sortedFinite(xs []float64) []float64 {
 	s := make([]float64, 0, len(xs))
 	for _, x := range xs {
@@ -130,79 +130,6 @@ func Median(xs []float64) float64 {
 		return s[m]
 	}
 	return (s[m-1] + s[m]) / 2
-}
-
-// MAD returns the median absolute deviation of xs about its median — the
-// robust scale estimate the quorum dispatcher uses for outlier rejection.
-// NaN samples are dropped (a NaN deviation would otherwise re-poison the
-// inner median). Empty or all-NaN input yields 0.
-func MAD(xs []float64) float64 {
-	s := sortedFinite(xs)
-	if len(s) == 0 {
-		return 0
-	}
-	med := Median(s)
-	dev := make([]float64, len(s))
-	for i, x := range s {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
-}
-
-// FilterOutliersMAD returns the indices of xs whose distance from the
-// median is at most k MADs (k≈3.5 is the usual conservative cut). When the
-// MAD is zero — half or more of the samples identical — only exact-median
-// matches survive unless all deviations are zero, in which case everything
-// survives. NaN samples are always rejected — a NaN is evidence of a
-// corrupted measurement, never a quorum member. The returned indices are
-// in input order and never empty for input with at least one non-NaN
-// sample: if rejection would discard every sample, the sample closest to
-// the median is kept. All-NaN input yields nil.
-func FilterOutliersMAD(xs []float64, k float64) []int {
-	if len(xs) == 0 {
-		return nil
-	}
-	med := Median(xs)
-	mad := MAD(xs)
-	var keep []int
-	if mad == 0 {
-		for i, x := range xs {
-			if x == med {
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) == 0 {
-			keep = closestIndex(xs, med)
-		}
-		return keep
-	}
-	for i, x := range xs {
-		if math.Abs(x-med) <= k*mad {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		keep = closestIndex(xs, med)
-	}
-	return keep
-}
-
-// closestIndex returns the single index of xs nearest to target, skipping
-// NaN samples (which have no distance). Nil if every sample is NaN.
-func closestIndex(xs []float64, target float64) []int {
-	best := -1
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if best < 0 || math.Abs(x-target) < math.Abs(xs[best]-target) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return []int{best}
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -101,8 +101,8 @@ func TestPercentileProperties(t *testing.T) {
 
 // Regression: one NaN sample must not corrupt the order statistics of the
 // remaining samples. sort.Float64s leaves NaNs in unspecified positions,
-// so before the explicit filter a single poisoned rep could silently shift
-// the median and every MAD-based quorum decision built on it.
+// so before the explicit filter a single poisoned sample could silently
+// shift the median.
 func TestNaNPoisoning(t *testing.T) {
 	nan := math.NaN()
 	clean := []float64{1, 2, 3, 4, 5}
@@ -113,9 +113,6 @@ func TestNaNPoisoning(t *testing.T) {
 	if got, want := Percentile(poisoned, 75), Percentile(clean, 75); got != want {
 		t.Fatalf("Percentile with NaN = %v, want %v", got, want)
 	}
-	if got, want := MAD(poisoned), MAD(clean); got != want {
-		t.Fatalf("MAD with NaN = %v, want %v", got, want)
-	}
 	// NaN-leading input exercises the unspecified sort placement directly.
 	if got := Median([]float64{nan, nan, 7}); got != 7 {
 		t.Fatalf("Median of {NaN,NaN,7} = %v, want 7", got)
@@ -123,84 +120,8 @@ func TestNaNPoisoning(t *testing.T) {
 	if got := Median([]float64{nan, nan}); got != 0 {
 		t.Fatalf("Median of all-NaN = %v, want 0", got)
 	}
-	if got := MAD([]float64{nan}); got != 0 {
-		t.Fatalf("MAD of all-NaN = %v, want 0", got)
-	}
 	if got := Percentile([]float64{nan}, 50); got != 0 {
 		t.Fatalf("Percentile of all-NaN = %v, want 0", got)
-	}
-}
-
-func TestFilterOutliersMADRejectsNaN(t *testing.T) {
-	nan := math.NaN()
-	keep := FilterOutliersMAD([]float64{10, nan, 11, 12, 11, 400}, 3.5)
-	for _, i := range keep {
-		if i == 1 {
-			t.Fatal("NaN sample survived the quorum filter")
-		}
-		if i == 5 {
-			t.Fatal("outlier survived alongside NaN")
-		}
-	}
-	if len(keep) != 4 {
-		t.Fatalf("keep = %v, want the four clean samples", keep)
-	}
-	if got := FilterOutliersMAD([]float64{nan, nan}, 3.5); got != nil {
-		t.Fatalf("all-NaN input kept %v, want nil", got)
-	}
-	// NaN in slot 0 used to make closestIndex return the NaN itself.
-	keep = FilterOutliersMAD([]float64{nan, 5}, 3.5)
-	if len(keep) != 1 || keep[0] != 1 {
-		t.Fatalf("keep = %v, want [1]", keep)
-	}
-}
-
-func TestFilterOutliersMADZeroMADExactMedian(t *testing.T) {
-	// Half or more identical → MAD 0 → only exact-median matches survive.
-	keep := FilterOutliersMAD([]float64{5, 5, 5, 9}, 3.5)
-	if len(keep) != 3 {
-		t.Fatalf("keep = %v, want the three exact-median samples", keep)
-	}
-	for _, i := range keep {
-		if i == 3 {
-			t.Fatal("non-median sample survived the zero-MAD path")
-		}
-	}
-	// All-identical: everything survives.
-	if keep := FilterOutliersMAD([]float64{2, 2, 2}, 3.5); len(keep) != 3 {
-		t.Fatalf("identical samples: keep = %v, want all three", keep)
-	}
-}
-
-func TestFilterOutliersMADAllRejectedFallback(t *testing.T) {
-	// Interpolated median (2) matches no sample and an aggressive k shrinks
-	// the cut below every deviation: rejection would discard everything, so
-	// the single sample closest to the median is kept instead.
-	xs := []float64{1, 1, 3, 3}
-	keep := FilterOutliersMAD(xs, 0.4)
-	if len(keep) != 1 {
-		t.Fatalf("keep = %v, want exactly one fallback sample", keep)
-	}
-	if x := xs[keep[0]]; x != 1 && x != 3 {
-		t.Fatalf("fallback kept %v", x)
-	}
-}
-
-func TestFilterOutliersMADTies(t *testing.T) {
-	// Ties at the cut boundary: |x-med| == k*MAD is kept (<=, not <).
-	// {0,10,20}: med 10, MAD 10; k=1 keeps everything.
-	if keep := FilterOutliersMAD([]float64{0, 10, 20}, 1); len(keep) != 3 {
-		t.Fatalf("boundary ties rejected: keep = %v", keep)
-	}
-	// Duplicated outliers must all be rejected together.
-	keep := FilterOutliersMAD([]float64{10, 11, 12, 11, 10, 500, 500}, 3.5)
-	for _, i := range keep {
-		if i >= 5 {
-			t.Fatalf("tied outlier survived: keep = %v", keep)
-		}
-	}
-	if len(keep) != 5 {
-		t.Fatalf("keep = %v, want the five clean samples", keep)
 	}
 }
 

@@ -11,22 +11,26 @@ import "sync"
 // exactly the failure mode the VM-warmup literature reports week-long
 // campaigns dying to).
 //
+// The supervisor keeps one per executor too, fed by connection-level
+// deaths, and retires the executor for the run when it opens.
+//
 // There is deliberately no half-open timer: reopening after a cooldown
 // would make a run's output depend on wall-clock scheduling, and the
 // repository's figures are built on determinism. A tripped figure stays
 // tripped until the operator restarts the run.
+//
+// The zero value is a closed breaker that opens after TripThreshold
+// consecutive failures.
 type Breaker struct {
 	mu          sync.Mutex
-	threshold   int
 	consecutive int
 	open        bool
 }
 
-// NewBreaker returns a breaker that opens after threshold consecutive
-// failures. A threshold <= 0 never opens (the disabled configuration).
-func NewBreaker(threshold int) *Breaker {
-	return &Breaker{threshold: threshold}
-}
+// TripThreshold is the consecutive-failure count that opens a Breaker:
+// the executor deaths that retire an executor, or a figure's cells lost to
+// crashed executors.
+const TripThreshold = 3
 
 // Allow reports whether the protected operation may proceed. Nil-safe: a
 // nil breaker always allows.
@@ -53,7 +57,7 @@ func (b *Breaker) Record(failure bool) bool {
 		return false
 	}
 	b.consecutive++
-	if !b.open && b.threshold > 0 && b.consecutive >= b.threshold {
+	if !b.open && b.consecutive >= TripThreshold {
 		b.open = true
 		return true
 	}

@@ -239,9 +239,10 @@ func TestSecondDeathFails(t *testing.T) {
 	check()
 }
 
-// TestBreakerOpensNodePermanently: enough consecutive deaths open the
-// node's breaker; with every node down, further Runs fail fast
-// instead of queueing forever.
+// TestBreakerOpensNodePermanently: TripThreshold consecutive deaths
+// open the node's breaker; with every node down, further Runs fail fast
+// instead of queueing forever. A task survives one death by requeue, so
+// the first task costs two deaths and the second the third.
 func TestBreakerOpensNodePermanently(t *testing.T) {
 	check := leakCheck(t)
 	addr, stop := scriptedNode(t, func(connIdx int, conn net.Conn) {
@@ -250,9 +251,11 @@ func TestBreakerOpensNodePermanently(t *testing.T) {
 		}
 		pointproto.ReadFrame(conn)
 	})
-	c, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, BreakerThreshold: 2, HeartbeatTimeout: 2 * time.Second})
-	if _, err := c.Run(context.Background(), pointproto.Spec{Bench: "a"}); err == nil {
-		t.Fatal("task on an always-dying node succeeded")
+	c, reg := tcpSupervisor(t, Config{Nodes: []string{addr}, HeartbeatTimeout: 2 * time.Second})
+	for _, bench := range []string{"a", "b"} {
+		if _, err := c.Run(context.Background(), pointproto.Spec{Bench: bench}); err == nil {
+			t.Fatalf("task %s on an always-dying node succeeded", bench)
+		}
 	}
 	if v := reg.Counter("supervisor.breakers.opened").Value(); v != 1 {
 		t.Fatalf("breakers.opened = %d, want 1", v)
@@ -260,7 +263,7 @@ func TestBreakerOpensNodePermanently(t *testing.T) {
 	// Every node is now down: fail fast, not hang.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), pointproto.Spec{Bench: "b"})
+		_, err := c.Run(context.Background(), pointproto.Spec{Bench: "c"})
 		done <- err
 	}()
 	select {

@@ -80,11 +80,6 @@ type Config struct {
 	// stops draining its connection fails the same watchdog. Defaults to
 	// 2s, 40 beats of the executors' 50 ms heartbeat.
 	HeartbeatTimeout time.Duration
-	// BreakerThreshold retires an executor for the run after this many
-	// consecutive connection-level deaths (see CrashKind.requeues). There
-	// is no half-open timer: reopening on wall clock would make output
-	// depend on scheduling. 0 means 3; negative never retires.
-	BreakerThreshold int
 	// Metrics, when non-nil, receives the supervisor.* instrument family.
 	Metrics *metrics.Registry
 	// Stderr receives local worker stderr and one line per executor
@@ -98,7 +93,6 @@ type Config struct {
 
 const (
 	defaultHeartbeatTimeout = 2 * time.Second
-	defaultBreakerThreshold = 3
 	// handshakeTimeout bounds start-up: process spawn or TCP dial, then
 	// the node-hello.
 	handshakeTimeout = 10 * time.Second
@@ -192,9 +186,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = defaultHeartbeatTimeout
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = defaultBreakerThreshold
-	}
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
@@ -205,7 +196,7 @@ func New(cfg Config) (*Supervisor, error) {
 		names[i] = fmt.Sprintf("worker-%d", i)
 	}
 	for i, name := range append(names, cfg.Nodes...) {
-		n := &node{idx: i, name: name, breaker: NewBreaker(cfg.BreakerThreshold), waiting: true,
+		n := &node{idx: i, name: name, breaker: new(Breaker), waiting: true,
 			inflight: make(map[uint64]*task)}
 		if i >= cfg.Workers {
 			n.addr = name
@@ -648,7 +639,7 @@ func (s *Supervisor) died(n *node, ce *CrashError) {
 	}
 	s.event(n, "down", ce.Error())
 	if tripped {
-		s.event(n, "breaker-open", fmt.Sprintf("%d consecutive deaths; executor is down for the run", s.cfg.BreakerThreshold))
+		s.event(n, "breaker-open", fmt.Sprintf("%d consecutive deaths; executor is down for the run", TripThreshold))
 	}
 }
 

@@ -332,20 +332,24 @@ func TestRestartBackoffDeterministic(t *testing.T) {
 }
 
 // TestBreaker exercises the consecutive-failure contract: successes reset,
-// the Kth consecutive failure trips exactly once, and a tripped breaker
-// stays open.
+// the TripThreshold-th consecutive failure trips exactly once, and a
+// tripped breaker stays open.
 func TestBreaker(t *testing.T) {
-	b := NewBreaker(3)
-	b.Record(true)
-	b.Record(true)
+	b := new(Breaker)
+	for i := 1; i < TripThreshold; i++ {
+		b.Record(true)
+	}
 	b.Record(false) // success resets
 	if b.Tripped() {
 		t.Fatal("tripped below threshold")
 	}
-	b.Record(true)
-	b.Record(true)
+	for i := 1; i < TripThreshold; i++ {
+		if b.Record(true) {
+			t.Fatalf("failure %d of %d reported the trip", i, TripThreshold)
+		}
+	}
 	if tripped := b.Record(true); !tripped {
-		t.Fatal("third consecutive failure did not report the trip")
+		t.Fatal("the threshold's consecutive failure did not report the trip")
 	}
 	if b.Record(true) {
 		t.Fatal("trip reported twice")
@@ -361,13 +365,6 @@ func TestBreaker(t *testing.T) {
 	var nb *Breaker
 	if !nb.Allow() || nb.Record(true) || nb.Tripped() {
 		t.Fatal("nil breaker must be a no-op that always allows")
-	}
-	off := NewBreaker(0)
-	for i := 0; i < 100; i++ {
-		off.Record(true)
-	}
-	if off.Tripped() {
-		t.Fatal("threshold 0 breaker tripped")
 	}
 }
 

@@ -195,8 +195,8 @@ func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
 // SetCancel installs a cancellation channel. The batch engine polls it at
 // every segment boundary, so a run whose caller has given up (a timed-out
 // attempt, a shutting-down campaign) stops within one segment (~100k
-// bytecodes) instead of simulating to completion as abandoned work. A nil
-// channel (the default) keeps the poll on its zero-cost path.
+// bytecodes) instead of simulating to completion. A nil channel (the
+// default) keeps the poll on its zero-cost path.
 func (v *VM) SetCancel(ch <-chan struct{}) { v.cancel = ch }
 
 // cancelRequested reports whether the cancel channel has closed.
@@ -271,8 +271,8 @@ func (v *VM) onCollection(r gc.CollectionReport) {
 		ws = 64 * units.KB
 	}
 	if len(r.Phases) > 0 {
-		for _, pw := range r.Phases {
-			v.exec.Execute(component.GC, workSlice(pw.Work, ws, 1.0))
+		for _, w := range r.Phases {
+			v.exec.Execute(component.GC, workSlice(w, ws, 1.0))
 		}
 	} else {
 		v.exec.Execute(component.GC, workSlice(r.Work, ws, 1.0))
