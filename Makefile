@@ -59,8 +59,8 @@ perfbench-check:
 # Fig. 6, 107 SemiSpace points) gates the batch engine and the evacuating
 # SemiSpace collector at the scale readers run. Output drift thus fails
 # here before the benchmark next runs. `--seconds 1` makes perfbench's
-# minimum of two passes per workload: about 8 s for quick-all-isolated,
-# and fig6-full adds about 31 s, on a warm build cache on a 2-vCPU host.
+# minimum of two passes per workload: 8–12 s for quick-all-isolated, and
+# fig6-full adds about 14 s, on a warm build cache on a 2-vCPU host.
 # run.sh exits 0 either way, so the target reads the verdict from the
 # result line, the last line of its output (run.sh's stderr names the
 # problem).
@@ -100,11 +100,13 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=3s
 
-# fleet-smoke is the shell-level distributed smoke: the real binary runs a
-# quick Figure 6 campaign across two loopback `-serve-node` executors and
-# the output is diffed against the in-process run (byte-identical or fail).
-# The in-repo twin, TestFleetByteIdentical, adds shuffled completion and an
-# injected disconnect on top.
+# fleet-smoke is the shell-level distributed smoke and the lockstep ≡
+# per-point gate: the real binary runs quick Figure 6 and Figure 7
+# campaigns across two loopback `-serve-node` executors, one point per
+# task, and the output is diffed against the in-process run, which
+# characterizes each benchmark's SemiSpace heaps in one lockstep run
+# (byte-identical or fail). The in-repo twin, TestFleetByteIdentical, adds
+# shuffled completion and an injected disconnect on top.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

@@ -293,6 +293,54 @@ func BenchmarkCharacterizeJavac(b *testing.B) {
 	}
 }
 
+// BenchmarkSemiSpaceSweep measures the batch engine on one benchmark's
+// heap sweep: quick _213_javac under SemiSpace at the seven Fig. 6 heaps,
+// as seven core.Characterize runs (per-point) and as one
+// core.CharacterizeSweep, whose lockstep run shares one mutator among the
+// seven (lockstep).
+func BenchmarkSemiSpaceSweep(b *testing.B) {
+	bench, err := workloads.ByName("_213_javac")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.RunConfig{
+		Platform: platform.P6(),
+		VM:       vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace", Seed: 1},
+		Program:  bench.Program(),
+		Profile:  bench.Profile.Scale(0.25),
+		FanOn:    true,
+	}
+	var heaps []units.ByteSize
+	for _, mb := range experiments.NewRunner(io.Discard).JikesHeapsMB(bench.Suite) {
+		heaps = append(heaps, units.ByteSize(mb)*units.MB)
+	}
+	b.Run("per-point", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			for _, h := range heaps {
+				one := cfg
+				one.VM.HeapSize = h
+				if _, err := core.Characterize(one); err != nil {
+					b.Fatal(err)
+				}
+			}
+			logIter(b, time.Since(t0))
+		}
+	})
+	b.Run("lockstep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			_, errs := core.CharacterizeSweep(cfg, heaps)
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			logIter(b, time.Since(t0))
+		}
+	})
+}
+
 // --- substrate micro-benchmarks ---
 
 type benchRoots struct{ refs []heap.Ref }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"jvmpower/internal/analysis"
@@ -11,6 +12,7 @@ import (
 	"jvmpower/internal/gc"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
+	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 )
 
@@ -34,19 +36,22 @@ type RunConfig struct {
 	// daq.TraceRecorder for export via internal/trace).
 	TraceSink daq.Sink
 	// Metrics, when non-nil, instruments the run: "core.characterize.runs"
-	// plus the DAQ's acquisition counters. Instrumentation never touches
-	// figure output — runs are byte-identical with it on or off.
+	// (one per heap, and one more for a heap of a sweep characterized
+	// again on its own) plus the DAQ's acquisition counters.
+	// Instrumentation never touches figure output — runs are
+	// byte-identical with it on or off.
 	Metrics *metrics.Registry
 	// Faults, when non-nil and enabled, injects measurement-chain failure
 	// modes into the run (see MeterOptions.Faults). Nil or disabled keeps
 	// every layer on its exact uninstrumented path.
 	Faults *faultinject.Plan
-	// Cancel, when non-nil, aborts the run at the next VM segment boundary
-	// once closed: Characterize returns an error wrapping vm.ErrCancelled
-	// and the partial measurement is discarded. This is how a dispatcher
-	// stops an attempt that has outlived its budget or its run, instead of
-	// letting the simulation run to completion.
-	Cancel <-chan struct{}
+	// Ctx, when non-nil, aborts the run at the first VM segment boundary
+	// at which it is done or past its deadline (see vm.VM.SetCancel):
+	// Characterize returns an error wrapping vm.ErrCancelled and the
+	// partial measurement is discarded. This is how a dispatcher stops an
+	// attempt that has outlived its budget or its run, instead of letting
+	// the simulation run to completion.
+	Ctx context.Context
 }
 
 // Outcome is what a run leaves once its meter is gone: the
@@ -72,7 +77,8 @@ type Result struct {
 
 // Characterize executes one characterization run to completion and returns
 // its per-component decomposition, built from the sampled measurements the
-// way the paper's offline analysis builds its figures.
+// way the paper's offline analysis builds its figures. It is the one-heap
+// case of CharacterizeSweep, at cfg.VM.HeapSize.
 //
 // Note on warm-up: the paper performs a warm-up run before measuring to
 // warm OS and disk caches; the JVM is restarted for the measured run, so
@@ -80,57 +86,98 @@ type Result struct {
 // Figures 6, 9 and 11 show CL/compiler energy). The simulator has no OS
 // page cache, so no warm-up pass is needed to reproduce that protocol.
 func Characterize(cfg RunConfig) (Result, error) {
+	res, errs := CharacterizeSweep(cfg, []units.ByteSize{cfg.VM.HeapSize})
+	return res[0], errs[0]
+}
+
+// CharacterizeSweep characterizes cfg at every heap size in heaps and
+// returns one result and one error per heap, each what Characterize
+// returns at that heap size (cfg.VM.HeapSize is not used). More than one
+// heap needs the SemiSpace plan: one VM then runs them in lockstep (see
+// vm.NewLockstep), one Meter per heap, and a heap whose lane left the run
+// on a failed allocation is characterized again on its own. A TraceSink
+// records one run, so it takes one heap.
+func CharacterizeSweep(cfg RunConfig, heaps []units.ByteSize) ([]Result, []error) {
+	results, errs := make([]Result, len(heaps)), make([]error, len(heaps))
+	fail := func(err error) ([]Result, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return results, errs
+	}
 	if cfg.Program == nil {
-		return Result{}, fmt.Errorf("core: RunConfig.Program is required")
+		return fail(fmt.Errorf("core: RunConfig.Program is required"))
 	}
-	if cfg.VM.HeapSize <= 0 {
-		return Result{}, fmt.Errorf("core: heap size %v must be positive", cfg.VM.HeapSize)
+	for _, h := range heaps {
+		if h <= 0 {
+			return fail(fmt.Errorf("core: heap size %v must be positive", h))
+		}
 	}
-	agg := analysis.NewAggregator(cfg.Platform.DAQPeriod)
-	var sink daq.Sink = agg
-	if cfg.TraceSink != nil {
-		sink = daq.MultiSink{agg, cfg.TraceSink}
+	if cfg.TraceSink != nil && len(heaps) > 1 {
+		return fail(fmt.Errorf("core: a TraceSink records one run, not a sweep of %d heaps", len(heaps)))
 	}
-	cfg.Metrics.Counter("core.characterize.runs").Inc()
-	opts := MeterOptions{
-		Sink:          sink,
-		IdealChannels: cfg.IdealChannels,
-		FanOn:         cfg.FanOn,
-		Seed:          cfg.VM.Seed,
-		DVFSPolicy:    cfg.DVFSPolicy,
-		Metrics:       cfg.Metrics,
-		Faults:        cfg.Faults,
+	cfg.Metrics.Counter("core.characterize.runs").Add(int64(len(heaps)))
+	aggs := make([]*analysis.Aggregator, len(heaps))
+	meters := make([]*Meter, len(heaps))
+	lanes := make([]vm.Lane, len(heaps))
+	for i, h := range heaps {
+		aggs[i] = analysis.NewAggregator(cfg.Platform.DAQPeriod)
+		var sink daq.Sink = aggs[i]
+		if cfg.TraceSink != nil {
+			sink = daq.MultiSink{aggs[i], cfg.TraceSink}
+		}
+		meter, err := NewMeter(cfg.Platform, MeterOptions{
+			Sink:          sink,
+			IdealChannels: cfg.IdealChannels,
+			FanOn:         cfg.FanOn,
+			Seed:          cfg.VM.Seed,
+			DVFSPolicy:    cfg.DVFSPolicy,
+			Metrics:       cfg.Metrics,
+			Faults:        cfg.Faults,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		meters[i] = meter
+		lanes[i] = vm.Lane{HeapSize: h, Exec: meter}
 	}
-	meter, err := NewMeter(cfg.Platform, opts)
+	machine, err := vm.NewLockstep(cfg.VM, cfg.Program, lanes)
 	if err != nil {
-		return Result{}, err
-	}
-	machine, err := vm.New(cfg.VM, cfg.Program, meter)
-	if err != nil {
-		return Result{}, err
+		return fail(err)
 	}
 	defer machine.ReleaseResources()
-	machine.SetCancel(cfg.Cancel)
-	if err := machine.RunProfile(cfg.Profile); err != nil {
-		return Result{}, fmt.Errorf("core: running %s on %s/%s heap %v: %w",
-			cfg.Profile.Name, cfg.VM.Flavor, machine.Collector().Name(), cfg.VM.HeapSize, err)
+	machine.SetCancel(cfg.Ctx)
+	runErr := machine.RunProfile(cfg.Profile)
+	for i, h := range heaps {
+		col := machine.LaneCollector(i)
+		switch {
+		case machine.LaneLeft(i) != nil:
+			alone := cfg
+			alone.VM.HeapSize = h
+			results[i], errs[i] = Characterize(alone)
+		case runErr != nil:
+			errs[i] = fmt.Errorf("core: running %s on %s/%s heap %v: %w",
+				cfg.Profile.Name, cfg.VM.Flavor, col.Name(), h, runErr)
+		default:
+			dec := analysis.Build(
+				cfg.Profile.Name,
+				cfg.VM.Flavor.String(),
+				col.Name(),
+				cfg.Platform.Name,
+				int(h>>20),
+				aggs[i],
+				meters[i].HPM(),
+			)
+			results[i] = Result{
+				Outcome: Outcome{
+					Decomposition: dec,
+					GCStats:       col.Stats(),
+					LoadedClasses: machine.Loader().LoadedCount(),
+					FaultCounts:   meters[i].FaultCounts(),
+				},
+				Meter: meters[i],
+			}
+		}
 	}
-	dec := analysis.Build(
-		cfg.Profile.Name,
-		cfg.VM.Flavor.String(),
-		machine.Collector().Name(),
-		cfg.Platform.Name,
-		int(cfg.VM.HeapSize>>20),
-		agg,
-		meter.HPM(),
-	)
-	return Result{
-		Outcome: Outcome{
-			Decomposition: dec,
-			GCStats:       machine.Collector().Stats(),
-			LoadedClasses: machine.Loader().LoadedCount(),
-			FaultCounts:   meter.FaultCounts(),
-		},
-		Meter: meter,
-	}, nil
+	return results, errs
 }

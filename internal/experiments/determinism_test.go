@@ -7,11 +7,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/platform"
+	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -36,12 +38,23 @@ func samePoint(t *testing.T, tag string, a, b *core.Result) {
 // TestRunAllMatchesSerial runs the Fig. 6/7-style Jikes point matrix once
 // serially and once through the parallel RunAll dispatcher and asserts
 // every point's result is bit-identical — determinism survives concurrent
-// execution.
+// execution. Serial Run characterizes each SemiSpace point on its own,
+// while RunAll runs each benchmark's SemiSpace heaps in one lockstep run.
 func TestRunAllMatchesSerial(t *testing.T) {
+	var sweeps atomic.Int64
+	orig := characterizeSweep
+	characterizeSweep = func(cfg core.RunConfig, heaps []units.ByteSize) ([]core.Result, []error) {
+		if len(heaps) > 1 {
+			sweeps.Add(1)
+		}
+		return orig(cfg, heaps)
+	}
+	t.Cleanup(func() { characterizeSweep = orig })
+
 	var b1, b2 strings.Builder
 	serial := quickRunner(&b1)
 	par := quickRunner(&b2)
-	pts := serial.jikesMatrix([]string{"GenCopy", "GenMS"})
+	pts := serial.jikesMatrix([]string{"GenCopy", "SemiSpace", "GenMS"})
 	if len(pts) < 4 {
 		t.Fatalf("matrix too small: %d points", len(pts))
 	}
@@ -50,8 +63,14 @@ func TestRunAllMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if n := sweeps.Load(); n != 0 {
+		t.Fatalf("serial Run made %d lockstep runs", n)
+	}
 	if err := par.RunAll(pts); err != nil {
 		t.Fatal(err)
+	}
+	if n, want := sweeps.Load(), int64(len(par.Benchmarks())); n != want {
+		t.Fatalf("RunAll made %d lockstep runs, want one per benchmark (%d)", n, want)
 	}
 	for _, p := range pts {
 		a, err := serial.Run(p)

@@ -227,8 +227,8 @@ var characterize = core.Characterize
 // benchmark's program and profile (its S10 input when asked for, scaled
 // down in Quick mode), the VM configuration at the runner's seed, the
 // cooling state, and cancellation by r.Ctx. computeOnce swaps in its
-// attempt's cancel channel and adds instrumentation and faults; the
-// figures that characterize outside Run add only their own extra.
+// attempt's context and adds instrumentation and faults; the figures that
+// characterize outside Run add only their own extra.
 func (r *Runner) runConfig(p Point) core.RunConfig {
 	profile := p.Bench.Profile
 	if p.S10 {
@@ -248,18 +248,18 @@ func (r *Runner) runConfig(p Point) core.RunConfig {
 		Program: p.Bench.Program(),
 		Profile: profile,
 		FanOn:   !p.FanOff,
-		Cancel:  r.runCtx().Done(),
+		Ctx:     r.runCtx(),
 	}
 }
 
-// computeOnce runs one characterization of p. cancel, when non-nil,
-// aborts the simulation at its next segment boundary once closed (see
-// core.RunConfig.Cancel); attemptOnce passes the run's context, narrowed
-// to the point timeout. Persistence and retries live above, in
+// computeOnce runs one characterization of p, which ctx stops at the first
+// segment boundary at which it is done or past its deadline (see
+// core.RunConfig.Ctx); attemptOnce passes the run's context, narrowed to
+// the point timeout. Persistence and retries live above, in
 // computeResilient.
-func (r *Runner) computeOnce(p Point, cancel <-chan struct{}) (*core.Result, error) {
+func (r *Runner) computeOnce(ctx context.Context, p Point) (*core.Result, error) {
 	cfg := r.runConfig(p)
-	cfg.Metrics, cfg.Faults, cfg.Cancel = r.Metrics, r.Faults, cancel
+	cfg.Metrics, cfg.Faults, cfg.Ctx = r.Metrics, r.Faults, ctx
 	res, err := characterize(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", p, err)
@@ -270,9 +270,11 @@ func (r *Runner) computeOnce(p Point, cancel <-chan struct{}) (*core.Result, err
 // RunAll executes points in parallel (results cached as they finish) and
 // returns the abortive error — an invalid point or a cancelled run — of the
 // lowest-index point that hit one. Dispatch stops at the first abortive
-// error: in-flight points finish, but no new ones start. Tolerable failures
+// error: in-flight jobs finish, but no new ones start. Tolerable failures
 // (injected faults, panics, timeouts) do not stop the sweep: their errors
-// stay cached and degrade into missing cells when a figure pulls them.
+// stay cached and degrade into missing cells when a figure pulls them. A
+// job is one point, or a sweep group of consecutive points that one
+// lockstep run characterizes (see sweepJobs).
 func (r *Runner) RunAll(points []Point) error {
 	start := time.Now()
 	defer func() {
@@ -287,10 +289,16 @@ func (r *Runner) RunAll(points []Point) error {
 	// busy_ns / (wall_seconds × workers.count).
 	activeG := r.Metrics.Gauge("experiments.workers.active")
 	busyC := r.Metrics.Counter("experiments.workers.busy_ns")
-	err := r.dispatch(len(points), func(i int) error {
+	jobs := r.sweepJobs(points)
+	err := r.dispatch(len(jobs), func(i int) error {
 		activeG.Add(1)
 		t0 := time.Now()
-		_, err := r.Run(points[i])
+		var err error
+		if len(jobs[i]) == 1 {
+			_, err = r.Run(jobs[i][0])
+		} else {
+			err = r.runSweep(jobs[i])
+		}
 		busyC.Add(int64(time.Since(t0)))
 		activeG.Add(-1)
 		if err != nil && abortive(err) {
@@ -298,7 +306,7 @@ func (r *Runner) RunAll(points []Point) error {
 		}
 		return nil
 	})
-	r.Metrics.Gauge("experiments.workers.count").Set(float64(poolSize(len(points))))
+	r.Metrics.Gauge("experiments.workers.count").Set(float64(poolSize(len(jobs))))
 	return err
 }
 
@@ -354,9 +362,8 @@ func (r *Runner) dispatch(n int, job func(i int) error) error {
 }
 
 // runCtx is r.Ctx, or a context that is never cancelled when r.Ctx is nil.
-// Its Done channel is the Cancel channel of every characterization, in Run
-// (narrowed by a point timeout) and outside it: nil, the VM's zero-cost
-// path, when nothing can cancel.
+// It stops every characterization, in Run (narrowed by a point timeout) and
+// outside it; context.Background keeps the VM's poll on its zero-cost path.
 func (r *Runner) runCtx() context.Context {
 	if r.Ctx == nil {
 		return context.Background()

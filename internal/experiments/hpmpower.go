@@ -61,7 +61,7 @@ func (r *Runner) HPMPower() error {
 			return nil, nil, err
 		}
 		defer machine.ReleaseResources()
-		machine.SetCancel(cfg.Cancel)
+		machine.SetCancel(cfg.Ctx)
 		if err := machine.RunProfile(cfg.Profile); err != nil {
 			return nil, nil, err
 		}

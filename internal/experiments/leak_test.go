@@ -66,7 +66,7 @@ func TestNoGoroutineLeakAfterRunAll(t *testing.T) {
 // TestTimedOutPointTerminates is the regression test for the abandoned-
 // attempt leak: before cancellation was threaded into the VM's batch loop,
 // a timed-out attempt kept simulating to completion as orphan work. Now a
-// closed cancel channel must surface vm.ErrCancelled from inside the
+// cancelled context must surface vm.ErrCancelled from inside the
 // simulation in a small fraction of the point's full runtime — proof the
 // poll actually cuts the work short between bytecode segments, not merely
 // that the error is plumbed.
@@ -76,15 +76,15 @@ func TestTimedOutPointTerminates(t *testing.T) {
 	p := dbPoint(t)
 
 	t0 := time.Now()
-	if _, err := r.computeOnce(p, nil); err != nil {
+	if _, err := r.computeOnce(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(t0)
 
-	stop := make(chan struct{})
-	close(stop) // cancelled before the first segment
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before the first segment
 	t0 = time.Now()
-	_, err := r.computeOnce(p, stop)
+	_, err := r.computeOnce(ctx, p)
 	cancelled := time.Since(t0)
 	if !errors.Is(err, vm.ErrCancelled) {
 		t.Fatalf("cancelled attempt returned %v, want vm.ErrCancelled", err)

@@ -59,7 +59,12 @@ type PointEvent struct {
 	// node, "resume" for a point a journal-replay resume served from disk,
 	// and "merged" in a merged shard journal; none of the three is written
 	// any more.
-	Source     string  `json:"source"`
+	Source string `json:"source"`
+	// DurationMS is the point's wall time up to its record. A point that
+	// a lockstep run computed (see runSweep) shares that run, so its
+	// duration is the run's whole wall time so far: the points' spans
+	// then cover the run, and figure time outside them is a true self
+	// time.
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
 	// Attempts counts characterization attempts, the first one and its

@@ -149,7 +149,7 @@ func (r *Runner) attemptOnce(p Point, attempt int) (res *core.Result, err error)
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	res, err = r.computeOnce(p, ctx.Done())
+	res, err = r.computeOnce(ctx, p)
 	if err := r.runCtx().Err(); err != nil {
 		return nil, err
 	}

@@ -178,7 +178,8 @@ func TestRetriesRecoverTransientFaults(t *testing.T) {
 // TestPointTimeoutDegrades gives every attempt an impossible budget and
 // checks the attempt converts the overrun into a degraded cell rather than
 // a figure failure or a hang: every fault is a timeout, each counted, and
-// no goroutine outlives the figure.
+// no goroutine outlives the figure. Fig. 6's SemiSpace heaps, which RunAll
+// would otherwise run in lockstep, must each time out too.
 func TestPointTimeoutDegrades(t *testing.T) {
 	check := leakCheck(t)
 	var buf strings.Builder
@@ -188,7 +189,19 @@ func TestPointTimeoutDegrades(t *testing.T) {
 	if err := r.RunFigure("fig1"); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.RunFigure("fig6"); err != nil {
+		t.Fatal(err)
+	}
 	faulted := r.Faulted()
+	fig6 := 0
+	for _, rec := range faulted {
+		if rec.Figure == "fig6" {
+			fig6++
+		}
+	}
+	if want := len(r.jikesMatrix([]string{"SemiSpace"})); fig6 < want {
+		t.Fatalf("1ns budget degraded %d Fig. 6 cells, want all %d points", fig6, want)
+	}
 	if len(faulted) == 0 {
 		t.Fatal("1ns budget produced no degraded points")
 	}

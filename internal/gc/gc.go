@@ -186,14 +186,8 @@ func (s *Stats) note(r CollectionReport) {
 // New constructs a collector by plan name with the given total heap size.
 // Valid names: SemiSpace, MarkSweep, GenCopy, GenMS, KaffeMS.
 func New(name string, heapSize units.ByteSize, env Env) (Collector, error) {
-	if env.Heap == nil {
-		return nil, fmt.Errorf("gc: env.Heap is nil")
-	}
-	if env.Roots == nil {
-		return nil, fmt.Errorf("gc: env.Roots is nil")
-	}
-	if heapSize < units.MB {
-		return nil, fmt.Errorf("gc: heap size %v too small", heapSize)
+	if err := checkEnv(heapSize, env); err != nil {
+		return nil, err
 	}
 	switch name {
 	case "SemiSpace":
@@ -209,6 +203,20 @@ func New(name string, heapSize units.ByteSize, env Env) (Collector, error) {
 	default:
 		return nil, fmt.Errorf("gc: unknown collector %q", name)
 	}
+}
+
+// checkEnv rejects an environment or heap size no plan can run with.
+func checkEnv(heapSize units.ByteSize, env Env) error {
+	if env.Heap == nil {
+		return fmt.Errorf("gc: env.Heap is nil")
+	}
+	if env.Roots == nil {
+		return fmt.Errorf("gc: env.Roots is nil")
+	}
+	if heapSize < units.MB {
+		return fmt.Errorf("gc: heap size %v too small", heapSize)
+	}
+	return nil
 }
 
 // PlanNames lists the Jikes RVM plans in the order the paper presents them

@@ -27,6 +27,12 @@ type SemiSpace struct {
 	// sinceGC is the allocation volume since the last collection, used by
 	// MutatorLocality to model the gradual spreading of the working set.
 	sinceGC units.ByteSize
+	// objects and bytes are what this plan holds: the survivors of its
+	// last collection and everything it has allocated since. A collection
+	// measures what it freed against them, not against the heap's totals,
+	// which the other plans of a Lanes set move too.
+	objects int64
+	bytes   units.ByteSize
 }
 
 // NewSemiSpace returns a SemiSpace plan with the given total heap size.
@@ -50,18 +56,30 @@ func (s *SemiSpace) Stats() Stats { return s.stats }
 
 // Alloc implements Collector.
 func (s *SemiSpace) Alloc(size uint32, nrefs int) (heap.Ref, error) {
+	addr, err := s.reserve(size)
+	if err != nil {
+		return heap.Null, err
+	}
+	return s.env.Heap.NewObject(size, nrefs, addr), nil
+}
+
+// reserve bumps size bytes through the current semi-space, collecting
+// when it is full, and counts the object as this plan's; the caller
+// creates the object at the returned address.
+func (s *SemiSpace) reserve(size uint32) (uint64, error) {
 	addr, ok := s.from.Alloc(size)
 	if !ok {
 		s.collect("allocation failure")
 		addr, ok = s.from.Alloc(size)
 		if !ok {
-			return heap.Null, fmt.Errorf("%w: SemiSpace: %d bytes requested, %v free after full GC",
+			return 0, fmt.Errorf("%w: SemiSpace: %d bytes requested, %v free after full GC",
 				ErrOutOfMemory, size, s.from.Free())
 		}
 	}
-	r := s.env.Heap.NewObject(size, nrefs, addr)
 	s.sinceGC += units.ByteSize(size)
-	return r, nil
+	s.objects++
+	s.bytes += units.ByteSize(size)
+	return addr, nil
 }
 
 // WriteBarrier implements Collector. SemiSpace needs no barrier.
@@ -73,7 +91,7 @@ func (s *SemiSpace) Collect(reason string) { s.collect(reason) }
 func (s *SemiSpace) collect(reason string) {
 	h := s.env.Heap
 	rep := CollectionReport{Collector: s.Name(), Kind: FullCollection, Reason: reason}
-	liveBefore, bytesBefore := h.LiveCount(), h.LiveBytes()
+	liveBefore, bytesBefore := s.objects, s.bytes
 
 	s.tr.reset()
 	var copied int64
@@ -103,6 +121,7 @@ func (s *SemiSpace) collect(reason string) {
 	s.env.Roots.Roots(s.tr.forward)
 	s.tr.drainForwarding()
 	h.EndEvacuation()
+	s.objects, s.bytes = h.LiveCount(), h.LiveBytes()
 
 	// Swap semi-spaces.
 	s.from.Reset()
@@ -111,9 +130,9 @@ func (s *SemiSpace) collect(reason string) {
 
 	rep.ObjectsScanned = s.tr.objectsScanned
 	rep.ObjectsCopied = copied
-	rep.ObjectsFreed = liveBefore - h.LiveCount()
+	rep.ObjectsFreed = liveBefore - s.objects
 	rep.BytesCopied = copiedBytes
-	rep.BytesFreed = bytesBefore - h.LiveBytes()
+	rep.BytesFreed = bytesBefore - s.bytes
 	rep.LiveAfter = s.from.Used()
 	rep.Phases, rep.Work = phased(s.tr.work, wCopy, Work{})
 	s.stats.note(rep)

@@ -153,15 +153,8 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 		}
 
 		// Application slice for the segment.
-		locality := p.Locality * (v.col.MutatorLocality() / 0.80)
-		locality += v.phaseModulation(seg, &p)
-		if locality < 0 {
-			locality = 0
-		}
-		if locality > 1 {
-			locality = 1
-		}
 		mod := v.phaseModulation(seg, &p)
+		burst := v.inBurst(seg, &p)
 		appInstr := int64(instr) + int64(float64(v.pendingMutInstr)*mutCostScale)
 		v.pendingMutInstr = 0
 		// Locality rises and access density falls together in compute
@@ -170,11 +163,7 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 		// top of each phase models the register-dense inner loops that set
 		// the application's power peaks.
 		accessScale := 1 - 1.5*mod
-		if v.inBurst(seg, &p) {
-			locality += 0.08
-			if locality > 0.98 {
-				locality = 0.98
-			}
+		if burst {
 			accessScale *= 0.5
 		}
 		accesses := float64(appInstr) * p.AccessesPerInstr * accFactor * accessScale
@@ -185,15 +174,35 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 		if mlp == 0 {
 			mlp = 1.4
 		}
-		v.exec.Execute(component.App, cpu.Slice{
-			Instructions:       appInstr,
-			Reads:              int64(accesses * 0.65),
-			Writes:             int64(accesses * 0.35),
-			Locality:           locality,
-			MLP:                mlp,
-			WorkingSet:         p.HotWorkingSet,
-			ICacheMissPerKInst: icachePerK,
-		})
+		// One per lane: each lane's collector sets its locality.
+		for i, l := range v.lanes {
+			if v.LaneLeft(i) != nil {
+				continue
+			}
+			locality := p.Locality * (l.col.MutatorLocality() / 0.80)
+			locality += mod
+			if locality < 0 {
+				locality = 0
+			}
+			if locality > 1 {
+				locality = 1
+			}
+			if burst {
+				locality += 0.08
+				if locality > 0.98 {
+					locality = 0.98
+				}
+			}
+			l.exec.Execute(component.App, cpu.Slice{
+				Instructions:       appInstr,
+				Reads:              int64(accesses * 0.65),
+				Writes:             int64(accesses * 0.35),
+				Locality:           locality,
+				MLP:                mlp,
+				WorkingSet:         p.HotWorkingSet,
+				ICacheMissPerKInst: icachePerK,
+			})
+		}
 
 		// VM service threads.
 		if v.cfg.Flavor == Jikes {

@@ -1,9 +1,12 @@
 package vm
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/component"
@@ -316,6 +319,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Flavor: Flavor(9), HeapSize: 8 * units.MB}, prog, exec); err == nil {
 		t.Fatal("unknown flavor accepted")
+	}
+}
+
+// pastDeadline is a context whose deadline has passed but whose Done
+// channel never closes: a runtime busy simulating has not yet fired the
+// deadline's timer.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestRunProfileStopsPastDeadline checks the segment poll reads the
+// deadline off the clock: past it, RunProfile stops at the first segment
+// boundary, before any application slice, without waiting for Done.
+func TestRunProfileStopsPastDeadline(t *testing.T) {
+	v, exec := newTestVM(t, smallProgram(), Jikes, "SemiSpace", 8*units.MB)
+	v.SetCancel(pastDeadline{context.Background()})
+	if err := v.RunProfile(smallProfile()); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("RunProfile past its deadline returned %v, want ErrCancelled", err)
+	}
+	if n := exec.slices[component.App]; n != 0 {
+		t.Fatalf("%d application slices ran past the deadline", n)
 	}
 }
 

@@ -87,7 +87,7 @@ func (r *vmRoots) RootCount() int {
 // returned mutator instruction cost (allocation sequence + write barriers)
 // accumulates into the current App slice.
 func (v *VM) allocAppObject(size uint32, nrefs int, longLivedP float64, liveTarget units.ByteSize) (heap.Ref, error) {
-	r, err := v.col.Alloc(size, nrefs)
+	r, err := v.alloc.Alloc(size, nrefs)
 	if err != nil {
 		return heap.Null, err
 	}
@@ -104,7 +104,7 @@ func (v *VM) allocAppObject(size uint32, nrefs int, longLivedP float64, liveTarg
 	prev := v.stackRing[v.ringPos]
 	if nrefs > 0 && prev != heap.Null && v.rngFloat() < clusterContinueP {
 		o.RefsIn(v.heap)[0] = prev
-		v.pendingMutInstr += v.col.WriteBarrier(r, prev)
+		v.pendingMutInstr += v.alloc.WriteBarrier(r, prev)
 	}
 
 	// Root in the stack ring's next slot, which becomes the newest
@@ -157,7 +157,7 @@ func (v *VM) attachLongLived(r heap.Ref, size uint32, liveTarget units.ByteSize)
 			oo.RefsIn(v.heap)[0] = heap.Null
 		}
 		refs[link] = old
-		v.pendingMutInstr += v.col.WriteBarrier(r, old)
+		v.pendingMutInstr += v.alloc.WriteBarrier(r, old)
 	}
 	v.statics[ci] = r
 	c.bytes += units.ByteSize(size)
@@ -178,7 +178,7 @@ func (v *VM) mutatePointer() {
 	ti := int(v.rng() % numTables)
 	table := v.tables[ti]
 	if table == heap.Null {
-		r, err := v.col.Alloc(64, 4)
+		r, err := v.alloc.Alloc(64, 4)
 		if err != nil {
 			return // heap exhausted; the caller's next alloc will surface it
 		}
@@ -193,5 +193,5 @@ func (v *VM) mutatePointer() {
 	refs := o.RefsIn(v.heap)
 	slot := int(v.rng() % uint64(len(refs)))
 	refs[slot] = t
-	v.pendingMutInstr += v.col.WriteBarrier(table, t)
+	v.pendingMutInstr += v.alloc.WriteBarrier(table, t)
 }

@@ -95,8 +95,12 @@ type interp struct {
 
 // Interpret runs the program's entry method to completion and returns run
 // statistics. maxSteps bounds total bytecodes (0 = default of 50M) so
-// buggy programs terminate.
+// buggy programs terminate. It runs one heap size: its caches see object
+// addresses, which differ between the lanes of a lockstep run.
 func (v *VM) Interpret(l1d cpu.CacheConfig, l2 *cpu.CacheConfig, maxSteps int64) (InterpStats, error) {
+	if len(v.lanes) > 1 {
+		return InterpStats{}, fmt.Errorf("vm: the interpreter runs one heap size, not %d", len(v.lanes))
+	}
 	if maxSteps <= 0 {
 		maxSteps = 50_000_000
 	}
@@ -201,7 +205,7 @@ func (it *interp) flush() {
 		return
 	}
 	prof := cpu.MissProfile{L1Misses: it.l1dm, L2Misses: it.l2m}
-	it.v.exec.ExecuteMeasured(component.App, int64(it.instr), prof, it.ifm)
+	it.v.lanes[0].exec.ExecuteMeasured(component.App, int64(it.instr), prof, it.ifm)
 	it.instr, it.l1dm, it.l2m, it.ifm = 0, 0, 0, 0
 }
 
@@ -480,7 +484,7 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 		}
 		c := v.prog.Class(cid)
 		nInt := len(c.Fields) - c.NumRefFields()
-		ref, err := v.col.Alloc(uint32(c.InstanceSize()), c.NumRefFields())
+		ref, err := v.alloc.Alloc(uint32(c.InstanceSize()), c.NumRefFields())
 		if err != nil {
 			return false, err
 		}
@@ -504,7 +508,7 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 			elem = 4
 		}
 		size := heap.ArraySize(int(n.i), elem)
-		ref, err := v.col.Alloc(size, 0)
+		ref, err := v.alloc.Alloc(size, 0)
 		if err != nil {
 			return false, err
 		}
@@ -566,7 +570,7 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 		}
 		it.access(o.Addr + 8 + uint64(in.A)*4)
 		o.RefsIn(v.heap)[in.A] = val.r
-		it.instr += float64(v.col.WriteBarrier(a.r, val.r))
+		it.instr += float64(v.alloc.WriteBarrier(a.r, val.r))
 
 	case isa.IALOAD, isa.IASTORE, isa.ARRAYLEN:
 		if in.Op == isa.IASTORE {
@@ -637,7 +641,7 @@ func (it *interp) step(f *frame, in isa.Instr) (bool, error) {
 		v.classStaticRefs[in.A][in.B] = s.r
 		// Static stores are barriered too (statics are roots, but the
 		// inline filter still runs in real generational plans).
-		it.instr += float64(v.col.WriteBarrier(heap.Null, s.r))
+		it.instr += float64(v.alloc.WriteBarrier(heap.Null, s.r))
 
 	case isa.INVOKE:
 		f.pc++

@@ -15,8 +15,10 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"jvmpower/internal/classfile"
 	"jvmpower/internal/classloader"
@@ -71,19 +73,44 @@ type Config struct {
 // DefaultHotThreshold is the AOS hotness threshold in executed bytecodes.
 const DefaultHotThreshold = 220_000
 
-// ErrCancelled is returned by RunProfile when the run's cancel channel
-// closes between segments. A cancelled run produced no usable result; the
-// dispatcher that requested the cancellation discards it rather than
-// recording a fault.
+// ErrCancelled is returned by RunProfile when the run's context is done,
+// or past its deadline, at a segment boundary. A cancelled run produced no
+// usable result; the dispatcher that requested the cancellation discards
+// it rather than recording a fault.
 var ErrCancelled = errors.New("vm: run cancelled")
 
-// VM is one virtual machine instance bound to a program and an executor.
+// Lane is one heap size of a lockstep run (NewLockstep) and the executor
+// that receives the run's slices at that size.
+type Lane struct {
+	HeapSize units.ByteSize
+	Exec     Executor
+}
+
+// lane is a Lane built: its collector and executor.
+type lane struct {
+	col  gc.Collector
+	exec Executor
+}
+
+// allocator is what the mutator allocates through: the one lane's
+// collector, or the gc.Lanes set of a lockstep run.
+type allocator interface {
+	Alloc(size uint32, nrefs int) (heap.Ref, error)
+	WriteBarrier(src, dst heap.Ref) int64
+}
+
+// VM is one virtual machine instance bound to a program and to one
+// executor per heap size it runs.
 type VM struct {
-	cfg    Config
-	exec   Executor
-	prog   *classfile.Program
-	heap   *heap.Heap
-	col    gc.Collector
+	cfg  Config
+	prog *classfile.Program
+	heap *heap.Heap
+	// lanes are the heap sizes the VM runs. A lockstep run's lane
+	// collectors are the plans of set, and the mutator allocates through
+	// alloc: set, or the one lane's collector.
+	lanes  []lane
+	set    *gc.Lanes
+	alloc  allocator
 	loader *classloader.Loader
 	aos    *jit.AOS
 
@@ -119,18 +146,38 @@ type VM struct {
 
 	rngState uint64
 
-	// gcEmitted counts collection reports converted to slices.
+	// gcEmitted counts collection reports converted to slices, over all
+	// lanes.
 	gcEmitted int64
 
-	// cancel, when non-nil, is polled between execution segments; closing
-	// it makes RunProfile return ErrCancelled at the next segment boundary.
-	cancel <-chan struct{}
+	// done and deadline are the run's context, polled between execution
+	// segments (see SetCancel); nil and zero when nothing can stop the run.
+	done     <-chan struct{}
+	deadline time.Time
 }
 
-// New builds a VM for prog, wiring its collector's collection reports and
-// all service work to exec.
+// New builds a VM for prog at cfg.HeapSize, wiring its collector's
+// collection reports and all service work to exec.
 func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
-	if prog == nil || exec == nil {
+	return NewLockstep(cfg, prog, []Lane{{HeapSize: cfg.HeapSize, Exec: exec}})
+}
+
+// NewLockstep builds one VM that runs prog at every lane's heap size at
+// once: one mutator, and per lane a collector and the executor that
+// receives its slices (cfg.HeapSize is not used). With one lane it is New.
+// More lanes need the SemiSpace plan, whose results do not depend on
+// sharing the mutator (see gc.Lanes); each lane's executor then sees
+// exactly the slices a VM of its own heap size would. Class-load, compile
+// and controller slices go to every lane, GC slices to the collecting
+// lane, and each lane gets its own App slice, priced with its collector's
+// mutator locality. A lane whose allocation fails leaves the run (see
+// LaneLeft), unless it is the last.
+func NewLockstep(cfg Config, prog *classfile.Program, lanes []Lane) (*VM, error) {
+	ok := prog != nil && len(lanes) > 0
+	for _, l := range lanes {
+		ok = ok && l.Exec != nil
+	}
+	if !ok {
 		return nil, fmt.Errorf("vm: program and executor are required")
 	}
 	if err := prog.Validate(); err != nil {
@@ -156,9 +203,12 @@ func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
 		return nil, fmt.Errorf("vm: unknown flavor %d", cfg.Flavor)
 	}
 
+	if len(lanes) > 1 && colName != "SemiSpace" {
+		return nil, fmt.Errorf("vm: a lockstep run needs the SemiSpace collector, not %q", colName)
+	}
+
 	v := &VM{
 		cfg:      cfg,
-		exec:     exec,
 		prog:     prog,
 		heap:     heap.New(),
 		aos:      jit.NewAOS(DefaultHotThreshold),
@@ -178,38 +228,60 @@ func New(cfg Config, prog *classfile.Program, exec Executor) (*VM, error) {
 		}
 	}
 
-	col, err := gc.New(colName, cfg.HeapSize, gc.Env{
-		Heap:         v.heap,
-		Roots:        (*vmRoots)(v),
-		OnCollection: v.onCollection,
-		Seed:         cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
+	env := gc.Env{Heap: v.heap, Roots: (*vmRoots)(v), Seed: cfg.Seed}
+	if len(lanes) == 1 {
+		env.OnCollection = func(r gc.CollectionReport) { v.onCollection(0, r) }
+		col, err := gc.New(colName, lanes[0].HeapSize, env)
+		if err != nil {
+			return nil, err
+		}
+		v.lanes, v.alloc = []lane{{col: col, exec: lanes[0].Exec}}, col
+	} else {
+		sizes := make([]units.ByteSize, len(lanes))
+		for i, l := range lanes {
+			sizes[i] = l.HeapSize
+		}
+		set, err := gc.NewLanes(sizes, env, v.onCollection)
+		if err != nil {
+			return nil, err
+		}
+		v.set = set
+		for i, l := range lanes {
+			v.lanes = append(v.lanes, lane{col: v.set.Plan(i), exec: l.Exec})
+		}
+		v.alloc = v.set
 	}
-	v.col = col
 	v.allocInstr = gc.AllocCost(colName == "MarkSweep" || colName == "KaffeMS")
 	return v, nil
 }
 
-// SetCancel installs a cancellation channel. The batch engine polls it at
-// every segment boundary, so a run whose caller has given up (a timed-out
+// SetCancel makes ctx stop the run. The batch engine polls it at every
+// segment boundary, so a run whose caller has given up (a timed-out
 // attempt, a shutting-down campaign) stops within one segment (~100k
-// bytecodes) instead of simulating to completion. A nil channel (the
-// default) keeps the poll on its zero-cost path.
-func (v *VM) SetCancel(ch <-chan struct{}) { v.cancel = ch }
+// bytecodes) instead of simulating to completion. The poll also compares
+// the clock with ctx's deadline, so a run stops at the first boundary past
+// it even when a busy runtime fires the deadline's timer late. A nil
+// context, or one that is never done and has no deadline (the default),
+// keeps the poll on its zero-cost path.
+func (v *VM) SetCancel(ctx context.Context) {
+	v.done, v.deadline = nil, time.Time{}
+	if ctx != nil {
+		v.done = ctx.Done()
+		v.deadline, _ = ctx.Deadline()
+	}
+}
 
-// cancelRequested reports whether the cancel channel has closed.
+// cancelRequested reports whether the run's context is done or past its
+// deadline.
 func (v *VM) cancelRequested() bool {
-	if v.cancel == nil {
-		return false
+	if v.done != nil {
+		select {
+		case <-v.done:
+			return true
+		default:
+		}
 	}
-	select {
-	case <-v.cancel:
-		return true
-	default:
-		return false
-	}
+	return !v.deadline.IsZero() && !time.Now().Before(v.deadline)
 }
 
 // ReleaseResources returns the heap's object-table chunks to the shared
@@ -218,8 +290,32 @@ func (v *VM) cancelRequested() bool {
 // sessions, tests) simply never release and lose nothing but pool reuse.
 func (v *VM) ReleaseResources() { v.heap.Release() }
 
-// Collector exposes the collector (stats, locality) to callers.
-func (v *VM) Collector() gc.Collector { return v.col }
+// Collector exposes the collector (stats, locality) to callers: the first
+// lane's, in a lockstep run.
+func (v *VM) Collector() gc.Collector { return v.lanes[0].col }
+
+// LaneCollector returns lane i's collector.
+func (v *VM) LaneCollector(i int) gc.Collector { return v.lanes[i].col }
+
+// LaneLeft returns the allocation failure with which lane i left a
+// lockstep run, or nil if it stayed in it. A lane that left received no
+// slice after the collection that failed, where a VM of its own heap size
+// goes on as the failure leads it, so its run must be repeated alone.
+func (v *VM) LaneLeft(i int) error {
+	if v.set == nil {
+		return nil
+	}
+	return v.set.Left(i)
+}
+
+// emit sends one slice of shared work to every lane still in the run.
+func (v *VM) emit(id component.ID, s cpu.Slice) {
+	for i := range v.lanes {
+		if v.LaneLeft(i) == nil {
+			v.lanes[i].exec.Execute(id, s)
+		}
+	}
+}
 
 // Heap exposes the heap (tests, diagnostics).
 func (v *VM) Heap() *heap.Heap { return v.heap }
@@ -258,11 +354,12 @@ func workSlice(w work.Work, workingSet units.ByteSize, icachePerK float64) cpu.S
 	}
 }
 
-// onCollection prices a collection report and emits it under the GC
-// component. The port switches to GC for the duration of the slice and
+// onCollection prices lane i's collection report and emits it under the
+// GC component. The port switches to GC for the duration of the slice and
 // back to whatever the dispatcher writes next — the same visibility the
 // paper's scheduler-level instrumentation provides.
-func (v *VM) onCollection(r gc.CollectionReport) {
+func (v *VM) onCollection(i int, r gc.CollectionReport) {
+	exec := v.lanes[i].exec
 	// The collector's working set spans the live objects it traces plus
 	// the evacuation traffic (source and destination of every copy), which
 	// is what defeats the L2 during nursery evacuations.
@@ -272,10 +369,10 @@ func (v *VM) onCollection(r gc.CollectionReport) {
 	}
 	if len(r.Phases) > 0 {
 		for _, w := range r.Phases {
-			v.exec.Execute(component.GC, workSlice(w, ws, 1.0))
+			exec.Execute(component.GC, workSlice(w, ws, 1.0))
 		}
 	} else {
-		v.exec.Execute(component.GC, workSlice(r.Work, ws, 1.0))
+		exec.Execute(component.GC, workSlice(r.Work, ws, 1.0))
 	}
 	v.gcEmitted++
 }
@@ -295,7 +392,7 @@ func (v *VM) ensureLoaded(id classfile.ClassID) error {
 		return err
 	}
 	for _, r := range reports {
-		v.exec.Execute(component.ClassLoader,
+		v.emit(component.ClassLoader,
 			workSlice(r.Work, 24*(r.FileBytes+r.MetadataBytes), classloader.LoadICacheMissPerKInst))
 		// Runtime metadata is immortal and lives outside the collected
 		// heap (Jikes keeps it in an immortal space; Kaffe's lives beyond
@@ -326,7 +423,7 @@ func (v *VM) compile(m classfile.MethodID, tier jit.Tier) {
 	if ws < 128*units.KB {
 		ws = 128 * units.KB
 	}
-	v.exec.Execute(comp, workSlice(w, ws, jit.CompileICacheMissPerKInst))
+	v.emit(comp, workSlice(w, ws, jit.CompileICacheMissPerKInst))
 	v.aos.SetTier(m, tier)
 }
 
@@ -373,7 +470,7 @@ func (v *VM) drainCompileQueue(max int) {
 // controllerTick emits the AOS controller thread's periodic bookkeeping
 // (the component the paper monitored and found under 1% of execution).
 func (v *VM) controllerTick() {
-	v.exec.Execute(component.Scheduler, cpu.Slice{
+	v.emit(component.Scheduler, cpu.Slice{
 		Instructions: 22_000,
 		Reads:        5_500,
 		Writes:       1_600,

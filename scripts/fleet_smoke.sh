@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
-# fleet_smoke: the distributed path's end-to-end smoke. Builds the
-# experiments binary, starts two loopback fleet executor nodes
-# (`-serve-node 127.0.0.1:0`, scraping each resolved address from its log),
-# runs the quick Figure 6 campaign once in-process and once across the
-# two-node fleet, and diffs the figure output — which must be
-# byte-identical (the wall-clock trailer is stripped; it is the one line
-# allowed to differ). This is the shell-level twin of the in-repo
-# determinism gate (TestFleetByteIdentical), exercising the real binary,
-# real TCP sockets, and the real flag wiring.
+# fleet_smoke: the distributed path's end-to-end smoke and the lockstep ≡
+# per-point gate. Builds the experiments binary, starts two loopback fleet
+# executor nodes (`-serve-node 127.0.0.1:0`, scraping each resolved address
+# from its log), runs the quick Figure 6 and Figure 7 campaigns once
+# in-process and once across the two-node fleet, and diffs the figure
+# output — which must be byte-identical (the wall-clock trailer is
+# stripped; it is the one line allowed to differ). In-process, RunAll
+# characterizes each benchmark's SemiSpace heaps in one lockstep run
+# (Figure 7 runs those lanes beside three one-lane plans); the nodes
+# characterize one point per task. So the diff checks the lockstep engine
+# against per-point runs as well as the transport. This is the shell-level
+# twin of the in-repo determinism gates (TestFleetByteIdentical,
+# TestRunAllMatchesSerial), exercising the real binary, real TCP sockets,
+# and the real flag wiring.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,13 +52,15 @@ addr_b="$(scrape_addr "$tmp/node-b.log")"
 
 strip_timing() { grep -v '^(completed in ' "$1" > "$2"; }
 
-"$tmp/experiments" -fig fig6 -quick > "$tmp/inproc-raw.txt"
-"$tmp/experiments" -fig fig6 -quick -nodes "$addr_a,$addr_b" > "$tmp/fleet-raw.txt" 2>"$tmp/fleet.log"
-strip_timing "$tmp/inproc-raw.txt" "$tmp/inproc.txt"
-strip_timing "$tmp/fleet-raw.txt" "$tmp/fleet.txt"
+for fig in fig6 fig7; do
+    "$tmp/experiments" -fig "$fig" -quick > "$tmp/inproc-raw.txt"
+    "$tmp/experiments" -fig "$fig" -quick -nodes "$addr_a,$addr_b" > "$tmp/fleet-raw.txt" 2>"$tmp/fleet.log"
+    strip_timing "$tmp/inproc-raw.txt" "$tmp/inproc.txt"
+    strip_timing "$tmp/fleet-raw.txt" "$tmp/fleet.txt"
 
-if ! diff -u "$tmp/inproc.txt" "$tmp/fleet.txt"; then
-    echo "fleet_smoke: FAIL — fleet output differs from the in-process run" >&2
-    exit 1
-fi
-echo "fleet_smoke: OK — 2-node campaign byte-identical to the in-process run"
+    if ! diff -u "$tmp/inproc.txt" "$tmp/fleet.txt"; then
+        echo "fleet_smoke: FAIL — $fig: per-point fleet output differs from the lockstep in-process run" >&2
+        exit 1
+    fi
+done
+echo "fleet_smoke: OK — quick fig6 and fig7: per-point 2-node campaigns byte-identical to the lockstep in-process runs"
