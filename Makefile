@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
+.PHONY: build test vet fmt-check race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke examples-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,9 @@ fmt-check:
 # (admission, quotas, drain, concurrent submitters), and the heap's
 # process-global chunk pool, which concurrent runs and SemiSpace
 # evacuations share and which hands chunks back dirty. The experiments package runs the full determinism
-# suite (isolated, fleet, resume, daemon) under the detector, which took
-# 563 s on a 2-vCPU host, close to go test's default 10m per-package
-# limit, hence the explicit timeout.
+# suite (isolated, fleet, resume, daemon, and the figure digests, 102 s of
+# it) under the detector, which took 574 s on a 2-vCPU host, close to go
+# test's default 10m per-package limit, hence the explicit timeout.
 race:
 	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/metrics/... ./internal/supervisor/... ./internal/pointproto/... ./internal/jobqueue/... ./internal/heap/...
 
@@ -40,9 +40,9 @@ check: build vet test race
 
 # ci mirrors .github/workflows/ci.yml locally: the gofmt check, the tier-1
 # gate, the benchmark module's check, the recorded-output check, the full-scale
-# paper-anchor check, a short fuzz smoke over every native fuzz target and
-# the shell-level smokes (fleet, crash, daemon).
-ci: fmt-check build vet test race perfbench-check output-check validate fuzz-smoke fleet-smoke crash-torture daemon-smoke
+# paper-anchor check, a short fuzz smoke over every native fuzz target, the
+# examples smoke and the shell-level smokes (fleet, crash, daemon).
+ci: fmt-check build vet test race perfbench-check output-check validate fuzz-smoke examples-smoke fleet-smoke crash-torture daemon-smoke
 
 # perfbench-check vets and tests the repo benchmark (perfbench/, its own Go
 # module, which `go build ./...` never compiles), so a change to an API it
@@ -99,6 +99,15 @@ fuzz:
 # in the parsers.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=3s
+
+# examples-smoke runs the four examples README points readers at and fails
+# if any exits nonzero: `go build ./...` compiles them, but nothing else runs
+# them. About 10 s on a 2-vCPU host, 9 s of it gcsweep.
+examples-smoke:
+	@for e in quickstart thermal gcsweep embedded; do \
+	echo "examples-smoke: examples/$$e"; \
+	$(GO) run ./examples/$$e || { echo "examples-smoke: examples/$$e failed" >&2; exit 1; }; \
+	done
 
 # fleet-smoke is the shell-level distributed smoke and the lockstep ≡
 # per-point gate: the real binary runs quick Figure 6 and Figure 7

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/daq"
-	"jvmpower/internal/isa"
 )
 
 // -iters appends one JSONL record per benchmark iteration — the
@@ -60,35 +58,3 @@ func logIter(b *testing.B, d time.Duration) {
 type discardSink struct{}
 
 func (discardSink) Sample(daq.Sample) {}
-
-// interpProgram builds the linked-list workload for BenchmarkInterpreter:
-// 50k real NEW/PUTREF/PUTSTATICREF bytecodes.
-func interpProgram() *classfile.Program {
-	b := classfile.NewBuilder("bench-interp")
-	obj := b.AddClass(classfile.ClassSpec{Name: "Object"})
-	node := b.AddClass(classfile.ClassSpec{
-		Name: "Node", Super: "Object",
-		Fields:     []classfile.Field{{Name: "next", Kind: classfile.RefField}},
-		StaticRefs: 1,
-	})
-	code := []isa.Instr{
-		0:  classfile.I(isa.ICONST, 50_000),
-		1:  classfile.I(isa.ISTORE, 0),
-		2:  classfile.I(isa.ILOAD, 0),
-		3:  classfile.I(isa.IFLE, 14),
-		4:  classfile.I(isa.NEW, int32(node)),
-		5:  classfile.I(isa.DUP),
-		6:  classfile.I(isa.GETSTATICREF, int32(node), 0),
-		7:  classfile.I(isa.PUTREF, 0),
-		8:  classfile.I(isa.PUTSTATICREF, int32(node), 0),
-		9:  classfile.I(isa.ILOAD, 0),
-		10: classfile.I(isa.ICONST, 1),
-		11: classfile.I(isa.ISUB),
-		12: classfile.I(isa.ISTORE, 0),
-		13: classfile.I(isa.GOTO, 2),
-		14: classfile.I(isa.HALT),
-	}
-	m := b.AddMethod(classfile.MethodSpec{Class: obj, Name: "main", ExtraSlots: 1, Code: code})
-	b.SetEntry(m)
-	return b.MustBuild()
-}

@@ -414,30 +414,6 @@ func BenchmarkCacheSim(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreter measures interpreted bytecode throughput with full
-// per-access cache simulation (a linked-list builder).
-func BenchmarkInterpreter(b *testing.B) {
-	plat := platform.P6()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		prog := interpProgram()
-		agg := discardSink{}
-		meter, err := core.NewMeter(plat, core.MeterOptions{Sink: agg, FanOn: true, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		machine, err := vm.New(vm.Config{Flavor: vm.Jikes, Collector: "GenMS", HeapSize: 8 * units.MB, Seed: 1}, prog, meter)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := machine.Interpret(plat.CPU.L1D, plat.CPU.L2, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationSampling regenerates the sampling-period fidelity
 // ablation (DAQ period vs per-component energy error).
 func BenchmarkAblationSampling(b *testing.B) { benchFigure(b, "ablation-sampling") }

@@ -2,11 +2,6 @@
 // the per-component energy decomposition — the basic unit of the paper's
 // methodology.
 //
-// This example also demonstrates the precision path: it builds a small real
-// program in the mini ISA, runs it through the bytecode interpreter with
-// per-access cache simulation, and shows that class loading, compilation,
-// and garbage collection all happen from genuine execution.
-//
 //	go run ./examples/quickstart
 package main
 
@@ -15,25 +10,18 @@ import (
 	"log"
 
 	"jvmpower/internal/analysis"
-	"jvmpower/internal/classfile"
 	"jvmpower/internal/component"
 	"jvmpower/internal/core"
-	"jvmpower/internal/isa"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
 
+// main runs the _213_javac analog on the Jikes RVM with a SemiSpace
+// collector at a 32 MB heap — the configuration where the paper measures
+// JVM energy reaching 60% of the total.
 func main() {
-	characterizeBenchmark()
-	runRealBytecode()
-}
-
-// characterizeBenchmark runs the _213_javac analog on the Jikes RVM with a
-// SemiSpace collector at a 32 MB heap — the configuration where the paper
-// measures JVM energy reaching 60% of the total.
-func characterizeBenchmark() {
 	bench, err := workloads.ByName("_213_javac")
 	if err != nil {
 		log.Fatal(err)
@@ -68,62 +56,6 @@ func characterizeBenchmark() {
 	fmt.Print(t)
 	fmt.Printf("\nJVM energy: %s of processor energy (paper: up to 60%% for this configuration)\n",
 		analysis.Pct(d.JVMEnergyFrac()))
-	fmt.Printf("EDP: %v over %v; %d collections\n\n",
+	fmt.Printf("EDP: %v over %v; %d collections\n",
 		d.EDP, d.TotalTime.Round(1e6), res.GCStats.Collections)
-}
-
-// runRealBytecode assembles a linked-list builder in the mini ISA and
-// interprets it with real caches: the allocations below are individually
-// executed NEW instructions, and the collections they trigger trace the
-// actual list.
-func runRealBytecode() {
-	b := classfile.NewBuilder("quickstart")
-	obj := b.AddClass(classfile.ClassSpec{Name: "Object"})
-	node := b.AddClass(classfile.ClassSpec{
-		Name: "Node", Super: "Object",
-		Fields:     []classfile.Field{{Name: "next", Kind: classfile.RefField}},
-		StaticRefs: 1,
-	})
-	// Build a 80,000-node list rooted in a static, then halt.
-	code := []isa.Instr{
-		0:  classfile.I(isa.ICONST, 80_000),
-		1:  classfile.I(isa.ISTORE, 0),
-		2:  classfile.I(isa.ILOAD, 0),
-		3:  classfile.I(isa.IFLE, 14),
-		4:  classfile.I(isa.NEW, int32(node)),
-		5:  classfile.I(isa.DUP),
-		6:  classfile.I(isa.GETSTATICREF, int32(node), 0),
-		7:  classfile.I(isa.PUTREF, 0),
-		8:  classfile.I(isa.PUTSTATICREF, int32(node), 0),
-		9:  classfile.I(isa.ILOAD, 0),
-		10: classfile.I(isa.ICONST, 1),
-		11: classfile.I(isa.ISUB),
-		12: classfile.I(isa.ISTORE, 0),
-		13: classfile.I(isa.GOTO, 2),
-		14: classfile.I(isa.HALT),
-	}
-	main := b.AddMethod(classfile.MethodSpec{Class: obj, Name: "main", ExtraSlots: 1, Code: code})
-	b.SetEntry(main)
-	prog := b.MustBuild()
-
-	plat := platform.P6()
-	agg := analysis.NewAggregator(plat.DAQPeriod)
-	meter, err := core.NewMeter(plat, core.DefaultMeterOptions(agg))
-	if err != nil {
-		log.Fatal(err)
-	}
-	machine, err := vm.New(vm.Config{Flavor: vm.Jikes, Collector: "GenMS", HeapSize: 2 * units.MB, Seed: 1}, prog, meter)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st, err := machine.Interpret(plat.CPU.L1D, plat.CPU.L2, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Interpreter run (real bytecode, per-access cache simulation):")
-	fmt.Printf("  %d bytecodes, %d invocations, %d allocations\n",
-		st.Bytecodes, st.Invocations, st.Allocations)
-	fmt.Printf("  %d collections; %v CPU energy in %v of simulated time\n",
-		machine.Collector().Stats().Collections,
-		meter.TrueTotalCPUEnergy(), meter.Now().Round(1e6))
 }

@@ -74,7 +74,6 @@ type MethodSpec struct {
 	Name       string
 	RefArgs    []bool // one entry per argument; length defines NArgs
 	ExtraSlots int    // locals beyond the arguments
-	ReturnsRef bool
 	Code       []isa.Instr
 }
 
@@ -89,14 +88,13 @@ func (b *Builder) AddMethod(spec MethodSpec) MethodID {
 	}
 	id := MethodID(len(b.prog.Methods))
 	m := &Method{
-		ID:         id,
-		Class:      spec.Class,
-		Name:       spec.Name,
-		NArgs:      len(spec.RefArgs),
-		RefArgs:    append([]bool(nil), spec.RefArgs...),
-		NLocals:    len(spec.RefArgs) + spec.ExtraSlots,
-		ReturnsRef: spec.ReturnsRef,
-		Code:       spec.Code,
+		ID:      id,
+		Class:   spec.Class,
+		Name:    spec.Name,
+		NArgs:   len(spec.RefArgs),
+		RefArgs: append([]bool(nil), spec.RefArgs...),
+		NLocals: len(spec.RefArgs) + spec.ExtraSlots,
+		Code:    spec.Code,
 	}
 	b.prog.Methods = append(b.prog.Methods, m)
 	b.prog.Classes[spec.Class].Methods = append(b.prog.Classes[spec.Class].Methods, id)
@@ -106,18 +104,6 @@ func (b *Builder) AddMethod(spec MethodSpec) MethodID {
 
 // SetEntry marks the program entry point.
 func (b *Builder) SetEntry(m MethodID) { b.prog.Entry = m }
-
-// LookupClass returns the ID for a class name added earlier.
-func (b *Builder) LookupClass(name string) (ClassID, bool) {
-	id, ok := b.byName[name]
-	return id, ok
-}
-
-// LookupMethod returns the ID for "Class.method" added earlier.
-func (b *Builder) LookupMethod(class, method string) (MethodID, bool) {
-	id, ok := b.methods[class+"."+method]
-	return id, ok
-}
 
 // Build finalizes the program: derives file sizes for classes that did not
 // specify one, validates everything, and returns the program.

@@ -68,39 +68,18 @@ type Class struct {
 	FileBytes units.ByteSize
 }
 
-// NumRefFields counts the reference-typed instance fields.
-func (c *Class) NumRefFields() int {
-	n := 0
-	for _, f := range c.Fields {
-		if f.Kind == RefField {
-			n++
-		}
-	}
-	return n
-}
-
-// InstanceSize returns the heap size of an instance: a two-word header plus
-// one word per field (the simulated machine is 32-bit, as both the Pentium M
-// and the PXA255 were).
-func (c *Class) InstanceSize() units.ByteSize {
-	return units.ByteSize(8 + 4*len(c.Fields))
-}
-
 // Method describes one method.
 type Method struct {
 	ID    MethodID
 	Class ClassID
 	Name  string
 	// NArgs is the number of argument slots; arguments occupy the first
-	// locals. RefArgs flags which argument slots hold references (GC roots
-	// while a frame is live).
+	// locals. RefArgs flags which argument slots hold references.
 	NArgs   int
 	RefArgs []bool
 	// NLocals is the total number of local slots including arguments.
 	NLocals int
-	// ReturnsRef reports whether the method returns a reference.
-	ReturnsRef bool
-	Code       []isa.Instr
+	Code    []isa.Instr
 }
 
 // FullName returns "Class.method".
@@ -239,13 +218,4 @@ func (p *Program) checkOperands(m *Method) error {
 		}
 	}
 	return nil
-}
-
-// TotalCodeSize returns the summed bytecode length of all methods.
-func (p *Program) TotalCodeSize() int {
-	n := 0
-	for _, m := range p.Methods {
-		n += len(m.Code)
-	}
-	return n
 }

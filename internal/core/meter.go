@@ -36,7 +36,6 @@ type MeterOptions struct {
 	// samples carry true power (used by tests isolating sampling error).
 	IdealChannels bool
 	// FanOn sets the cooling state (Figure 1 contrasts fan on/off).
-	// NewMeter defaults it to on via DefaultMeterOptions.
 	FanOn bool
 	// Seed drives the deterministic measurement noise.
 	Seed uint64
@@ -56,11 +55,6 @@ type MeterOptions struct {
 	// bit-for-bit. Nil — or a plan whose relevant rates are all zero —
 	// leaves every layer on its exact uninstrumented path.
 	Faults *faultinject.Plan
-}
-
-// DefaultMeterOptions returns options with the fan on and a fixed seed.
-func DefaultMeterOptions(sink daq.Sink) MeterOptions {
-	return MeterOptions{Sink: sink, FanOn: true, Seed: 1}
 }
 
 // GCLowFrequencyPolicy is a ready-made DVFS policy implementing the
@@ -242,8 +236,9 @@ func (m *Meter) operatingPoint(id component.ID) power.OperatingPoint {
 	return m.plat.DVFS.Nearest(m.dvfsPolicy(id))
 }
 
-// ExecuteMeasured is Execute for interpreter-mode slices whose cache
-// behavior was simulated per access.
+// ExecuteMeasured is Execute for a slice whose cache misses the caller
+// counted itself, priced at the nominal operating point. The VM never
+// calls it: only perfbench's replay tap (perfbench/replay.go) does.
 func (m *Meter) ExecuteMeasured(id component.ID, instructions int64, prof cpu.MissProfile, ifetchMisses int64) {
 	m.port.Write(id)
 	r, delta := m.core.ExecuteMeasuredBatch(instructions, prof, ifetchMisses)

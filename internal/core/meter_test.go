@@ -16,9 +16,7 @@ func newTestMeter(t *testing.T, ideal bool) (*Meter, *analysis.Aggregator) {
 	t.Helper()
 	plat := platform.P6()
 	agg := analysis.NewAggregator(plat.DAQPeriod)
-	opts := DefaultMeterOptions(agg)
-	opts.IdealChannels = ideal
-	m, err := NewMeter(plat, opts)
+	m, err := NewMeter(plat, MeterOptions{Sink: agg, FanOn: true, Seed: 1, IdealChannels: ideal})
 	if err != nil {
 		t.Fatal(err)
 	}

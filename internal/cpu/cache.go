@@ -3,15 +3,16 @@
 // (the "P6" board) and a PXA255-class single-issue in-order core with no L2
 // (the DBPXA255 board).
 //
-// The model has two granularities, mirroring the two execution engines in
-// the VM layer. The set-associative cache simulator services per-access
-// simulation when the bytecode interpreter runs real programs; the analytic
-// model converts batched access summaries (count, locality, working-set
-// size) into per-level miss counts for the experiment harness, where
-// simulating every access of a multi-billion-instruction benchmark is not
-// feasible. Both produce the same observable quantities: cycles, IPC, and
-// the cache-miss counters the paper reads through hardware performance
-// monitors.
+// Every slice is priced by the analytic cache model (AnalyticMisses), which
+// converts a batched access summary (count, locality, working-set size)
+// into per-level miss counts, because simulating every access of a
+// multi-billion-instruction benchmark is not feasible. The core turns
+// those counts into the observable quantities: cycles, IPC, and the
+// cache-miss counters the paper reads through hardware performance
+// monitors. The set-associative cache simulator (SetAssocCache) prices no
+// slice; it is kept as the analytic model's oracle, an exact LRU cache at
+// the platforms' geometry against which address streams can check the
+// model's locality constants.
 package cpu
 
 import (
@@ -43,8 +44,9 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// SetAssocCache is a set-associative cache with LRU replacement, used for
-// per-access simulation of interpreter-executed programs.
+// SetAssocCache is a set-associative cache with LRU replacement, simulated
+// per access. No slice is priced through it: it is kept as the analytic
+// model's oracle.
 type SetAssocCache struct {
 	cfg   CacheConfig
 	sets  int
@@ -246,7 +248,7 @@ type MissProfile struct {
 // Locality is the fraction of accesses that hit near the core through
 // temporal or spatial (same-line) reuse: stack slots, the object currently
 // being scanned, the hot end of an array. It is a property of the access
-// pattern, so GC tracing carries ≈0.62 (a few same-line accesses per
+// pattern, so GC tracing carries ≈0.60 (a few same-line accesses per
 // object, then a cold jump) while typical application code carries ≈0.9.
 //
 // Non-local accesses hit a level only if the working set is resident

@@ -191,12 +191,11 @@ func (c *Core) ExecuteBatch(s Slice, freqScale float64) (Result, Counters) {
 	return c.retireScaled(s.Instructions, prof, ifm, s.MLP, freqScale)
 }
 
-// ExecuteMeasuredBatch runs a slice whose cache behavior was determined by
-// the set-associative simulator (interpreter mode): the caller supplies
-// actual miss counts instead of a locality characterization. It returns
-// the cost and the HPM counter delta.
+// ExecuteMeasuredBatch runs a slice whose miss counts the caller measured
+// (core.Meter.ExecuteMeasured) instead of a locality characterization,
+// taking its accesses as dependent loads (MLP near 1). It returns the cost
+// and the HPM counter delta.
 func (c *Core) ExecuteMeasuredBatch(instructions int64, prof MissProfile, ifetchMisses int64) (Result, Counters) {
-	// Interpreter access streams are dependent loads; MLP near 1.
 	return c.retireScaled(instructions, prof, ifetchMisses, 1.2, 1.0)
 }
 

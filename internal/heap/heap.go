@@ -7,9 +7,8 @@
 // they occupy simulated addresses (so cache locality and fragmentation are
 // observable), they hold actual outgoing references (so collectors trace a
 // genuine object graph rather than a statistical fiction), and copying
-// collectors genuinely relocate them. Only the scalar payload is optional —
-// the interpreter materializes field values; the batched mutator engine does
-// not, since no measured quantity depends on them.
+// collectors genuinely relocate them. Scalar field values are not kept, since
+// no measured quantity depends on them.
 //
 // A Ref is stable until its object dies under every collector except
 // SemiSpace, which evacuates the table itself (BeginEvacuation): each
@@ -109,9 +108,8 @@ func putChunk(c []Object) {
 //
 // The struct is deliberately pointer-free and 32 bytes, two to a cache
 // line: outgoing references live inline or at an offset into the heap's
-// ref arena, reached through RefsIn, and interpreter int payloads live in a
-// side table (IntsOf/SetInts). The collectors stream over the table, so
-// its footprint is their memory traffic; and pointer-free chunks are
+// ref arena, reached through RefsIn. The collectors stream over the table,
+// so its footprint is their memory traffic; and pointer-free chunks are
 // invisible to Go's garbage collector, which need not scan them.
 type Object struct {
 	Addr uint64 // simulated address; changes when a copying collector moves it
@@ -163,11 +161,9 @@ type Heap struct {
 	released bool // table chunks returned to chunkPool; heap is dead
 
 	// from is the table an evacuation copies out of (fromN slots, Null
-	// included) and fromInts its payloads; all are zero between
-	// evacuations.
-	from     [][]Object
-	fromN    int
-	fromInts map[Ref][]int32
+	// included); both are zero between evacuations.
+	from  [][]Object
+	fromN int
 
 	// arena holds the spilled reference storage of objects with more than
 	// inlineRefs references, addressed by the offsets in their inline[0].
@@ -175,11 +171,6 @@ type Heap struct {
 	// an evacuated object keeps its offset); storage is never recycled
 	// within a run, bounding spill volume by cumulative allocation.
 	arena []Ref
-
-	// ints holds interpreter-materialized int payloads by ref. It is a side
-	// table (not an Object field) so the table chunks stay pointer-free; the
-	// batch engine never populates it.
-	ints map[Ref][]int32
 
 	liveCount int64
 	liveBytes units.ByteSize
@@ -211,7 +202,6 @@ func (h *Heap) Release() {
 	h.chunks = nil
 	h.n = 0
 	h.arena = nil
-	h.ints = nil
 }
 
 // spillRefs reserves a zeroed n-ref run in the arena and returns its offset.
@@ -233,17 +223,6 @@ func (h *Heap) spillRefs(n int) uint32 {
 	h.arena = h.arena[:need]
 	clear(h.arena[off:need])
 	return uint32(off)
-}
-
-// IntsOf returns the interpreter int payload attached to r, or nil.
-func (h *Heap) IntsOf(r Ref) []int32 { return h.ints[r] }
-
-// SetInts attaches an interpreter int payload to r.
-func (h *Heap) SetInts(r Ref, s []int32) {
-	if h.ints == nil {
-		h.ints = make(map[Ref][]int32)
-	}
-	h.ints[r] = s
 }
 
 // NewObject creates an object in the table with the given shape and
@@ -280,11 +259,11 @@ func (h *Heap) NewObject(size uint32, nrefs int, addr uint64) Ref {
 }
 
 // Get returns the object for r. Dereferencing Null or an out-of-table ref
-// panics: the interpreter raises its own NullPointerException before
-// calling Get, so reaching this is a VM bug. The check is a single
-// unsigned compare (r == Null wraps to MaxUint64; r >= n iff r-1 >= n-1,
-// n always >= 1) and the panic takes a constant string, keeping Get cheap
-// enough to inline into the collectors' and the VM's hot loops.
+// panics: the VM and the collectors never do, so reaching this is a VM
+// bug. The check is a single unsigned compare (r == Null wraps to
+// MaxUint64; r >= n iff r-1 >= n-1, n always >= 1) and the panic takes a
+// constant string, keeping Get cheap enough to inline into the
+// collectors' and the VM's hot loops.
 func (h *Heap) Get(r Ref) *Object {
 	if uint64(r)-1 >= uint64(h.n)-1 {
 		panic("heap: invalid dereference (null or out-of-table ref)")
@@ -303,9 +282,6 @@ func (h *Heap) Free(r Ref) {
 	o.Size = 0
 	o.Flags = 0
 	o.nrefs = 0
-	if h.ints != nil {
-		delete(h.ints, r)
-	}
 	o.Addr = uint64(h.freeHead) // free-list link; dead storage while freed
 	h.freeHead = r
 }
@@ -315,22 +291,20 @@ func (h *Heap) Free(r Ref) {
 // empty one, which Forward fills with the survivors in the order the
 // collector's trace reaches them; LiveCount/LiveBytes count only those.
 // The collector must rewrite every root slot and object field through
-// Forward, then call EndEvacuation. Dead objects, and their int payloads,
-// are dropped with the from-table without being touched.
+// Forward, then call EndEvacuation. Dead objects are dropped with the
+// from-table without being touched.
 func (h *Heap) BeginEvacuation() {
-	h.from, h.fromN, h.fromInts = h.chunks, h.n, h.ints
+	h.from, h.fromN = h.chunks, h.n
 	h.chunks = [][]Object{getChunk()}
 	h.n = 1
 	h.freeHead = Null // free slots belong to the from-table
-	h.ints = nil
 	h.liveCount, h.liveBytes = 0, 0
 }
 
 // Forward returns the new-table Ref of the from-table object r, copying
-// the object and its int payload on the first call for r; copied reports
-// whether this call made the copy. The copy's references name from-table
-// objects until the collector forwards them too. r must be a non-Null
-// from-table Ref.
+// the object on the first call for r; copied reports whether this call
+// made the copy. The copy's references name from-table objects until the
+// collector forwards them too. r must be a non-Null from-table Ref.
 func (h *Heap) Forward(r Ref) (nr Ref, copied bool) {
 	if uint64(r)-1 >= uint64(h.fromN)-1 {
 		panic("heap: forwarding a null or out-of-table ref")
@@ -347,11 +321,6 @@ func (h *Heap) Forward(r Ref) (nr Ref, copied bool) {
 	h.chunks[nr>>chunkShift][nr&chunkMask] = *o
 	h.liveCount++
 	h.liveBytes += units.ByteSize(o.Size)
-	if h.fromInts != nil { // only the interpreter attaches payloads
-		if s, ok := h.fromInts[r]; ok {
-			h.SetInts(nr, s)
-		}
-	}
 	o.Flags |= flagForwarded
 	o.Addr = uint64(nr) // forwarding index; the source is dead storage now
 	return nr, true
@@ -363,7 +332,7 @@ func (h *Heap) EndEvacuation() {
 	for _, c := range h.from {
 		putChunk(c)
 	}
-	h.from, h.fromN, h.fromInts = nil, 0, nil
+	h.from, h.fromN = nil, 0
 }
 
 // LiveCount reports the number of live (table-resident) objects.
@@ -383,12 +352,3 @@ func (h *Heap) TableLen() int { return h.n }
 
 // SetAddr relocates an object to a new simulated address (copying GC).
 func (h *Heap) SetAddr(r Ref, addr uint64) { h.Get(r).Addr = addr }
-
-// ObjectHeaderBytes is the simulated per-object header size.
-const ObjectHeaderBytes = 8
-
-// ArraySize returns the heap footprint of an array of n elements of
-// elemSize bytes.
-func ArraySize(n int, elemSize int) uint32 {
-	return uint32(ObjectHeaderBytes + 4 + n*elemSize) // header + length word
-}

@@ -185,9 +185,6 @@ func TestEvacuationMovesSurvivors(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		targets = append(targets, h.NewObject(uint32(24+8*i), 0, 0xC000+uint64(i)*64))
 	}
-	dead := h.NewObject(32, 0, 0xD000)
-	h.SetInts(inline, []int32{7, 8, 9})
-	h.SetInts(dead, []int32{1})
 	// spilled cycles through all eight targets; inline takes the last four.
 	spilledTarget := func(i int) int { return i % len(targets) }
 	inlineTarget := func(i int) int { return len(targets) - 1 - i }
@@ -237,12 +234,6 @@ func TestEvacuationMovesSurvivors(t *testing.T) {
 	}
 	checkRefs("inline", roots[0], 64, inlineRefs, inlineTarget)
 	checkRefs("spilled", roots[1], 1216, 300, spilledTarget)
-	if got := h.IntsOf(roots[0]); len(got) != 3 || got[0] != 7 || got[2] != 9 {
-		t.Fatalf("payload did not move with its object: %v", got)
-	}
-	if len(h.ints) != 1 {
-		t.Fatalf("%d payloads after evacuation, want only the survivor's", len(h.ints))
-	}
 	// The from-table's chunks are back in the pool.
 	chunkPool.mu.Lock()
 	pooled := make(map[*Object]bool)
@@ -354,12 +345,6 @@ func TestHeapGetPanicsOnNull(t *testing.T) {
 		}
 	}()
 	h.Get(Null)
-}
-
-func TestArraySize(t *testing.T) {
-	if got := ArraySize(10, 4); got != 8+4+40 {
-		t.Fatalf("array size = %d", got)
-	}
 }
 
 func TestBumpSpace(t *testing.T) {

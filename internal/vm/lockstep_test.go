@@ -16,11 +16,8 @@ import (
 
 // call is one Executor call as a recorder saw it.
 type call struct {
-	id           component.ID
-	slice        cpu.Slice
-	instructions int64
-	prof         cpu.MissProfile
-	ifetchMisses int64
+	id    component.ID
+	slice cpu.Slice
 }
 
 // recorder is an Executor that keeps every call in order.
@@ -28,10 +25,6 @@ type recorder struct{ calls []call }
 
 func (r *recorder) Execute(id component.ID, s cpu.Slice) {
 	r.calls = append(r.calls, call{id: id, slice: s})
-}
-
-func (r *recorder) ExecuteMeasured(id component.ID, instructions int64, prof cpu.MissProfile, ifetchMisses int64) {
-	r.calls = append(r.calls, call{id: id, instructions: instructions, prof: prof, ifetchMisses: ifetchMisses})
 }
 
 // TestLockstepMatchesSeparateRuns runs quick benchmark profiles under
@@ -109,8 +102,7 @@ func TestLockstepMatchesSeparateRuns(t *testing.T) {
 }
 
 // TestLockstepNeedsSemiSpace checks that only SemiSpace runs more than one
-// heap size in lockstep, and that the interpreter, whose caches see object
-// addresses, refuses a lockstep VM.
+// heap size in lockstep.
 func TestLockstepNeedsSemiSpace(t *testing.T) {
 	b, err := workloads.ByName("_213_javac")
 	if err != nil {
@@ -122,11 +114,7 @@ func TestLockstepNeedsSemiSpace(t *testing.T) {
 			t.Errorf("%s accepted two lockstep lanes", col)
 		}
 	}
-	v, err := vm.NewLockstep(vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace"}, b.Program(), two)
-	if err != nil {
+	if _, err := vm.NewLockstep(vm.Config{Flavor: vm.Jikes, Collector: "SemiSpace"}, b.Program(), two); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := v.Interpret(cpu.CacheConfig{}, nil, 0); err == nil {
-		t.Error("the interpreter ran a lockstep VM")
 	}
 }

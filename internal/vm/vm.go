@@ -7,11 +7,12 @@
 // conservative mark-sweep GC).
 //
 // The VM emits its execution as slices attributed to components, through
-// the Executor interface implemented by core.Meter. Two execution engines
-// drive it: the bytecode interpreter (interp.go) executes real programs
-// instruction by instruction, and the batch engine (batch.go) executes
-// benchmark behavior profiles at experiment scale. Both exercise the same
-// allocator, collector, loader, and compiler paths.
+// the Executor interface implemented by core.Meter. One engine drives it:
+// the batch engine (batch.go) executes a benchmark's behavior profile in
+// segments of bytecodes, allocating a real object graph through the
+// collector and invoking methods through the loader and compilers. The
+// paper's JVMs interpret nothing (Jikes RVM compiles every method before it
+// runs, and Kaffe runs in JIT mode), so there is no bytecode interpreter.
 package vm
 
 import (
@@ -52,11 +53,9 @@ func (f Flavor) String() string {
 }
 
 // Executor receives the VM's execution; core.Meter implements it. Execute
-// prices a slice through the analytic cache model; ExecuteMeasured is used
-// by the interpreter, whose cache behavior is simulated per access.
+// prices a slice through the analytic cache model.
 type Executor interface {
 	Execute(id component.ID, s cpu.Slice)
-	ExecuteMeasured(id component.ID, instructions int64, prof cpu.MissProfile, ifetchMisses int64)
 }
 
 // Config describes a VM instance.
@@ -115,7 +114,7 @@ type VM struct {
 	aos    *jit.AOS
 
 	// Roots.
-	statics   []heap.Ref // chain anchors + per-class static ref slots
+	statics   []heap.Ref // chain anchors
 	stackRing []heap.Ref
 	ringPos   int // the ring's newest slot, which holds the last allocation
 	// metaBytes is immortal class-metadata footprint (outside the heap).
@@ -126,10 +125,10 @@ type VM struct {
 	chainTotal units.ByteSize
 	tables     []heap.Ref
 
-	// Class static storage (interpreter mode). Static reference slots are
-	// GC roots.
-	classStaticInts [][]int32
-	classStaticRefs [][]heap.Ref
+	// staticRefSlots is the program's class static reference slots, summed
+	// over its classes. The batch engine never stores to them, so they
+	// hold only Null, but every collection still scans them as roots.
+	staticRefSlots int
 
 	// Graph-operation costs accumulated since the last App slice.
 	pendingMutInstr int64
@@ -139,10 +138,6 @@ type VM struct {
 
 	// invoked marks methods that have executed at least once.
 	invoked []bool
-
-	// Interpreter frame roots, registered while interp runs.
-	interpRoots     func(func(*heap.Ref))
-	interpRootCount func() int
 
 	rngState uint64
 
@@ -217,15 +212,8 @@ func NewLockstep(cfg Config, prog *classfile.Program, lanes []Lane) (*VM, error)
 	}
 	v.loader = classloader.New(prog, cfg.Flavor == Jikes)
 	v.initChains()
-	v.classStaticInts = make([][]int32, len(prog.Classes))
-	v.classStaticRefs = make([][]heap.Ref, len(prog.Classes))
-	for i, c := range prog.Classes {
-		if c.StaticInts > 0 {
-			v.classStaticInts[i] = make([]int32, c.StaticInts)
-		}
-		if c.StaticRefs > 0 {
-			v.classStaticRefs[i] = make([]heap.Ref, c.StaticRefs)
-		}
+	for _, c := range prog.Classes {
+		v.staticRefSlots += c.StaticRefs
 	}
 
 	env := gc.Env{Heap: v.heap, Roots: (*vmRoots)(v), Seed: cfg.Seed}
@@ -286,8 +274,8 @@ func (v *VM) cancelRequested() bool {
 
 // ReleaseResources returns the heap's object-table chunks to the shared
 // chunk pool. The VM must not execute afterwards. core.Characterize calls
-// it once the decomposition has been built; long-lived VMs (interpreter
-// sessions, tests) simply never release and lose nothing but pool reuse.
+// it once the decomposition has been built; a VM that is never released
+// (tests) loses nothing but pool reuse.
 func (v *VM) ReleaseResources() { v.heap.Release() }
 
 // Collector exposes the collector (stats, locality) to callers: the first

@@ -119,7 +119,7 @@ func genFields(rng *rand, maxInt, maxRef int) []classfile.Field {
 // bodyOf generates a structurally valid method body of approximately n
 // bytecodes: stack-balanced arithmetic blocks closed by a RETURN. Bodies
 // exist to give the loader and compilers realistically sized inputs; the
-// batch engine never executes them (the interpreter can, harmlessly).
+// batch engine never executes them.
 func bodyOf(n int, rng *rand) []isa.Instr {
 	if n < 2 {
 		n = 2

@@ -134,7 +134,7 @@ func TestS10Scaling(t *testing.T) {
 
 func TestGeneratedBodiesAreStackSafe(t *testing.T) {
 	// Linear abstract interpretation: no generated body may underflow its
-	// operand stack (the interpreter can execute any of them harmlessly).
+	// operand stack, so every body is a well-formed method.
 	for _, b := range All() {
 		prog := b.Program()
 		for _, m := range prog.Methods {
