@@ -111,11 +111,13 @@ examples-smoke:
 
 # fleet-smoke is the shell-level distributed smoke and the lockstep ≡
 # per-point gate: the real binary runs quick Figure 6 and Figure 7
-# campaigns across two loopback `-serve-node` executors, one point per
-# task, and the output is diffed against the in-process run, which
-# characterizes each benchmark's SemiSpace heaps in one lockstep run
-# (byte-identical or fail). The in-repo twin, TestFleetByteIdentical, adds
-# shuffled completion and an injected disconnect on top.
+# campaigns three ways — in-process, in-process under `-point-timeout 10m`
+# (which keeps every point to its own run), and across two loopback
+# `-serve-node` executors — and diffs both others against the first
+# (byte-identical or fail). In-process and on the nodes, each benchmark's
+# SemiSpace heaps are one lockstep run, one task on a node. The in-repo
+# twin, TestFleetByteIdentical, adds shuffled completion and an injected
+# disconnect on top.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
@@ -130,10 +132,11 @@ crash-torture:
 
 # daemon-smoke is the characterization service's end-to-end check: the
 # real binary runs as `-daemon`, curl submits a quick Figure 6 campaign
-# whose /result must byte-match the one-shot CLI, a SIGKILL mid-campaign
-# must recover byte-identically on restart, and SIGTERM must drain to a
-# clean exit 0. The in-repo twins are TestDaemonJobLifecycle,
-# TestDaemonOverloadGate, and TestDaemonCrashRecovery.
+# whose /result must byte-match the one-shot CLI, a SIGKILL in the middle
+# of a quick Figure 7 campaign must recover byte-identically on restart,
+# and SIGTERM must drain to a clean exit 0. The in-repo twins are
+# TestDaemonJobLifecycle, TestDaemonOverloadGate, and
+# TestDaemonCrashRecovery.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 

@@ -132,8 +132,8 @@ func BenchmarkFig7EDPFaultsZero(b *testing.B) {
 }
 
 // BenchmarkFig7EDPIsolateOff regenerates Figure 7 with the process-isolation
-// machinery reachable but disabled: no Supervisor, so runPoint takes the
-// in-process branch and no figure breaker materializes (they exist only
+// machinery reachable but disabled: no Supervisor, so every group is
+// computed in-process and no figure breaker materializes (they exist only
 // under isolation). The delta
 // against BenchmarkFig7EDP prices the nil checks isolation threads through
 // the dispatch path; bench.sh's isolate mode records both in BENCH_4.json

@@ -11,14 +11,18 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"jvmpower/internal/core"
 	"jvmpower/internal/jobqueue"
 	"jvmpower/internal/metrics"
+	"jvmpower/internal/units"
 )
 
 // fig6Reference renders the reference output a daemon job must match.
@@ -413,24 +417,107 @@ func TestDaemonSharedDedupe(t *testing.T) {
 }
 
 // TestSharedOwnerRechecksDiskCache: a point another job finished — stored
-// to disk, its flight already unpublished — between this runner's cache
-// probe and its own flight is served from disk, not computed again. That
-// window is how TestDaemonSharedDedupe occasionally counted one run too
-// many.
+// to disk, its flight already published and forgotten — is served from
+// disk by the runner that claims it next, not computed again. That window
+// is how TestDaemonSharedDedupe once counted one run too many; a member is
+// claimed before the disk is probed, so it cannot open.
 func TestSharedOwnerRechecksDiskCache(t *testing.T) {
 	path, p, _ := cacheEntryPath(t)
 	var buf strings.Builder
 	r := quickRunner(&buf)
 	r.CacheDir = filepath.Dir(path)
 	r.Metrics = metrics.NewRegistry()
-	res, source, _, err := NewSharedFlights().compute(r, p, p.ID())
-	if err != nil || res == nil {
-		t.Fatalf("compute = %v, %v", res, err)
+	r.Shared = NewSharedFlights()
+	var source string
+	r.OnPoint = func(_ Point, ev PointEvent) { source = ev.Source }
+	if res, err := r.Run(p); err != nil || res == nil {
+		t.Fatalf("Run = %v, %v", res, err)
 	}
 	if source != "disk" {
 		t.Fatalf("source = %q, want disk", source)
 	}
 	if n := r.Metrics.Counter("core.characterize.runs").Value(); n != 0 {
 		t.Fatalf("characterize ran %d times for a point already on disk", n)
+	}
+	if _, own := r.Shared.claim(r.diskKey(p.ID())); !own {
+		t.Fatal("the runner left its claim in the shared table")
+	}
+}
+
+// TestSharedClaimsPerMember: the members of a group claim their shared
+// flights one by one. While another runner holds member 2 of a 3-heap
+// group, this runner computes members 1 and 3 in one lockstep run and then
+// serves member 2 from the holder's outcome as "shared", so the two runners
+// characterize 3 heaps between them. A member whose holder's job was
+// cancelled is taken back and computed here, as a single point would be.
+func TestSharedClaimsPerMember(t *testing.T) {
+	group := javacSweep(t, 32, 64, 128)
+	var pairs atomic.Int64 // lockstep runs of two heaps
+	orig := characterizeSweep
+	characterizeSweep = func(cfg core.RunConfig, heaps []units.ByteSize) ([]core.Result, []error) {
+		if len(heaps) == 2 {
+			pairs.Add(1)
+		}
+		return orig(cfg, heaps)
+	}
+	t.Cleanup(func() { characterizeSweep = orig })
+	for _, cancelled := range []bool{false, true} {
+		pairs.Store(0)
+		reg := metrics.NewRegistry()
+		var bufA, bufB strings.Builder
+		a := quickRunner(&bufA) // the holder, computing outside the table
+		a.Metrics = reg
+		b := quickRunner(&bufB)
+		b.Metrics = reg
+		b.Shared = NewSharedFlights()
+		key := b.diskKey(group[1].ID())
+		held, own := b.Shared.claim(key)
+		if !own {
+			t.Fatal("a fresh table did not give the first claim")
+		}
+		events := make(chan PointEvent, len(group))
+		b.OnPoint = func(_ Point, ev PointEvent) { events <- ev }
+		done := make(chan error, 1)
+		go func() { done <- b.RunAll(group) }()
+		for range 2 {
+			if ev := <-events; ev.HeapMB == 64 || ev.Source != "computed" || ev.Outcome != "ok" {
+				t.Fatalf("cancelled=%v: record %+v before the held member was published", cancelled, ev)
+			}
+		}
+		var want *core.Result
+		if cancelled {
+			b.Shared.publish(key, held, nil, fmt.Errorf("experiments: %s: %w", group[1], context.Canceled))
+		} else {
+			res, err := a.Run(group[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = res
+			b.Shared.publish(key, held, res, nil)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		wantSource := "shared"
+		if cancelled {
+			wantSource = "computed"
+		}
+		if ev := <-events; ev.HeapMB != 64 || ev.Source != wantSource || ev.Outcome != "ok" {
+			t.Fatalf("cancelled=%v: held member recorded %+v, want source %q", cancelled, ev, wantSource)
+		}
+		if runs := reg.Counter("core.characterize.runs").Value(); runs != 3 || pairs.Load() != 1 {
+			t.Fatalf("cancelled=%v: %d characterize runs, %d of them two-heap lockstep runs, for a 3-heap group; want 3 and 1",
+				cancelled, runs, pairs.Load())
+		}
+		got, err := b.Run(group[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != nil {
+			samePoint(t, group[1].String(), got, want)
+		}
+		if _, own := b.Shared.claim(key); !own {
+			t.Fatalf("cancelled=%v: the table kept a published flight", cancelled)
+		}
 	}
 }

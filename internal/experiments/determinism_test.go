@@ -149,12 +149,12 @@ func TestRunAllStopsOnError(t *testing.T) {
 	t.Run("lowest index wins", func(t *testing.T) {
 		// Point 0 fails abortively 50 ms in; point 1 is invalid and fails
 		// at once on the other worker.
-		orig := characterize
-		characterize = func(core.RunConfig) (core.Result, error) {
+		orig := characterizeSweep
+		characterizeSweep = func(core.RunConfig, []units.ByteSize) ([]core.Result, []error) {
 			time.Sleep(50 * time.Millisecond)
-			return core.Result{}, fmt.Errorf("point cancelled mid-run: %w", context.Canceled)
+			return []core.Result{{}}, []error{fmt.Errorf("point cancelled mid-run: %w", context.Canceled)}
 		}
-		t.Cleanup(func() { characterize = orig })
+		t.Cleanup(func() { characterizeSweep = orig })
 		var buf strings.Builder
 		r := quickRunner(&buf)
 		pts := []Point{

@@ -63,8 +63,9 @@ type Runner struct {
 	Faults *faultinject.Plan
 	// PointTimeout bounds each in-process characterization attempt's wall
 	// time: the VM stops at its next segment boundary past the budget and
-	// the point degrades with a timeout error. 0 (the default) leaves
-	// attempts unbounded.
+	// the point degrades with a timeout error. A budget is per point, so
+	// a set PointTimeout keeps every job to one point (see sweepJobs). 0
+	// (the default) leaves attempts unbounded.
 	PointTimeout time.Duration
 	// Ctx, when non-nil, cancels the run: in-flight simulations, in Run
 	// and in the figures that characterize outside it, stop at their next
@@ -72,12 +73,13 @@ type Runner struct {
 	// which RunAll and the figures treat as abortive.
 	Ctx context.Context
 
-	// Supervisor, when non-nil, routes every computed point to an
-	// executor — a local worker subprocess or a remote node (see
-	// isolate.go) — instead of computing in-process. The supervisor then
-	// enforces the point budget from outside (configure PointTimeout on
-	// it, not here), and executor deaths feed per-figure circuit
-	// breakers that open after supervisor.TripThreshold of them.
+	// Supervisor, when non-nil, sends every group the Runner computes
+	// (see sweepJobs) to an executor as one task — a local worker
+	// subprocess or a remote node (see isolate.go) — instead of computing
+	// in-process. The supervisor then enforces the point budget from
+	// outside (configure PointTimeout on it too: a set PointTimeout keeps
+	// every task to one point), and executor deaths feed per-figure
+	// circuit breakers that open after supervisor.TripThreshold of them.
 	Supervisor *supervisor.Supervisor
 
 	// Shared, when non-nil, coalesces in-flight computations with other
@@ -184,51 +186,27 @@ func (id PointID) String() string {
 // String renders the point's identity (see PointID.String).
 func (p Point) String() string { return p.ID().String() }
 
-// Run executes (or returns the cached result of) one point. Concurrent
-// calls for the same point coalesce onto one computation (singleflight);
-// errors are cached too — every run is deterministic, so retrying a
-// failed point would fail identically (transient injected faults are the
-// exception, and runPoint retries those internally before caching).
-// Invalid points fail with a typed InvalidPointError before touching any
-// cache.
+// Run executes (or returns the cached result of) one point: the
+// one-member group {p} (see resolve). Concurrent calls for the same point
+// coalesce onto one computation (singleflight); errors are cached too —
+// every run is deterministic, so retrying a failed point would fail
+// identically (transient injected faults are the exception, and attempt
+// retries those internally before caching). Invalid points fail with a
+// typed InvalidPointError before touching any cache.
 func (r *Runner) Run(p Point) (*core.Result, error) {
-	if err := p.validate(); err != nil {
+	flights, err := r.resolve([]Point{p})
+	if err != nil {
 		return nil, err
 	}
-	k := p.ID()
-	r.mu.Lock()
-	if f, ok := r.cache[k]; ok {
-		r.mu.Unlock()
-		r.Metrics.Counter("experiments.singleflight.hits").Inc()
-		<-f.ready
-		return f.res, f.err
-	}
-	f := &flight{ready: make(chan struct{})}
-	r.cache[k] = f
-	r.mu.Unlock()
-	r.Metrics.Counter("experiments.singleflight.misses").Inc()
-
-	// The flight owner must close ready on every path: an escaping panic
-	// would otherwise strand every waiter (and any later Run for this key)
-	// on an unclosed channel forever. The close is deferred, and runPoint
-	// additionally recovers panics into the cached error so waiters get a
-	// diagnosis instead of a hang.
-	defer close(f.ready)
-	f.res, f.err = r.runPoint(p, k)
-	return f.res, f.err
+	return flights[0].res, flights[0].err
 }
-
-// characterize indirects core.Characterize so tests can inject failure
-// modes; the singleflight regression test substitutes an implementation
-// that panics mid-point.
-var characterize = core.Characterize
 
 // runConfig is the one derivation of the run that characterizes p: the
 // benchmark's program and profile (its S10 input when asked for, scaled
 // down in Quick mode), the VM configuration at the runner's seed, the
-// cooling state, and cancellation by r.Ctx. computeOnce swaps in its
-// attempt's context and adds instrumentation and faults; the figures that
-// characterize outside Run add only their own extra.
+// cooling state, and cancellation by r.Ctx. attempt narrows the context
+// to its point timeout and adds instrumentation and faults; the figures
+// that characterize outside Run add only their own extra.
 func (r *Runner) runConfig(p Point) core.RunConfig {
 	profile := p.Bench.Profile
 	if p.S10 {
@@ -252,29 +230,14 @@ func (r *Runner) runConfig(p Point) core.RunConfig {
 	}
 }
 
-// computeOnce runs one characterization of p, which ctx stops at the first
-// segment boundary at which it is done or past its deadline (see
-// core.RunConfig.Ctx); attemptOnce passes the run's context, narrowed to
-// the point timeout. Persistence and retries live above, in
-// computeResilient.
-func (r *Runner) computeOnce(ctx context.Context, p Point) (*core.Result, error) {
-	cfg := r.runConfig(p)
-	cfg.Metrics, cfg.Faults, cfg.Ctx = r.Metrics, r.Faults, ctx
-	res, err := characterize(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", p, err)
-	}
-	return &res, nil
-}
-
 // RunAll executes points in parallel (results cached as they finish) and
 // returns the abortive error — an invalid point or a cancelled run — of the
 // lowest-index point that hit one. Dispatch stops at the first abortive
 // error: in-flight jobs finish, but no new ones start. Tolerable failures
 // (injected faults, panics, timeouts) do not stop the sweep: their errors
 // stay cached and degrade into missing cells when a figure pulls them. A
-// job is one point, or a sweep group of consecutive points that one
-// lockstep run characterizes (see sweepJobs).
+// job is one sweep group (see sweepJobs), which returns the first abortive
+// error among its members, in order.
 func (r *Runner) RunAll(points []Point) error {
 	start := time.Now()
 	defer func() {
@@ -293,18 +256,15 @@ func (r *Runner) RunAll(points []Point) error {
 	err := r.dispatch(len(jobs), func(i int) error {
 		activeG.Add(1)
 		t0 := time.Now()
-		var err error
-		if len(jobs[i]) == 1 {
-			_, err = r.Run(jobs[i][0])
-		} else {
-			err = r.runSweep(jobs[i])
+		flights, err := r.resolve(jobs[i])
+		for _, f := range flights {
+			if err == nil && f.err != nil && abortive(f.err) {
+				err = f.err
+			}
 		}
 		busyC.Add(int64(time.Since(t0)))
 		activeG.Add(-1)
-		if err != nil && abortive(err) {
-			return err
-		}
-		return nil
+		return err
 	})
 	r.Metrics.Gauge("experiments.workers.count").Set(float64(poolSize(len(jobs))))
 	return err

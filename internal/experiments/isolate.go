@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -12,13 +11,14 @@ import (
 	"jvmpower/internal/supervisor"
 )
 
-// Executor-computed points: the supervisor's half of worker and node mode.
-// When Runner.Supervisor is set, runPoint routes every computed point
-// through computeIsolated instead of computeResilient — the spec crosses
-// the pointproto boundary to a local worker subprocess or a remote node,
-// and the result comes back as the same core.Outcome the disk cache
-// serves, so figures cannot tell the difference (the byte-identical
-// guarantee the isolation and fleet gates pin).
+// Executor-computed groups: the supervisor's half of worker and node mode.
+// When Runner.Supervisor is set, settle sends every group it computes
+// through computeIsolated instead of attempt — the group's spec crosses
+// the pointproto boundary as one task to a local worker subprocess or a
+// remote node, which runs attempt on it, and each member's result comes
+// back as the same core.Outcome the disk cache serves, so figures cannot
+// tell the difference (the byte-identical guarantee the isolation and
+// fleet gates pin).
 //
 // What a local worker buys over the in-process path: a point that wedges
 // is SIGKILLed and its CPU and heap actually come back (in-process, only
@@ -51,36 +51,45 @@ func (r *Runner) ObserveNodeEvent(node, event, detail string) {
 	}
 }
 
-// computeIsolated produces one point's result on an executor. The result
-// is persisted to the disk cache exactly as computeResilient would have,
-// so executor and in-process campaigns interoperate through the same
-// cache. Executor deaths come back as *supervisor.CrashError; an executor
-// that stayed alive and reported a point failure comes back as a plain
-// error carrying the same string the in-process path would have produced.
-func (r *Runner) computeIsolated(p Point, k PointID) (*core.Result, int, error) {
-	ctx := r.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	payload, err := r.Supervisor.Run(ctx, r.wireSpec(p))
-	if err != nil {
-		if ce, ok := supervisor.AsCrash(err); ok {
-			return nil, 0, fmt.Errorf("experiments: %s: %w", p, ce)
+// computeIsolated computes the group pts on an executor as one task and
+// gives each member its result or error. An executor death, or a payload
+// that does not decode to one result per member, fails every member with
+// a *supervisor.CrashError; an executor that stayed alive and reported a
+// member's failure gives that member a plain error carrying the string the
+// in-process path would have produced.
+func (r *Runner) computeIsolated(pts []Point) []computed {
+	out := make([]computed, len(pts))
+	payload, err := r.Supervisor.Run(r.runCtx(), r.wireSpec(pts))
+	var wrs []workerResult
+	if err == nil {
+		derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wrs)
+		if derr == nil && len(wrs) != len(pts) {
+			derr = fmt.Errorf("%d results for %d members", len(wrs), len(pts))
 		}
-		return nil, 0, err
+		if derr != nil {
+			err = &supervisor.CrashError{Kind: supervisor.CrashProtocol, Detail: "undecodable result payload: " + derr.Error()}
+		}
 	}
-	res, attempts, err := decodePointPayload(p, payload)
-	if err != nil {
-		return nil, attempts, err
+	for i, p := range pts {
+		switch ce, crashed := supervisor.AsCrash(err); {
+		case crashed:
+			out[i].err = fmt.Errorf("experiments: %s: %w", p, ce)
+		case err != nil:
+			out[i].err = err
+		case !wrs[i].OK:
+			out[i] = computed{err: errors.New(wrs[i].Err), attempts: wrs[i].Attempts}
+		default:
+			out[i] = computed{res: &core.Result{Outcome: wrs[i].Outcome}, attempts: wrs[i].Attempts}
+		}
 	}
-	r.storePoint(k, res)
-	return res, attempts, nil
+	return out
 }
 
-// wireSpec serializes a point plus every runner setting that determines
+// wireSpec serializes a group plus every runner setting that determines
 // its bytes — the spec every executor receives.
-func (r *Runner) wireSpec(p Point) pointproto.Spec {
-	return pointproto.Spec{
+func (r *Runner) wireSpec(pts []Point) pointproto.Spec {
+	p := pts[0]
+	spec := pointproto.Spec{
 		Bench:     p.Bench.Name,
 		Flavor:    p.Flavor.String(),
 		Collector: p.Collector,
@@ -92,22 +101,10 @@ func (r *Runner) wireSpec(p Point) pointproto.Spec {
 		Quick:     r.Quick,
 		Faults:    r.Faults.String(),
 	}
-}
-
-// decodePointPayload decodes an executor's result payload. An undecodable
-// payload is the protocol violation it is — a *supervisor.CrashError, so
-// it counts as a worker death; a decoded failure is a plain error carrying
-// the same string the in-process path would have produced.
-func decodePointPayload(p Point, payload []byte) (*core.Result, int, error) {
-	var wr workerResult
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wr); err != nil {
-		return nil, 0, fmt.Errorf("experiments: %s: %w", p,
-			&supervisor.CrashError{Kind: supervisor.CrashProtocol, Detail: "undecodable result payload: " + err.Error()})
+	for _, q := range pts[1:] {
+		spec.MoreHeapsMB = append(spec.MoreHeapsMB, q.HeapMB)
 	}
-	if !wr.OK {
-		return nil, wr.Attempts, errors.New(wr.Err)
-	}
-	return &core.Result{Outcome: wr.Outcome}, wr.Attempts, nil
+	return spec
 }
 
 // breaker returns the figure's circuit breaker, creating it on first use.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -97,6 +98,64 @@ func TestIsolatedByteIdentical(t *testing.T) {
 	}
 	if len(r2.Faulted()) != 0 {
 		t.Fatalf("isolated run degraded points: %+v", r2.Faulted())
+	}
+}
+
+// TestIsolatedGroupTask sends one group task to a worker: quick
+// _213_javac under SemiSpace at 6, 12 and 24 MB. The 6 MB lane leaves the
+// lockstep run at the Runner's seed, as TestLockstepMatchesSeparateRuns
+// sees, so the worker characterizes that heap again on its own. Each
+// member must come back with the result or error text serial Run gives,
+// and the journal must hold one "isolated" record per member.
+func TestIsolatedGroupTask(t *testing.T) {
+	group := javacSweep(t, 6, 12, 24)
+	var b0, b1, b2 strings.Builder
+	in := quickRunner(&b0)
+	in.Metrics = metrics.NewRegistry()
+	if err := in.RunAll(group); err != nil {
+		t.Fatal(err)
+	}
+	if runs := in.Metrics.Counter("core.characterize.runs").Value(); runs != int64(len(group))+1 {
+		t.Fatalf("in-process lockstep run of %d heaps made %d characterize runs; want one lane to leave and run again",
+			len(group), runs)
+	}
+
+	serial := quickRunner(&b1)
+	r := isolatedRunner(t, &b2, 1, nil)
+	var journal bytes.Buffer
+	r.Journal = metrics.NewJournal(&journal)
+	if err := r.RunAll(group); err != nil {
+		t.Fatal(err)
+	}
+	if tasks := r.Metrics.Counter("supervisor.points.ok").Value(); tasks != 1 {
+		t.Fatalf("%d tasks for one group, want 1", tasks)
+	}
+	for _, p := range group {
+		got, gotErr := r.Run(p)
+		want, wantErr := serial.Run(p)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: isolated error %v, serial %v", p, gotErr, wantErr)
+		}
+		if wantErr == nil {
+			samePoint(t, p.String(), got, want)
+		}
+	}
+	if err := r.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := metrics.DecodeJournal[PointEvent](&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, ev := range events {
+		if seen[ev.HeapMB] || ev.Source != "isolated" {
+			t.Fatalf("record %+v: want one isolated record per member", ev)
+		}
+		seen[ev.HeapMB] = true
+	}
+	if len(seen) != len(group) {
+		t.Fatalf("journal holds records for %d of %d members", len(seen), len(group))
 	}
 }
 

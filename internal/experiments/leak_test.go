@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jvmpower/internal/core"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/vm"
 )
@@ -76,15 +77,16 @@ func TestTimedOutPointTerminates(t *testing.T) {
 	p := dbPoint(t)
 
 	t0 := time.Now()
-	if _, err := r.computeOnce(context.Background(), p); err != nil {
+	if _, err := core.Characterize(r.runConfig(p)); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(t0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first segment
+	r.Ctx = ctx
 	t0 = time.Now()
-	_, err := r.computeOnce(ctx, p)
+	_, err := core.Characterize(r.runConfig(p))
 	cancelled := time.Since(t0)
 	if !errors.Is(err, vm.ErrCancelled) {
 		t.Fatalf("cancelled attempt returned %v, want vm.ErrCancelled", err)

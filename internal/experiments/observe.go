@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"jvmpower/internal/core"
-)
+import "time"
 
 // Observability of the characterization pipeline itself. A long `-all` run
 // executes hundreds of points across parallel workers; when one stalls or
@@ -20,8 +15,8 @@ import (
 // Metrics schema (all under the experiments.* prefix; the DAQ and core
 // layers add daq.samples, daq.batches, core.characterize.runs):
 //
-//	singleflight.hits / singleflight.misses   counter  Run calls joining an
-//	                                                   existing flight vs
+//	singleflight.hits / singleflight.misses   counter  group members joining
+//	                                                   an existing flight vs
 //	                                                   owning a new one
 //	diskcache.hits / diskcache.misses         counter  persistent-cache
 //	                                                   split (both present,
@@ -54,17 +49,17 @@ type PointEvent struct {
 	PointID
 	Outcome string `json:"outcome"` // "ok" or "error"
 	// Source is where the result came from: "computed" (in-process),
-	// "isolated" (a supervised executor, local worker or remote node),
-	// "shared", or "disk". Older journals also say "fleet" for a remote
+	// "isolated" (a supervised executor, local worker or remote node, one
+	// record per member of the group task), "shared", or "disk". Older journals also say "fleet" for a remote
 	// node, "resume" for a point a journal-replay resume served from disk,
 	// and "merged" in a merged shard journal; none of the three is written
 	// any more.
 	Source string `json:"source"`
-	// DurationMS is the point's wall time up to its record. A point that
-	// a lockstep run computed (see runSweep) shares that run, so its
-	// duration is the run's whole wall time so far: the points' spans
-	// then cover the run, and figure time outside them is a true self
-	// time.
+	// DurationMS is the point's wall time up to its record. The members
+	// of a group computed together, in one lockstep run or one executor
+	// task (see settle), share it, so a member's duration is the whole
+	// step's wall time so far: the points' spans then cover the step, and
+	// figure time outside them is a true self time.
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
 	// Attempts counts characterization attempts, the first one and its
@@ -80,49 +75,6 @@ type FaultEvent struct {
 	Figure string `json:"figure"`
 	Point  string `json:"point"`
 	Error  string `json:"error"`
-}
-
-// runPoint produces one point's result — from the on-disk cache when
-// enabled and populated, otherwise by characterizing — and observes the
-// outcome: latency histogram, cache-split counters, one journal event.
-// A panic anywhere below (a simulator bug) is recovered into the returned
-// error, so the singleflight entry caches a diagnosis instead of stranding
-// its waiters.
-func (r *Runner) runPoint(p Point, k PointID) (res *core.Result, err error) {
-	start := time.Now()
-	source := "computed"
-	attempts := 0
-	defer func() {
-		if v := recover(); v != nil {
-			res = nil
-			err = fmt.Errorf("experiments: panic computing %s: %v", p, v)
-		}
-		r.observePoint(p, source, time.Since(start), attempts, err)
-	}()
-	if cached, ok := r.loadPoint(k); ok {
-		source = "disk"
-		return cached, nil
-	}
-	if r.Shared != nil {
-		// Cross-runner dedupe: coalesce with any other runner's in-flight
-		// computation of this content-addressed key (see shared.go).
-		res, source, attempts, err = r.Shared.compute(r, p, k)
-		return res, err
-	}
-	res, source, attempts, err = r.computePoint(p, k)
-	return res, err
-}
-
-// computePoint routes one cache-missed point to its executor: the
-// supervisor or the in-process attempt path, reporting which as the
-// journal source.
-func (r *Runner) computePoint(p Point, k PointID) (*core.Result, string, int, error) {
-	if r.Supervisor != nil {
-		res, attempts, err := r.computeIsolated(p, k)
-		return res, "isolated", attempts, err
-	}
-	res, attempts, err := r.computeResilient(p, k)
-	return res, "computed", attempts, err
 }
 
 // observePoint records one completed point in the registry and journal.

@@ -11,6 +11,7 @@ import (
 	"jvmpower/internal/core"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
+	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -19,11 +20,11 @@ import (
 // with one that panics, restoring it when the test ends.
 func withPanickingCharacterize(t *testing.T) {
 	t.Helper()
-	orig := characterize
-	characterize = func(core.RunConfig) (core.Result, error) {
+	orig := characterizeSweep
+	characterizeSweep = func(core.RunConfig, []units.ByteSize) ([]core.Result, []error) {
 		panic("injected simulator bug")
 	}
-	t.Cleanup(func() { characterize = orig })
+	t.Cleanup(func() { characterizeSweep = orig })
 }
 
 func dbPoint(t *testing.T) Point {

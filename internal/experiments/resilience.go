@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"jvmpower/internal/core"
-	"jvmpower/internal/faultinject"
 	"jvmpower/internal/vm"
 )
 
@@ -89,76 +87,6 @@ func knownJikesPlan(name string) bool {
 func abortive(err error) bool {
 	var inv *InvalidPointError
 	return errors.As(err, &inv) || errors.Is(err, context.Canceled)
-}
-
-// defaultRetries bounds how many times a transient fault is re-attempted.
-const defaultRetries = 2
-
-// computeResilient characterizes p in-process: one attempt, re-attempted
-// at once, up to defaultRetries times, while it fails with a transient
-// injected fault. A completed result is persisted to the disk cache. It
-// returns the result, the number of attempts, and the terminal error.
-func (r *Runner) computeResilient(p Point, k PointID) (*core.Result, int, error) {
-	for attempt := 0; ; attempt++ {
-		res, err := r.attemptOnce(p, attempt)
-		if err == nil {
-			r.storePoint(k, res)
-			return res, attempt + 1, nil
-		}
-		if !faultinject.IsTransient(err) || attempt >= defaultRetries {
-			return nil, attempt + 1, err
-		}
-		r.Metrics.Counter("experiments.points.retries").Inc()
-	}
-}
-
-// attemptOnce is one characterization attempt, on the caller's goroutine.
-// Injected point-level faults fire here, and any panic below — injected or
-// a genuine simulator bug — is recovered into the returned error so one
-// dead point cannot take down the dispatcher. The VM polls r.runCtx(),
-// narrowed to PointTimeout when one is set, at every segment boundary. A
-// cancelled run comes back as r.Ctx's error, and an attempt that outlives
-// its budget as a timeout, whether the VM stopped at a poll or finished
-// first: while every CPU is busy simulating, the deadline's timer can fire
-// several milliseconds late.
-func (r *Runner) attemptOnce(p Point, attempt int) (res *core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res = nil
-			err = fmt.Errorf("experiments: panic computing %s: %v", p, v)
-		}
-	}()
-	ctx := r.runCtx()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if r.Faults != nil {
-		key := p.String()
-		if r.Faults.PointPanics(key) {
-			panic(fmt.Sprintf("faultinject: injected panic at %s", key))
-		}
-		if r.Faults.PointFails(key, attempt) {
-			return nil, fmt.Errorf("experiments: %s attempt %d: %w",
-				key, attempt, &faultinject.Fault{Class: faultinject.PointFail, Site: key})
-		}
-	}
-	var deadline time.Time
-	if r.PointTimeout > 0 {
-		deadline = time.Now().Add(r.PointTimeout)
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	res, err = r.computeOnce(ctx, p)
-	if err := r.runCtx().Err(); err != nil {
-		return nil, err
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		r.Metrics.Counter("experiments.points.timeouts").Inc()
-		return nil, fmt.Errorf("experiments: %s exceeded point timeout %v: %w",
-			p, r.PointTimeout, context.DeadlineExceeded)
-	}
-	return res, err
 }
 
 // FaultRecord is one permanently failed point in a figure's fault report.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"jvmpower/internal/core"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
+	"jvmpower/internal/supervisor"
 	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
@@ -29,6 +31,49 @@ func javacSweep(t *testing.T, heapsMB ...int) []Point {
 		pts = append(pts, Point{Bench: b, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: h, Platform: platform.P6()})
 	}
 	return pts
+}
+
+// TestSweepJobsGrouping is the grouping rule: the consecutive SemiSpace
+// points of a sweep share one job on every route, in-process, on a
+// Supervisor's executors and under Shared flights, and every other point
+// is a job of its own. Only an enabled fault plan or a point timeout, each
+// per point, makes every job one point; a zero-rate plan injects nothing
+// and still groups.
+func TestSweepJobsGrouping(t *testing.T) {
+	fop, err := workloads.ByName("fop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := append(javacSweep(t, 32, 64, 128), dbPoint(t),
+		Point{Bench: fop, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 48, Platform: platform.P6()},
+		Point{Bench: fop, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 128, Platform: platform.P6()})
+	grouped, perPoint := []int{3, 1, 2}, []int{1, 1, 1, 1, 1, 1}
+	for _, tc := range []struct {
+		name string
+		set  func(r *Runner)
+		want []int
+	}{
+		{"in-process", func(*Runner) {}, grouped},
+		{"supervisor", func(r *Runner) { r.Supervisor = new(supervisor.Supervisor) }, grouped},
+		{"shared", func(r *Runner) { r.Shared = NewSharedFlights() }, grouped},
+		{"zero-rate plan", func(r *Runner) { r.Faults = mustPlan(t, "drop=0,fail=0,seed=7") }, grouped},
+		{"fault plan", func(r *Runner) { r.Faults = mustPlan(t, "drop=0.01,seed=7") }, perPoint},
+		{"point timeout", func(r *Runner) { r.PointTimeout = time.Minute }, perPoint},
+		{"supervisor and timeout", func(r *Runner) {
+			r.Supervisor, r.PointTimeout = new(supervisor.Supervisor), time.Minute
+		}, perPoint},
+	} {
+		var buf strings.Builder
+		r := quickRunner(&buf)
+		tc.set(r)
+		var sizes []int
+		for _, job := range r.sweepJobs(pts) {
+			sizes = append(sizes, len(job))
+		}
+		if !slices.Equal(sizes, tc.want) {
+			t.Errorf("%s: job sizes %v, want %v", tc.name, sizes, tc.want)
+		}
+	}
 }
 
 // TestSweepServesCachedMembers runs a sweep group half of whose members a

@@ -19,22 +19,23 @@ import (
 	"jvmpower/internal/workloads"
 )
 
-// Executor mode: the experiments binary serving points to a supervisor,
+// Executor mode: the experiments binary serving groups to a supervisor,
 // either as a local worker (`experiments -worker`, on its stdin/stdout) or
 // as a remote node (`experiments -serve-node`, over TCP). Both speak the
-// same node dialect (supervisor.ServeConn). Each spec is rebuilt into the
-// point and an inner Runner, which computes through the attempt path the
-// in-process run uses (computeResilient: transient-fault retries, panic
-// isolation). The result payload is the gob of a workerResult — whose
-// Outcome is the same core.Outcome the disk cache persists — so the
-// supervisor's side consumes an executor's result exactly as it consumes a
-// cache hit, which is what makes executor and in-process runs
-// byte-identical at the same seed.
+// same node dialect (supervisor.ServeConn). Each spec is rebuilt into its
+// group of points (see sweepJobs) and an inner Runner, which computes it
+// through attempt, the compute step the in-process run uses (lockstep
+// run, transient-fault retries, panic isolation). The result payload is
+// the gob of one workerResult per member — whose Outcome is the same
+// core.Outcome the disk cache persists — so the supervisor's side
+// consumes an executor's result exactly as it consumes a cache hit, which
+// is what makes executor and in-process runs byte-identical at the same
+// seed.
 
-// workerResult is the payload of a task-result frame: either a completed
-// point (OK with its Outcome) or the attempt chain's terminal error,
-// rendered to a string — the same string the in-process path would have put
-// in the fault report, so degraded cells read identically either way.
+// workerResult is one member's entry in a task-result payload: either a
+// completed point (OK with its Outcome) or its terminal error, rendered to
+// a string — the same string the in-process path would have put in the
+// fault report, so degraded cells read identically either way.
 type workerResult struct {
 	OK       bool
 	Err      string
@@ -62,8 +63,8 @@ type stdio struct {
 // They simulate the two deaths only a local worker can contain, for the
 // supervisor's own acceptance tests; a remote node never honours them.
 func workerHandle(spec pointproto.Spec) []byte {
-	inner, p, perr := rebuild(spec)
-	if perr == nil {
+	inner, pts, perr := rebuild(spec)
+	for _, p := range pts {
 		switch key := p.String(); {
 		case inner.Faults.PointHangs(key):
 			// Wedge: stop the whole process, heartbeat goroutine included,
@@ -75,7 +76,7 @@ func workerHandle(spec pointproto.Spec) []byte {
 			killSelf(syscall.SIGKILL)
 		}
 	}
-	return encodePoint(inner, p, perr)
+	return encodeResults(spec, inner, pts, perr)
 }
 
 // killSelf signals the worker's own process and never returns.
@@ -86,13 +87,13 @@ func killSelf(sig syscall.Signal) {
 	}
 }
 
-// HandleSpec is a remote node's point handler: it reconstructs the point
-// and computes through the same attempt path as every other route,
-// returning the workerResult gob the supervisor decodes. Errors encode into
-// the payload rather than escaping — a node answers every task it accepts.
+// HandleSpec is a remote node's task handler: it rebuilds the spec's group
+// and computes it through attempt, like every other route, returning the
+// payload the supervisor decodes. Errors encode into the payload rather
+// than escaping — a node answers every task it accepts.
 func HandleSpec(spec pointproto.Spec) []byte {
-	inner, p, perr := rebuild(spec)
-	return encodePoint(inner, p, perr)
+	inner, pts, perr := rebuild(spec)
+	return encodeResults(spec, inner, pts, perr)
 }
 
 // ServeNode runs one remote executor node on addr until ctx is cancelled
@@ -120,73 +121,81 @@ func ServeNode(ctx context.Context, addr string, capacity int, drain <-chan stru
 	return err
 }
 
-// specResult computes one rebuilt spec through the attempt path,
-// folding the outcome — completed point, point failure, or a rebuild
-// error — into the workerResult shape both transports carry.
-func specResult(inner *Runner, p Point, perr error) workerResult {
-	if perr != nil {
-		return workerResult{Err: perr.Error(), Attempts: 1}
+// encodeResults computes a rebuilt spec's group through attempt and
+// gob-encodes one workerResult per heap of the spec: each member's result
+// or error, or the rebuild error for every heap. An unencodable result
+// degrades to encoded errors, so the supervisor always gets a decodable
+// payload.
+func encodeResults(spec pointproto.Spec, inner *Runner, pts []Point, perr error) []byte {
+	out := make([]computed, 1+len(spec.MoreHeapsMB))
+	if perr == nil {
+		out = inner.attempt(pts)
 	}
-	res, attempts, err := inner.computeResilient(p, p.ID())
-	if err != nil {
-		return workerResult{Err: err.Error(), Attempts: attempts}
+	wrs := make([]workerResult, len(out))
+	for i, c := range out {
+		switch {
+		case perr != nil:
+			wrs[i] = workerResult{Err: perr.Error(), Attempts: 1}
+		case c.err != nil:
+			wrs[i] = workerResult{Err: c.err.Error(), Attempts: c.attempts}
+		default:
+			wrs[i] = workerResult{OK: true, Attempts: c.attempts, Outcome: c.res.Outcome}
+		}
 	}
-	return workerResult{OK: true, Attempts: attempts, Outcome: res.Outcome}
-}
-
-// encodePoint computes a rebuilt spec and gob-encodes the result payload,
-// degrading an unencodable result to an encoded error so the supervisor
-// always gets a decodable payload.
-func encodePoint(inner *Runner, p Point, perr error) []byte {
-	wr := specResult(inner, p, perr)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
-		wr = workerResult{Err: fmt.Sprintf("experiments: worker encoding result: %v", err), Attempts: wr.Attempts}
+	if err := gob.NewEncoder(&buf).Encode(wrs); err != nil {
+		for i := range wrs {
+			wrs[i] = workerResult{Err: fmt.Sprintf("experiments: worker encoding result: %v", err), Attempts: wrs[i].Attempts}
+		}
 		buf.Reset()
 		// Unreachable for the types involved; an empty payload fails to
 		// decode supervisor-side, a protocol crash, which is the right
 		// signal.
-		_ = gob.NewEncoder(&buf).Encode(&wr)
+		_ = gob.NewEncoder(&buf).Encode(wrs)
 	}
 	return buf.Bytes()
 }
 
-// rebuild reconstructs the characterization point and an inner Runner from
-// a wire spec. The inner runner carries exactly the settings that determine
-// a point's bytes (seed, quick, fault plan) and none of the supervision —
-// timeouts, cancellation, and kill are the supervisor's job.
-func rebuild(spec pointproto.Spec) (*Runner, Point, error) {
+// rebuild reconstructs a spec's group of points and an inner Runner. The
+// inner runner carries exactly the settings that determine a point's bytes
+// (seed, quick, fault plan) and none of the supervision — timeouts,
+// cancellation, and kill are the supervisor's job.
+func rebuild(spec pointproto.Spec) (*Runner, []Point, error) {
 	bench, err := workloads.ByName(spec.Bench)
 	if err != nil {
-		return nil, Point{}, fmt.Errorf("experiments: worker: %w", err)
+		return nil, nil, fmt.Errorf("experiments: worker: %w", err)
 	}
 	flavor, ok := flavorByName(spec.Flavor)
 	if !ok {
-		return nil, Point{}, fmt.Errorf("experiments: worker: unknown VM flavor %q", spec.Flavor)
+		return nil, nil, fmt.Errorf("experiments: worker: unknown VM flavor %q", spec.Flavor)
 	}
 	plat, err := platform.ByName(spec.Platform)
 	if err != nil {
-		return nil, Point{}, fmt.Errorf("experiments: worker: %w", err)
+		return nil, nil, fmt.Errorf("experiments: worker: %w", err)
 	}
 	plan, err := faultinject.Parse(spec.Faults)
 	if err != nil {
-		return nil, Point{}, fmt.Errorf("experiments: worker: %w", err)
+		return nil, nil, fmt.Errorf("experiments: worker: %w", err)
 	}
 	inner := NewRunner(io.Discard)
 	inner.Quick = spec.Quick
 	inner.Seed = spec.Seed
 	inner.Faults = plan
-	p := Point{
-		Bench:     bench,
-		Flavor:    flavor,
-		Collector: spec.Collector,
-		HeapMB:    spec.HeapMB,
-		Platform:  plat,
-		S10:       spec.S10,
-		FanOff:    spec.FanOff,
+	var pts []Point
+	for _, h := range append([]int{spec.HeapMB}, spec.MoreHeapsMB...) {
+		p := Point{
+			Bench:     bench,
+			Flavor:    flavor,
+			Collector: spec.Collector,
+			HeapMB:    h,
+			Platform:  plat,
+			S10:       spec.S10,
+			FanOff:    spec.FanOff,
+		}
+		if err := p.validate(); err != nil {
+			return nil, nil, err
+		}
+		pts = append(pts, p)
 	}
-	if err := p.validate(); err != nil {
-		return nil, Point{}, err
-	}
-	return inner, p, nil
+	return inner, pts, nil
 }

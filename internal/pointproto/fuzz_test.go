@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -113,7 +114,7 @@ func FuzzUnmarshalHello(f *testing.F) {
 		}
 		if task, err := UnmarshalTask(data); err == nil {
 			again, err := UnmarshalTask(MarshalTask(task))
-			if err != nil || again != task {
+			if err != nil || !reflect.DeepEqual(again, task) {
 				t.Fatalf("task round-trip mismatch: %+v vs %+v (%v)", again, task, err)
 			}
 		}
@@ -133,6 +134,8 @@ func FuzzUnmarshalSpec(f *testing.F) {
 	f.Add(MarshalSpec(Spec{}))
 	f.Add(MarshalSpec(Spec{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "GenMS",
 		HeapMB: 96, Platform: "P6", Seed: 7, Quick: true, Faults: "drop=0.05"}))
+	f.Add(MarshalSpec(Spec{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "SemiSpace",
+		HeapMB: 32, MoreHeapsMB: []int{48, 64, 80, 96, 112, 128}, Platform: "P6", Seed: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalSpec(data)
 		if err != nil {
@@ -142,7 +145,7 @@ func FuzzUnmarshalSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec failed to round-trip: %v", err)
 		}
-		if again != s {
+		if !reflect.DeepEqual(again, s) {
 			t.Fatalf("spec round-trip mismatch: %+v vs %+v", again, s)
 		}
 	})

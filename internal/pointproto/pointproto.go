@@ -26,8 +26,9 @@ import (
 // Version is the protocol version carried in the NodeHello handshake;
 // supervisor and executor must agree exactly (they are the same binary in
 // normal use, but a stale binary must be rejected, not misparsed). v3: the
-// Spec lost its repetition count.
-const Version = 3
+// Spec lost its repetition count. v4: a Spec carries a sweep group's
+// further heaps.
+const Version = 4
 
 // MaxPayload bounds any single frame's payload. Specs are tens of bytes
 // and results are a few kilobytes of gob; anything near the cap is a
@@ -135,20 +136,24 @@ func eofToUnexpected(err error) error {
 	return err
 }
 
-// Spec is one characterization point, serialized supervisor->executor:
-// the point identity plus every runner setting that determines its result.
-// The executor reconstructs a Runner from it and computes through the
-// same attempt path (retries of transient faults, panic recovery) the
-// in-process run uses, which is what makes executor and in-process runs
-// byte-identical at the same seed.
+// Spec is one sweep group of characterization points, serialized
+// supervisor->executor: the identity of its first point, the heap sizes of
+// the others, and every runner setting that determines their results. The
+// executor reconstructs a Runner from it and computes through the same
+// attempt path (lockstep run, retries of transient faults, panic recovery)
+// the in-process run uses, which is what makes executor and in-process
+// runs byte-identical at the same seed.
 type Spec struct {
 	Bench     string
 	Flavor    string
 	Collector string
 	HeapMB    int
-	Platform  string
-	S10       bool
-	FanOff    bool
+	// MoreHeapsMB are the heap sizes of the group's further points, which
+	// differ from the first only in heap size; empty for one point.
+	MoreHeapsMB []int
+	Platform    string
+	S10         bool
+	FanOff      bool
 
 	Seed   uint64
 	Quick  bool
@@ -159,6 +164,10 @@ type Spec struct {
 // platform names are tens of bytes, fault plans hundreds.
 const maxSpecString = 1 << 12
 
+// maxMoreHeaps bounds a spec's further heaps; the paper's longest sweep
+// has seven heaps.
+const maxMoreHeaps = 63
+
 // MarshalSpec encodes a spec as a compact varint stream.
 func MarshalSpec(s Spec) []byte {
 	var b []byte
@@ -167,6 +176,10 @@ func MarshalSpec(s Spec) []byte {
 		b = append(b, str...)
 	}
 	b = binary.AppendVarint(b, int64(s.HeapMB))
+	b = binary.AppendUvarint(b, uint64(len(s.MoreHeapsMB)))
+	for _, h := range s.MoreHeapsMB {
+		b = binary.AppendVarint(b, int64(h))
+	}
 	b = appendBool(b, s.S10)
 	b = appendBool(b, s.FanOff)
 	b = binary.AppendUvarint(b, s.Seed)
@@ -183,6 +196,17 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	s.Platform = d.str()
 	s.Faults = d.str()
 	s.HeapMB = int(d.varint())
+	// Each further heap takes at least one byte: a count above the cap or
+	// above the bytes left is corrupt, and is rejected before it sizes an
+	// allocation.
+	if n := d.uvarint(); n > maxMoreHeaps || n > uint64(len(d.buf)-d.off) {
+		d.fail("%d further heaps", n)
+	} else if n > 0 {
+		s.MoreHeapsMB = make([]int, n)
+		for i := range s.MoreHeapsMB {
+			s.MoreHeapsMB[i] = int(d.varint())
+		}
+	}
 	s.S10 = d.bool()
 	s.FanOff = d.bool()
 	s.Seed = d.uvarint()

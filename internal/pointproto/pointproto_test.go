@@ -2,8 +2,10 @@ package pointproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,13 +88,15 @@ func TestFrameTruncation(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip covers every field, including empties and flag
-// combinations.
+// TestSpecRoundTrip covers every field, including empties, flag
+// combinations, and a one-heap and a seven-heap sweep group.
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{},
 		{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "SemiSpace", HeapMB: 32,
 			Platform: "P6", Seed: 42, Quick: true},
+		{Bench: "_213_javac", Flavor: "JikesRVM", Collector: "SemiSpace", HeapMB: 32,
+			MoreHeapsMB: []int{48, 64, 80, 96, 112, 128}, Platform: "P6", Seed: 42},
 		{Bench: "fop", Flavor: "Kaffe", HeapMB: 128, Platform: "DBPXA255",
 			S10: true, FanOff: true, Faults: "drop=0.05,seed=7", Seed: 1},
 	}
@@ -101,8 +105,32 @@ func TestSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round-trip %+v: %v", want, err)
 		}
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("spec round-trip: got %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestSpecRejectsHostileHeapCount: a heap count above the cap, or above
+// the bytes left to hold the heaps, is rejected before it sizes an
+// allocation.
+func TestSpecRejectsHostileHeapCount(t *testing.T) {
+	// A spec with no further heaps ends in five one-byte fields: the heap
+	// count (0), S10, FanOff, Seed (0) and Quick.
+	b := MarshalSpec(Spec{Bench: "x"})
+	head := b[:len(b)-5]
+	for _, tc := range []struct {
+		n   uint64
+		pad int
+	}{
+		{maxMoreHeaps + 1, maxMoreHeaps + 8}, // above the cap, bytes to spare
+		{1 << 62, 64},                        // above the cap and the bytes
+		{3, 2},                               // within the cap, above the bytes
+	} {
+		raw := binary.AppendUvarint(append([]byte(nil), head...), tc.n)
+		raw = append(raw, make([]byte, tc.pad)...)
+		if _, err := UnmarshalSpec(raw); err == nil || !strings.Contains(err.Error(), "further heaps") {
+			t.Fatalf("heap count %d with %d bytes left: err = %v", tc.n, tc.pad, err)
 		}
 	}
 }
@@ -149,7 +177,7 @@ func TestTaskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("task round-trip: got %+v, want %+v", got, want)
 	}
 	if _, err := UnmarshalTask(nil); err == nil {

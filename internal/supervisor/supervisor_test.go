@@ -30,8 +30,9 @@ func TestMain(m *testing.M) {
 	case "scripted":
 		fakeWorker()
 	case "badversion":
+		// A stale binary: the protocol before the current one.
 		_ = pointproto.WriteFrame(os.Stdout, pointproto.MsgNodeHello,
-			pointproto.MarshalNodeHello(pointproto.NodeHello{Version: 99, PID: uint64(os.Getpid()), Capacity: 1}))
+			pointproto.MarshalNodeHello(pointproto.NodeHello{Version: pointproto.Version - 1, PID: uint64(os.Getpid()), Capacity: 1}))
 		time.Sleep(time.Minute)
 	}
 	os.Exit(0)
@@ -249,7 +250,8 @@ func TestCrashClassification(t *testing.T) {
 
 // TestVersionMismatchIsSpawnFailure: an executor speaking the wrong
 // protocol version is rejected at handshake, before any task reaches it —
-// a local worker and a TCP node alike.
+// a local worker speaking the previous version and a TCP node speaking a
+// future one alike.
 func TestVersionMismatchIsSpawnFailure(t *testing.T) {
 	s, _ := testSupervisor(t, func(c *Config) {
 		c.Env = []string{"SUPERVISOR_FAKE_WORKER=badversion"}

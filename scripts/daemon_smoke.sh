@@ -7,9 +7,11 @@
 #      byte-diff the /result body against the one-shot CLI output at the
 #      same seed (the wall-clock trailer the CLI appends is stripped; the
 #      daemon result has none);
-#   2. SIGKILL the daemon mid-campaign (a second submitted job), restart
-#      it on the same journal and cache, and verify recovery requeues and
-#      finishes the job byte-identically;
+#   2. SIGKILL the daemon mid-campaign (a second submitted job, quick
+#      Figure 7: its 1–2 s outlast the kill that follows its first
+#      journaled point, where quick Figure 6's five lockstep runs can
+#      finish first), restart it on the same journal and cache, and
+#      verify recovery requeues and finishes the job byte-identically;
 #   3. SIGTERM the idle daemon and assert the clean-drain exit: code 0
 #      and the "drained cleanly" log line.
 #
@@ -104,7 +106,7 @@ echo "daemon_smoke: job $job1 byte-identical to the one-shot CLI"
 # --- 2. SIGKILL mid-campaign, restart, recover ------------------------
 
 job2="$(curl -sf -X POST "$base/jobs" -H 'X-Client: smoke' \
-    -d '{"figures":["fig6"],"seed":11,"quick":true}' \
+    -d '{"figures":["fig7"],"seed":11,"quick":true}' \
     | sed -n 's/.*"id":"\([a-z0-9-]*\)".*/\1/p')"
 [ -n "$job2" ] || { echo "daemon_smoke: second submission returned no job ID" >&2; exit 1; }
 
@@ -127,7 +129,7 @@ state="$(poll_state "$job2")"
 [ "$state" = completed ] || { echo "daemon_smoke: recovered job $job2 ended $state" >&2; exit 1; }
 curl -sf "$base/jobs/$job2/result" > "$tmp/recovered-result.txt"
 
-"$tmp/experiments" -fig fig6 -quick -seed 11 > "$tmp/cli11-raw.txt"
+"$tmp/experiments" -fig fig7 -quick -seed 11 > "$tmp/cli11-raw.txt"
 strip_cli "$tmp/cli11-raw.txt" "$tmp/cli11-result.txt"
 if ! diff -u "$tmp/cli11-result.txt" "$tmp/recovered-result.txt"; then
     echo "daemon_smoke: FAIL — recovered result differs from the one-shot CLI run" >&2
