@@ -59,8 +59,8 @@ perfbench-check:
 # Fig. 6, 107 SemiSpace points) gates the batch engine and the evacuating
 # SemiSpace collector at the scale readers run. Output drift thus fails
 # here before the benchmark next runs. `--seconds 1` makes perfbench's
-# minimum of two passes per workload: 8–12 s for quick-all-isolated, and
-# fig6-full adds about 14 s, on a warm build cache on a 2-vCPU host.
+# minimum of two passes per workload: about 6 s for quick-all-isolated,
+# and fig6-full adds about 5 s, on a warm build cache on a 2-vCPU host.
 # run.sh exits 0 either way, so the target reads the verdict from the
 # result line, the last line of its output (run.sh's stderr names the
 # problem).
@@ -190,8 +190,10 @@ bench-gate:
 	$(GO) run ./cmd/benchgate diff bench-gate-a.json bench-gate-b.json -budget 5
 
 # bench-smoke is the CI-sized benchmark run: one repetition of the Fig. 7
-# benchmark. It is a does-it-run check, not a timing claim. The CPU
-# profile lands in bench-smoke.prof (with the test binary kept alongside
-# for `go tool pprof`) and CI uploads both as an artifact.
+# benchmark and of each BenchmarkSemiSpaceSweep sub-benchmark (per-point
+# and lockstep), so the lockstep hot path shows in the profile too. It is
+# a does-it-run check, not a timing claim. The CPU profile lands in
+# bench-smoke.prof (with the test binary kept alongside for
+# `go tool pprof`) and CI uploads both as an artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig7EDP$$' -benchmem -count=1 -cpuprofile bench-smoke.prof .
+	$(GO) test -run '^$$' -bench '^(BenchmarkFig7EDP|BenchmarkSemiSpaceSweep)$$' -benchtime 1x -benchmem -count=1 -cpuprofile bench-smoke.prof .

@@ -202,7 +202,7 @@ func BenchmarkFig7EDPFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if reg.Counter("supervisor.points.ok").Value() == 0 {
+		if reg.Counter("supervisor.tasks.ok").Value() == 0 {
 			b.Fatal("no points flowed through the nodes")
 		}
 		logIter(b, time.Since(t0))

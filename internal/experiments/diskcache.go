@@ -32,8 +32,11 @@ import (
 // diskCacheVersion invalidates all persisted entries when the cached
 // format — or the simulation's observable output — changes. Bump it in any
 // change that moves figure numbers. v3: entries grew the self-verifying
-// envelope. v4: the key hashes the whole PointID.
-const diskCacheVersion = 4
+// envelope. v4: the key hashes the whole PointID. v5: collectors price
+// each GC phase once from its counted volumes, which moves a phase's
+// locality and MLP, and so a cached Outcome's floats, in their last bits;
+// figure text is unchanged.
+const diskCacheVersion = 5
 
 // Envelope layout: magic (4) | format version (1) | payload CRC32C,
 // big-endian (4) | gob payload.

@@ -158,7 +158,7 @@ func TestFleetByteIdentical(t *testing.T) {
 	if n := len(r.Faulted()); n != 0 {
 		t.Fatalf("fleet campaign degraded %d points: %+v", n, r.Faulted())
 	}
-	if v := r.Metrics.Counter("supervisor.points.ok").Value(); v == 0 {
+	if v := r.Metrics.Counter("supervisor.tasks.ok").Value(); v == 0 {
 		t.Fatal("no points computed through the fleet")
 	}
 	for _, name := range []string{"supervisor.requeues", "supervisor.crashes.disconnect"} {

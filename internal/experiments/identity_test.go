@@ -108,7 +108,7 @@ func TestDiskKeyCompleteness(t *testing.T) {
 	}
 	key := func(r *Runner, p Point) string { return r.diskKey(p.ID()) }
 	ref := key(runner(), base)
-	if want := "caa40d2db01c5d7d7eea5def.point"; ref != want {
+	if want := "3da0510d5a8bfc7aa6fea2ee.point"; ref != want {
 		t.Fatalf("base point's disk key = %s, want %s", ref, want)
 	}
 	same := base

@@ -89,7 +89,7 @@ func TestIsolatedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := r2.Metrics.Counter("supervisor.points.ok").Value(); got == 0 {
+	if got := r2.Metrics.Counter("supervisor.tasks.ok").Value(); got == 0 {
 		t.Fatal("no points went through the supervisor: isolation not active")
 	}
 	if inproc.String() != isolated.String() {
@@ -127,7 +127,7 @@ func TestIsolatedGroupTask(t *testing.T) {
 	if err := r.RunAll(group); err != nil {
 		t.Fatal(err)
 	}
-	if tasks := r.Metrics.Counter("supervisor.points.ok").Value(); tasks != 1 {
+	if tasks := r.Metrics.Counter("supervisor.tasks.ok").Value(); tasks != 1 {
 		t.Fatalf("%d tasks for one group, want 1", tasks)
 	}
 	for _, p := range group {

@@ -57,22 +57,36 @@ const (
 	rootMLP  = 2.0
 )
 
-// scanWork returns the tracing work for visiting one object with nrefs
-// outgoing references: read the header, test/set the mark, read each
-// reference slot.
-func scanWork(nrefs int) Work {
+// Each helper prices a whole phase from the volumes a collector counted
+// during it, so the phase's locality and MLP are set once, from the phase's
+// constants.
+
+// traceWork returns the work of a trace phase: scanning nRoots root slots,
+// then objs objects holding refs outgoing references.
+func traceWork(nRoots int, objs, refs int64) Work {
+	w := rootWork(nRoots)
+	w.Add(scanWork(objs, refs))
+	return w
+}
+
+// scanWork returns the tracing work for scanning objs objects holding refs
+// outgoing references: per object, read the header, test/set the mark and
+// push and pop the worklist; per reference, read its slot.
+func scanWork(objs, refs int64) Work {
 	return Work{
-		Instructions: scanInstrPerObject + int64(nrefs)*scanInstrPerRef,
-		Reads:        4 + int64(nrefs), // header, mark word, slots, worklist
-		Writes:       2,                // mark/forward update, worklist push
+		Instructions: objs*scanInstrPerObject + refs*scanInstrPerRef,
+		Reads:        4*objs + refs, // header, mark word, slots, worklist
+		Writes:       2 * objs,      // mark/forward update, worklist push
 		Locality:     traceLocality,
 		MLP:          traceMLP,
 	}
 }
 
-// copyWork returns the work to move size bytes.
-func copyWork(size uint32) Work {
-	words := int64(size+3) / 4
+// copyWords returns the words a copy of a size-byte object moves.
+func copyWords(size uint32) int64 { return int64(size+3) / 4 }
+
+// copyWork returns the work of a copy phase that moved words words.
+func copyWork(words int64) Work {
 	return Work{
 		Instructions: words * copyInstrPerWord,
 		Reads:        words,

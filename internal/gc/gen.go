@@ -166,9 +166,8 @@ func (g *genBase) minorCollect(reason string) {
 	g.tr.follow = func(r heap.Ref, o *heap.Object) bool {
 		return o.Flags&heap.FlagMature == 0 && nurseryRegion.Contains(o.Addr)
 	}
-	var copied int64
+	var copied, copiedWords int64
 	var copiedBytes units.ByteSize
-	var wCopy Work
 	g.tr.visit = func(r heap.Ref, o *heap.Object) {
 		addr, ok := g.promote(o.Size)
 		if !ok {
@@ -179,18 +178,18 @@ func (g *genBase) minorCollect(reason string) {
 		}
 		h.SetAddr(r, addr)
 		o.Flags |= heap.FlagMature
-		o.Age++
 		copied++
 		copiedBytes += units.ByteSize(o.Size)
-		wCopy.Add(copyWork(o.Size))
+		copiedWords += copyWords(o.Size)
 		g.noteMatureObject(r)
 	}
 
-	// Roots: thread stacks/statics plus the remembered set.
+	// Roots: thread stacks/statics plus the remembered set, whose objects
+	// are priced like traced ones but count as roots, not as scanned.
 	nRoots := g.env.Roots.RootCount()
-	g.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	g.env.Roots.Roots(g.tr.enqueueRoot)
+	var remsetObjs, remsetRefs int64
 	for _, src := range g.remset {
 		o := h.Get(src)
 		o.Flags &^= heap.FlagRemset
@@ -198,7 +197,8 @@ func (g *genBase) minorCollect(reason string) {
 			continue // freed by an earlier full collection
 		}
 		refs := o.RefsIn(h)
-		g.tr.work.Add(scanWork(len(refs)))
+		remsetObjs++
+		remsetRefs += int64(len(refs))
 		rep.RootsScanned++
 		for _, c := range refs {
 			g.tr.enqueue(c)
@@ -238,7 +238,8 @@ func (g *genBase) minorCollect(reason string) {
 	rep.ObjectsFreed = freed
 	rep.BytesCopied = copiedBytes
 	rep.BytesFreed = freedBytes
-	rep.Phases, rep.Work = phased(g.tr.work, wCopy, Work{})
+	wTrace := traceWork(nRoots, g.tr.objectsScanned+remsetObjs, g.tr.refsScanned+remsetRefs)
+	rep.Phases, rep.Work = phased(wTrace, copyWork(copiedWords), Work{})
 	g.stats.note(rep)
 	g.env.emit(rep)
 }

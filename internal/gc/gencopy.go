@@ -62,9 +62,8 @@ func (g *GenCopy) full(reason string) {
 
 	g.tr.reset()
 	g.tr.follow = nil
-	var copied int64
+	var copied, copiedWords int64
 	var copiedBytes units.ByteSize
-	var wCopy Work
 	copyFailed := false
 	g.tr.visit = func(r heap.Ref, o *heap.Object) {
 		addr, ok := g.matureTo.Alloc(o.Size)
@@ -74,14 +73,12 @@ func (g *GenCopy) full(reason string) {
 		}
 		h.SetAddr(r, addr)
 		o.Flags |= heap.FlagMature
-		o.Age++
 		copied++
 		copiedBytes += units.ByteSize(o.Size)
-		wCopy.Add(copyWork(o.Size))
+		copiedWords += copyWords(o.Size)
 	}
 
 	nRoots := g.env.Roots.RootCount()
-	g.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	g.env.Roots.Roots(g.tr.enqueueRoot)
 	g.tr.drain()
@@ -125,7 +122,7 @@ func (g *GenCopy) full(reason string) {
 	rep.BytesCopied = copiedBytes
 	rep.BytesFreed = freedBytes
 	rep.LiveAfter = g.matureFrom.Used()
-	rep.Phases, rep.Work = phased(g.tr.work, wCopy, Work{})
+	rep.Phases, rep.Work = phased(traceWork(nRoots, g.tr.objectsScanned, g.tr.refsScanned), copyWork(copiedWords), Work{})
 	g.stats.note(rep)
 	g.env.emit(rep)
 }

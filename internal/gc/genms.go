@@ -54,9 +54,8 @@ func (g *GenMS) full(reason string) {
 
 	g.tr.reset()
 	g.tr.follow = nil
-	var copied int64
+	var copied, copiedWords int64
 	var copiedBytes units.ByteSize
-	var wCopy Work
 	promoted := make([]heap.Ref, 0, len(g.nurseryObjs)/4+1)
 	g.tr.visit = func(r heap.Ref, o *heap.Object) {
 		if o.Flags&heap.FlagMature != 0 {
@@ -70,15 +69,13 @@ func (g *GenMS) full(reason string) {
 		}
 		h.SetAddr(r, addr)
 		o.Flags |= heap.FlagMature
-		o.Age++
 		copied++
 		copiedBytes += units.ByteSize(o.Size)
-		wCopy.Add(copyWork(o.Size))
+		copiedWords += copyWords(o.Size)
 		promoted = append(promoted, r)
 	}
 
 	nRoots := g.env.Roots.RootCount()
-	g.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	g.env.Roots.Roots(g.tr.enqueueRoot)
 	g.tr.drain()
@@ -137,7 +134,7 @@ func (g *GenMS) full(reason string) {
 	rep.BytesCopied = copiedBytes
 	rep.BytesFreed = freedBytes
 	rep.LiveAfter = g.mature.Used() + g.nursery.Used()
-	rep.Phases, rep.Work = phased(g.tr.work, wCopy, wSweep)
+	rep.Phases, rep.Work = phased(traceWork(nRoots, g.tr.objectsScanned, g.tr.refsScanned), copyWork(copiedWords), wSweep)
 	g.stats.note(rep)
 	g.env.emit(rep)
 }

@@ -130,11 +130,9 @@ func (k *KaffeMS) startCycle(reason string) {
 
 	rep := CollectionReport{Collector: k.Name(), Kind: IncrementStep, Reason: "cycle start: " + reason}
 	nRoots := k.env.Roots.RootCount()
-	k.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	k.env.Roots.Roots(k.tr.enqueueRoot)
-	rep.Work = k.tr.work
-	k.tr.work = Work{}
+	rep.Work = rootWork(nRoots)
 	k.stats.note(rep)
 	k.env.emit(rep)
 }
@@ -145,16 +143,16 @@ func (k *KaffeMS) increment() {
 		k.finishCycle()
 		return
 	}
-	before := k.tr.objectsScanned
+	objs, refs := k.tr.objectsScanned, k.tr.refsScanned
 	k.tr.drainN(kaffeIncrementObjects)
+	objs, refs = k.tr.objectsScanned-objs, k.tr.refsScanned-refs
 	rep := CollectionReport{
 		Collector:      k.Name(),
 		Kind:           IncrementStep,
 		Reason:         "mark increment",
-		ObjectsScanned: k.tr.objectsScanned - before,
-		Work:           k.tr.work,
+		ObjectsScanned: objs,
+		Work:           scanWork(objs, refs),
 	}
-	k.tr.work = Work{}
 	k.stats.note(rep)
 	k.env.emit(rep)
 }
@@ -164,11 +162,10 @@ func (k *KaffeMS) increment() {
 func (k *KaffeMS) finishCycle() {
 	h := k.env.Heap
 	rep := CollectionReport{Collector: k.Name(), Kind: FullCollection, Reason: "cycle finish"}
-	scannedBefore := k.tr.objectsScanned
+	objs, refs := k.tr.objectsScanned, k.tr.refsScanned
 
 	// Final root re-scan catches references created since the snapshot.
 	nRoots := k.env.Roots.RootCount()
-	k.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	k.env.Roots.Roots(k.tr.enqueueRoot)
 	k.tr.drain()
@@ -182,14 +179,12 @@ func (k *KaffeMS) finishCycle() {
 		o := h.Get(r)
 		if o.Flags&heap.FlagMark != 0 {
 			o.Flags &^= heap.FlagMark
-			o.Age++
 			live = append(live, r)
 			continue
 		}
 		if k.falselyRetained(r) {
 			// A stack or register word happened to look like a pointer to
 			// this object; the conservative collector must keep it.
-			o.Age++
 			live = append(live, r)
 			continue
 		}
@@ -203,12 +198,13 @@ func (k *KaffeMS) finishCycle() {
 	k.sinceCycle = 0
 	wSweep := sweepWork(cells, freed).Scale(kaffeLazySweepFactor)
 
-	rep.ObjectsScanned = k.tr.objectsScanned - scannedBefore
+	objs, refs = k.tr.objectsScanned-objs, k.tr.refsScanned-refs
+	rep.ObjectsScanned = objs
 	rep.ObjectsFreed = freed
 	rep.CellsSwept = cells
 	rep.BytesFreed = freedBytes
 	rep.LiveAfter = k.space.Used()
-	rep.Phases, rep.Work = phased(k.tr.work, Work{}, wSweep)
+	rep.Phases, rep.Work = phased(traceWork(nRoots, objs, refs), Work{}, wSweep)
 	k.stats.note(rep)
 	k.env.emit(rep)
 }

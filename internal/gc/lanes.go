@@ -1,6 +1,8 @@
 package gc
 
 import (
+	"math"
+
 	"jvmpower/internal/heap"
 	"jvmpower/internal/units"
 )
@@ -10,10 +12,15 @@ import (
 // SemiSpace alone. Its reachability and trace order depend only on the
 // object graph, which every lane shares, and a lane's own collections,
 // counts and layout are kept in its plan; heap size changes only when the
-// plan collects, the Ref numbering, and Object.Addr and Age, which no
-// SemiSpace report reads. The other plans keep per-object collector state
-// in the table (mark bits, free cells, remembered sets, false retention),
-// which lanes sharing one table would see.
+// plan collects, the Ref numbering, and Object.Addr, which no SemiSpace
+// report reads. The other plans keep per-object collector state in the
+// table (mark bits, free cells, remembered sets, false retention), which
+// lanes sharing one table would see.
+//
+// An allocation costs the same however many lanes there are while it fits
+// in every lane's semi-space: Alloc only adds it to pending totals, which
+// Flush applies to every plan at once. A plan's counts and cursor are
+// therefore current only after a Flush; its Stats always are.
 type Lanes struct {
 	heap  *heap.Heap
 	plans []*SemiSpace
@@ -21,6 +28,17 @@ type Lanes struct {
 	// failure that made it leave.
 	left []error
 	live int
+
+	// room is the least free space of any lane's semi-space and next the
+	// last lane's next address, both as of the last flush (lanes that left
+	// do not count). Until the allocations since then outgrow room, no
+	// lane can collect.
+	room, next uint64
+	// The allocations since the last flush: their bump sizes, bytes and
+	// number.
+	pendBump    uint64
+	pendBytes   units.ByteSize
+	pendObjects int64
 }
 
 // NewLanes returns a set of SemiSpace plans, one per heap size, over
@@ -36,6 +54,7 @@ func NewLanes(heapSizes []units.ByteSize, env Env, onCollection func(lane int, r
 		laneEnv.OnCollection = func(r CollectionReport) { onCollection(i, r) }
 		l.plans = append(l.plans, NewSemiSpace(size, laneEnv))
 	}
+	l.measure()
 	return l, nil
 }
 
@@ -52,7 +71,18 @@ func (l *Lanes) Left(i int) error { return l.left[i] }
 // would differ from the one the others share. The last lane in the set
 // never leaves; Alloc returns its error instead, exactly as its own
 // SemiSpace.Alloc would, so a one-lane set is a plain SemiSpace.
+//
+// Object.Addr is the last lane's address; no SemiSpace report reads it.
 func (l *Lanes) Alloc(size uint32, nrefs int) (heap.Ref, error) {
+	bump := heap.BumpSize(size)
+	if l.pendBump+bump <= l.room {
+		addr := l.next + l.pendBump
+		l.pendBump += bump
+		l.pendBytes += units.ByteSize(size)
+		l.pendObjects++
+		return l.heap.NewObject(size, nrefs, addr), nil
+	}
+	l.Flush()
 	var addr uint64
 	for i, s := range l.plans {
 		if l.left[i] != nil {
@@ -61,16 +91,45 @@ func (l *Lanes) Alloc(size uint32, nrefs int) (heap.Ref, error) {
 		a, err := s.reserve(size)
 		if err != nil {
 			if l.live == 1 {
+				l.measure()
 				return heap.Null, err
 			}
 			l.left[i] = err
 			l.live--
 			continue
 		}
-		// Object.Addr is one lane's address; no SemiSpace report reads it.
 		addr = a
 	}
+	l.measure()
 	return l.heap.NewObject(size, nrefs, addr), nil
+}
+
+// Flush applies the allocations since the last flush to every plan in the
+// set: what each plan's reserve would have done for them one by one.
+func (l *Lanes) Flush() {
+	if l.pendObjects == 0 {
+		return
+	}
+	for i, s := range l.plans {
+		if l.left[i] == nil {
+			s.from.Advance(l.pendBump)
+			s.count(l.pendObjects, l.pendBytes)
+		}
+	}
+	l.room -= l.pendBump
+	l.next += l.pendBump
+	l.pendBump, l.pendBytes, l.pendObjects = 0, 0, 0
+}
+
+// measure sets room and next from the plans; nothing may be pending.
+func (l *Lanes) measure() {
+	l.room = math.MaxUint64
+	for i, s := range l.plans {
+		if l.left[i] == nil {
+			l.room = min(l.room, uint64(s.from.Free()))
+			l.next = s.from.Next()
+		}
+	}
 }
 
 // WriteBarrier implements the mutator's barrier call: SemiSpace needs none.

@@ -72,7 +72,6 @@ func (m *MarkSweep) collect(reason string) {
 	m.tr.follow = nil
 	m.tr.visit = nil
 	nRoots := m.env.Roots.RootCount()
-	m.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	m.env.Roots.Roots(m.tr.enqueueRoot)
 	m.tr.drain()
@@ -88,7 +87,6 @@ func (m *MarkSweep) collect(reason string) {
 		o := h.Get(r)
 		if o.Flags&heap.FlagMark != 0 {
 			o.Flags &^= heap.FlagMark
-			o.Age++
 			live = append(live, r)
 		} else {
 			m.space.FreeCell(o.Addr, o.Size)
@@ -104,7 +102,7 @@ func (m *MarkSweep) collect(reason string) {
 	rep.CellsSwept = cells
 	rep.BytesFreed = freedBytes
 	rep.LiveAfter = m.space.Used()
-	rep.Phases, rep.Work = phased(m.tr.work, Work{}, sweepWork(cells, freed))
+	rep.Phases, rep.Work = phased(traceWork(nRoots, m.tr.objectsScanned, m.tr.refsScanned), Work{}, sweepWork(cells, freed))
 	m.stats.note(rep)
 	m.env.emit(rep)
 }

@@ -76,10 +76,16 @@ func (s *SemiSpace) reserve(size uint32) (uint64, error) {
 				ErrOutOfMemory, size, s.from.Free())
 		}
 	}
-	s.sinceGC += units.ByteSize(size)
-	s.objects++
-	s.bytes += units.ByteSize(size)
+	s.count(1, units.ByteSize(size))
 	return addr, nil
+}
+
+// count adds objects objects of bytes bytes, just reserved, to what the
+// plan holds and has allocated since its last collection.
+func (s *SemiSpace) count(objects int64, bytes units.ByteSize) {
+	s.sinceGC += bytes
+	s.objects += objects
+	s.bytes += bytes
 }
 
 // WriteBarrier implements Collector. SemiSpace needs no barrier.
@@ -94,11 +100,9 @@ func (s *SemiSpace) collect(reason string) {
 	liveBefore, bytesBefore := s.objects, s.bytes
 
 	s.tr.reset()
-	var copied int64
+	var copied, copiedWords int64
 	var copiedBytes units.ByteSize
-	var wCopy Work
 	s.tr.visit = func(r heap.Ref, o *heap.Object) {
-		o.Age++
 		addr, ok := s.to.Alloc(o.Size)
 		if !ok {
 			// The live set exceeds a semi-space: a genuine OOM condition.
@@ -109,13 +113,12 @@ func (s *SemiSpace) collect(reason string) {
 		o.Addr = addr
 		copied++
 		copiedBytes += units.ByteSize(o.Size)
-		wCopy.Add(copyWork(o.Size))
+		copiedWords += copyWords(o.Size)
 	}
 
 	// Root scan and closure: survivors are copied on first reach and every
 	// slot is rewritten to the copy; what the trace never reaches is dead.
 	nRoots := s.env.Roots.RootCount()
-	s.tr.work.Add(rootWork(nRoots))
 	rep.RootsScanned = int64(nRoots)
 	h.BeginEvacuation()
 	s.env.Roots.Roots(s.tr.forward)
@@ -134,7 +137,7 @@ func (s *SemiSpace) collect(reason string) {
 	rep.BytesCopied = copiedBytes
 	rep.BytesFreed = bytesBefore - s.bytes
 	rep.LiveAfter = s.from.Used()
-	rep.Phases, rep.Work = phased(s.tr.work, wCopy, Work{})
+	rep.Phases, rep.Work = phased(traceWork(nRoots, s.tr.objectsScanned, s.tr.refsScanned), copyWork(copiedWords), Work{})
 	s.stats.note(rep)
 	s.env.emit(rep)
 }

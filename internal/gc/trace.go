@@ -6,7 +6,8 @@ import "jvmpower/internal/heap"
 // graph, shared by all collectors. The per-object action (mark vs copy) is
 // supplied by the caller; the tracer handles dedup via FlagMark (or, for
 // SemiSpace's evacuating trace, the heap's forwarding state), worklist
-// management, and work accounting.
+// management, and counts what it scanned, which the collector prices once
+// per phase (traceWork).
 type tracer struct {
 	h        *heap.Heap
 	worklist []heap.Ref
@@ -20,15 +21,16 @@ type tracer struct {
 	// enqueued (e.g. copy it to to-space). May be nil.
 	visit func(heap.Ref, *heap.Object)
 
+	// objectsScanned and refsScanned count the objects scanned since the
+	// last reset and the outgoing references they held.
 	objectsScanned int64
-	work           Work
+	refsScanned    int64
 }
 
 // reset prepares the tracer for a new collection.
 func (t *tracer) reset() {
 	t.worklist = t.worklist[:0]
-	t.objectsScanned = 0
-	t.work = Work{}
+	t.objectsScanned, t.refsScanned = 0, 0
 }
 
 // enqueueRoot offers a root slot's reference to the trace.
@@ -80,7 +82,7 @@ func (t *tracer) scan(r heap.Ref) {
 	o := t.h.Get(r)
 	t.objectsScanned++
 	refs := o.RefsIn(t.h)
-	t.work.Add(scanWork(len(refs)))
+	t.refsScanned += int64(len(refs))
 	for _, c := range refs {
 		t.enqueue(c)
 	}
@@ -104,15 +106,15 @@ func (t *tracer) forward(slot *heap.Ref) {
 }
 
 // drainForwarding is drain for an evacuating trace: the same depth-first
-// order and per-object work as scan, with each child reached through its
-// field slot so forward can rewrite it.
+// order and counts as scan, with each child reached through its field slot
+// so forward can rewrite it.
 func (t *tracer) drainForwarding() {
 	for len(t.worklist) > 0 {
 		r := t.worklist[len(t.worklist)-1]
 		t.worklist = t.worklist[:len(t.worklist)-1]
 		t.objectsScanned++
 		refs := t.h.Get(r).RefsIn(t.h)
-		t.work.Add(scanWork(len(refs)))
+		t.refsScanned += int64(len(refs))
 		for i := range refs {
 			t.forward(&refs[i])
 		}

@@ -119,7 +119,6 @@ type Object struct {
 	nrefs uint16
 
 	Flags uint8
-	Age   uint8 // nursery collections survived
 
 	// inline backs the references of objects with at most inlineRefs of
 	// them; an object with more keeps its ref-arena offset in inline[0].

@@ -116,7 +116,7 @@ func TestChunkPoolReuseConcurrent(t *testing.T) {
 					r := h.NewObject(size, nrefs, addr)
 					o := h.Get(r)
 					refs := o.RefsIn(h)
-					if o.Size != size || o.Addr != addr || o.Flags != 0 || o.Age != 0 || len(refs) != nrefs {
+					if o.Size != size || o.Addr != addr || o.Flags != 0 || len(refs) != nrefs {
 						errs <- fmt.Errorf("round %d object %d not clean: %+v", round, i, *o)
 						return
 					}
@@ -129,7 +129,6 @@ func TestChunkPoolReuseConcurrent(t *testing.T) {
 					}
 					// Leave the slot dirty for the next heap to get this chunk.
 					o.Flags = FlagMark | FlagRemset | FlagMature
-					o.Age = 3
 				}
 				h.Release()
 			}

@@ -36,10 +36,14 @@ func NewBumpSpace(name string, region Region) *BumpSpace {
 	return &BumpSpace{Name: name, region: region, cursor: region.Base}
 }
 
+// BumpSize returns the bytes an Alloc of size bytes takes: size rounded
+// up to 8.
+func BumpSize(size uint32) uint64 { return uint64(size+7) &^ 7 }
+
 // Alloc reserves size bytes, returning the base address, or ok=false when
 // the space cannot satisfy the request (the caller should collect).
 func (s *BumpSpace) Alloc(size uint32) (addr uint64, ok bool) {
-	aligned := uint64(size+7) &^ 7
+	aligned := BumpSize(size)
 	if s.cursor+aligned > s.region.Limit {
 		return 0, false
 	}
@@ -47,6 +51,14 @@ func (s *BumpSpace) Alloc(size uint32) (addr uint64, ok bool) {
 	s.cursor += aligned
 	return addr, true
 }
+
+// Advance moves the cursor past n bytes, the sum of the BumpSize of
+// allocations made without Alloc. The caller has checked that n fits in
+// Free.
+func (s *BumpSpace) Advance(n uint64) { s.cursor += n }
+
+// Next returns the address the next allocation gets.
+func (s *BumpSpace) Next() uint64 { return s.cursor }
 
 // Used reports bytes currently allocated.
 func (s *BumpSpace) Used() units.ByteSize { return units.ByteSize(s.cursor - s.region.Base) }

@@ -537,8 +537,8 @@ func (s *Supervisor) complete(n *node, res pointproto.TaskResult) {
 	}
 	delete(n.inflight, res.ID)
 	n.breaker.Record(false)
-	s.cfg.Metrics.Counter("supervisor.points.ok").Inc()
-	s.cfg.Metrics.Counter(fmt.Sprintf("supervisor.node.%d.points", n.idx)).Inc()
+	s.cfg.Metrics.Counter("supervisor.tasks.ok").Inc()
+	s.cfg.Metrics.Counter(fmt.Sprintf("supervisor.node.%d.tasks", n.idx)).Inc()
 	finish(t, res.Payload, nil)
 	s.cond.Broadcast()
 }

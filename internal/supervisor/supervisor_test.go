@@ -174,8 +174,8 @@ func TestRunsPoints(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustOK(t, s, fmt.Sprintf("point-%d", i))
 	}
-	if n := reg.Counter("supervisor.points.ok").Value(); n != 5 {
-		t.Fatalf("points.ok = %d, want 5", n)
+	if n := reg.Counter("supervisor.tasks.ok").Value(); n != 5 {
+		t.Fatalf("tasks.ok = %d, want 5", n)
 	}
 	if reg.Counter("supervisor.heartbeats").Value() == 0 {
 		t.Fatal("no heartbeats observed")

@@ -174,7 +174,11 @@ func (v *VM) RunProfile(p BehaviorProfile) error {
 		if mlp == 0 {
 			mlp = 1.4
 		}
-		// One per lane: each lane's collector sets its locality.
+		// One per lane: each lane's collector sets its locality, which
+		// reads the lane's allocation since its last collection.
+		if v.set != nil {
+			v.set.Flush()
+		}
 		for i, l := range v.lanes {
 			if v.LaneLeft(i) != nil {
 				continue

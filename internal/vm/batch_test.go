@@ -162,10 +162,11 @@ func TestLiveSetBounded(t *testing.T) {
 	}
 }
 
-// TestCollectorWorkPinned pins each Jikes plan's collector work over one
-// batch run (smallProfile in an 8 MB heap): collections by kind, objects
-// scanned, copied and freed, and bytes copied and freed. A run is
-// deterministic, so the counts are exact. A change to what the VM
+// TestCollectorWorkPinned pins each plan's collector work over one batch
+// run (smallProfile in an 8 MB heap): collections by kind, objects
+// scanned, copied and freed, bytes copied and freed, and the instructions,
+// reads and writes of the total work priced. A run is deterministic, so
+// the counts are exact. A change to what the VM
 // allocates, roots or links, or to what a collector traces, copies or
 // frees, moves them. A Ref held across a SemiSpace allocation usually
 // does not; TestCohortLinkAfterCollectingAlloc checks that case.
@@ -174,24 +175,31 @@ func TestCollectorWorkPinned(t *testing.T) {
 		Collections, Nursery, Full, Increments int64
 		Scanned, Copied, Freed                 int64
 		BytesCopied, BytesFreed                units.ByteSize
+		Instructions, Reads, Writes            int64
 	}
 	for _, c := range []struct {
 		col  string
 		want work
 	}{
-		{"SemiSpace", work{7, 0, 7, 0, 63939, 63939, 374630, 4048296, 23779178}},
-		{"MarkSweep", work{4, 0, 4, 0, 33733, 0, 319909, 0, 20308454}},
-		{"GenCopy", work{13, 13, 0, 0, 19206, 19206, 374690, 1217396, 23782794}},
-		{"GenMS", work{12, 12, 0, 0, 18240, 18240, 357556, 1155404, 22696231}},
+		{"SemiSpace", work{7, 0, 7, 0, 63939, 63939, 374630, 4048296, 23779178, 5676826, 1420412, 1163767}},
+		{"MarkSweep", work{4, 0, 4, 0, 33733, 0, 319909, 0, 20308454, 8478385, 910126, 707284}},
+		{"GenCopy", work{13, 13, 0, 0, 19206, 19206, 374690, 1217396, 23782794, 1752000, 432548, 351128}},
+		{"GenMS", work{12, 12, 0, 0, 18240, 18240, 357556, 1155404, 22696231, 1661558, 410394, 333256}},
+		{"KaffeMS", work{6, 0, 6, 119, 55657, 0, 373858, 0, 23729897, 6988107, 817220, 522555}},
 	} {
 		t.Run(c.col, func(t *testing.T) {
-			v, _ := newTestVM(t, smallProgram(), Jikes, c.col, 8*units.MB)
+			flavor := Jikes
+			if c.col == "KaffeMS" {
+				flavor = Kaffe
+			}
+			v, _ := newTestVM(t, smallProgram(), flavor, c.col, 8*units.MB)
 			if err := v.RunProfile(smallProfile()); err != nil {
 				t.Fatal(err)
 			}
 			st := v.Collector().Stats()
 			got := work{st.Collections, st.NurseryCollections, st.FullCollections, st.Increments,
-				st.ObjectsScanned, st.ObjectsCopied, st.ObjectsFreed, st.BytesCopied, st.BytesFreed}
+				st.ObjectsScanned, st.ObjectsCopied, st.ObjectsFreed, st.BytesCopied, st.BytesFreed,
+				st.TotalWork.Instructions, st.TotalWork.Reads, st.TotalWork.Writes}
 			if got != c.want {
 				t.Errorf("collector work\n got %+v\nwant %+v", got, c.want)
 			}

@@ -21,7 +21,10 @@ type Work struct {
 	MLP float64
 }
 
-// Add merges w2 into w, weighting locality and MLP by access volume.
+// Add merges w2 into w, weighting locality and MLP by access volume. It
+// merges totals, such as a collection's phases or a run's collections;
+// each costs two float divisions, so a collector does not call it per
+// object but counts a phase's volumes and prices the phase once.
 func (w *Work) Add(w2 Work) {
 	a1 := w.Reads + w.Writes
 	a2 := w2.Reads + w2.Writes
