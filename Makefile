@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke examples-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
+.PHONY: build test vet fmt-check loc race check ci perfbench-check output-check validate fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke examples-smoke bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
+
+# loc prints the non-test Go lines of internal/ plus cmd/, the size a
+# simplicity change is measured by, and separately those of perfbench/,
+# the benchmark module.
+loc:
+	@printf 'internal/ + cmd/: %s\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'perfbench/:       %s\n' "$$(find perfbench -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 # race exercises the concurrent machinery under the race detector: the
 # experiment dispatcher (RunAll workers, the fan-out of the ablation, dvfs,

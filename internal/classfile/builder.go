@@ -3,7 +3,6 @@ package classfile
 import (
 	"fmt"
 
-	"jvmpower/internal/isa"
 	"jvmpower/internal/units"
 )
 
@@ -30,11 +29,9 @@ func NewBuilder(name string) *Builder {
 type ClassSpec struct {
 	Name       string
 	Super      string // empty for a root class
-	Fields     []Field
-	StaticInts int
 	StaticRefs int
 	System     bool
-	FileBytes  units.ByteSize // 0 derives a size from the field/method count
+	FileBytes  units.ByteSize
 }
 
 // AddClass adds a class and returns its ID. Duplicate names panic: the
@@ -57,8 +54,6 @@ func (b *Builder) AddClass(spec ClassSpec) ClassID {
 		ID:         id,
 		Name:       spec.Name,
 		Super:      super,
-		Fields:     spec.Fields,
-		StaticInts: spec.StaticInts,
 		StaticRefs: spec.StaticRefs,
 		System:     spec.System,
 		FileBytes:  spec.FileBytes,
@@ -70,11 +65,9 @@ func (b *Builder) AddClass(spec ClassSpec) ClassID {
 
 // MethodSpec describes a method to add.
 type MethodSpec struct {
-	Class      ClassID
-	Name       string
-	RefArgs    []bool // one entry per argument; length defines NArgs
-	ExtraSlots int    // locals beyond the arguments
-	Code       []isa.Instr
+	Class     ClassID
+	Name      string
+	Bytecodes int
 }
 
 // AddMethod adds a method to a previously added class and returns its ID.
@@ -88,16 +81,12 @@ func (b *Builder) AddMethod(spec MethodSpec) MethodID {
 	}
 	id := MethodID(len(b.prog.Methods))
 	m := &Method{
-		ID:      id,
-		Class:   spec.Class,
-		Name:    spec.Name,
-		NArgs:   len(spec.RefArgs),
-		RefArgs: append([]bool(nil), spec.RefArgs...),
-		NLocals: len(spec.RefArgs) + spec.ExtraSlots,
-		Code:    spec.Code,
+		ID:        id,
+		Class:     spec.Class,
+		Name:      spec.Name,
+		Bytecodes: spec.Bytecodes,
 	}
 	b.prog.Methods = append(b.prog.Methods, m)
-	b.prog.Classes[spec.Class].Methods = append(b.prog.Classes[spec.Class].Methods, id)
 	b.methods[key] = id
 	return id
 }
@@ -105,20 +94,8 @@ func (b *Builder) AddMethod(spec MethodSpec) MethodID {
 // SetEntry marks the program entry point.
 func (b *Builder) SetEntry(m MethodID) { b.prog.Entry = m }
 
-// Build finalizes the program: derives file sizes for classes that did not
-// specify one, validates everything, and returns the program.
+// Build validates the program and returns it.
 func (b *Builder) Build() (*Program, error) {
-	for _, c := range b.prog.Classes {
-		if c.FileBytes == 0 {
-			// A rough class-file size model: constant pool + field and
-			// method metadata + ~4 bytes per bytecode.
-			sz := 320 + 24*len(c.Fields) + 18*(c.StaticInts+c.StaticRefs)
-			for _, mid := range c.Methods {
-				sz += 64 + 4*len(b.prog.Methods[mid].Code)
-			}
-			c.FileBytes = units.ByteSize(sz)
-		}
-	}
 	if err := b.prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,22 +109,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// Asm is a tiny convenience for writing instruction slices.
-func Asm(ins ...isa.Instr) []isa.Instr { return ins }
-
-// I constructs an instruction.
-func I(op isa.Opcode, operands ...int32) isa.Instr {
-	in := isa.Instr{Op: op}
-	switch len(operands) {
-	case 0:
-	case 1:
-		in.A = operands[0]
-	case 2:
-		in.A, in.B = operands[0], operands[1]
-	default:
-		panic("classfile: too many operands")
-	}
-	return in
 }

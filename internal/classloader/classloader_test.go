@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"jvmpower/internal/classfile"
-	"jvmpower/internal/isa"
 )
 
 func chainProgram(t *testing.T) *classfile.Program {
@@ -14,7 +13,7 @@ func chainProgram(t *testing.T) *classfile.Program {
 	b.AddClass(classfile.ClassSpec{Name: "Sys", Super: "Object", System: true, FileBytes: 2000})
 	b.AddClass(classfile.ClassSpec{Name: "A", Super: "Object", FileBytes: 3000})
 	bID := b.AddClass(classfile.ClassSpec{Name: "B", Super: "A", FileBytes: 4000})
-	m := b.AddMethod(classfile.MethodSpec{Class: bID, Name: "main", Code: []isa.Instr{{Op: isa.HALT}}})
+	m := b.AddMethod(classfile.MethodSpec{Class: bID, Name: "main", Bytecodes: 1})
 	b.SetEntry(m)
 	return b.MustBuild()
 }

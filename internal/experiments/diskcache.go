@@ -55,12 +55,9 @@ const corruptDirName = "corrupt"
 // settings. It hashes the Go syntax of the whole PointID (%#v, which names
 // and quotes every field and bypasses String), so no identity field can be
 // left out. The fault plan's canonical spec is part of the key: a fault
-// campaign's perturbed results must never be served to a clean run. The
-// literal "reps=1" is what every key hashed when a point could also be
-// characterized as a quorum of repetitions; it stays so that every cache
-// written since keeps its names.
+// campaign's perturbed results must never be served to a clean run.
 func (r *Runner) diskKey(id PointID) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%#v|seed=%d|quick=%t|faults=%s|reps=1",
+	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%#v|seed=%d|quick=%t|faults=%s",
 		diskCacheVersion, id, r.Seed, r.Quick, r.Faults.String())))
 	return fmt.Sprintf("%x.point", h[:12])
 }

@@ -108,7 +108,7 @@ func TestDiskKeyCompleteness(t *testing.T) {
 	}
 	key := func(r *Runner, p Point) string { return r.diskKey(p.ID()) }
 	ref := key(runner(), base)
-	if want := "3da0510d5a8bfc7aa6fea2ee.point"; ref != want {
+	if want := "71f617060d475852cc3c95d9.point"; ref != want {
 		t.Fatalf("base point's disk key = %s, want %s", ref, want)
 	}
 	same := base

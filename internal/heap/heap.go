@@ -227,9 +227,10 @@ func (h *Heap) spillRefs(n int) uint32 {
 // NewObject creates an object in the table with the given shape and
 // simulated address and returns its reference. The caller (a collector's
 // allocator) is responsible for having reserved addr..addr+size in a space.
-// More than math.MaxUint16 references panics: the count is 16 bits, and
-// classfile.Program.Validate bounds a class's fields at that, so reaching
-// this is a VM bug.
+// More than math.MaxUint16 references panics, since the count is 16 bits.
+// No count comes from a class: the VM draws an application object's from 0
+// to 2×RefsPerObject of its behavior profile and gives each mature mutation
+// table 4. This panic is the only guard.
 func (h *Heap) NewObject(size uint32, nrefs int, addr uint64) Ref {
 	if uint(nrefs) > math.MaxUint16 {
 		panic("heap: object reference count out of range")

@@ -100,7 +100,7 @@ func CompileWork(m *classfile.Method, t Tier) work.Work {
 	default:
 		panic(fmt.Sprintf("jit: cannot compile at tier %s", t))
 	}
-	n := float64(m.Size())
+	n := float64(m.Bytecodes)
 	instr := n * per
 	return work.Work{
 		Instructions: int64(instr),
@@ -110,16 +110,5 @@ func CompileWork(m *classfile.Method, t Tier) work.Work {
 		Writes:   int64(instr * 0.12),
 		Locality: compileLocality,
 		MLP:      1.4, // IR walks are dependent traversals
-	}
-}
-
-// CompiledCodeBytes estimates the machine-code size a tier produces for a
-// method (code-space accounting).
-func CompiledCodeBytes(m *classfile.Method, t Tier) int {
-	switch t {
-	case TierOpt:
-		return m.Size() * 18
-	default:
-		return m.Size() * 26
 	}
 }

@@ -4,16 +4,10 @@ import (
 	"testing"
 
 	"jvmpower/internal/classfile"
-	"jvmpower/internal/isa"
 )
 
 func method(n int) *classfile.Method {
-	code := make([]isa.Instr, n)
-	for i := range code {
-		code[i] = isa.Instr{Op: isa.NOP}
-	}
-	code[n-1] = isa.Instr{Op: isa.RETURN}
-	return &classfile.Method{ID: 1, Name: "m", Code: code}
+	return &classfile.Method{ID: 1, Name: "m", Bytecodes: n}
 }
 
 func TestCompileCostOrdering(t *testing.T) {
@@ -147,12 +141,5 @@ func TestTierStrings(t *testing.T) {
 		if tier.String() != want {
 			t.Errorf("tier %d = %q", tier, tier.String())
 		}
-	}
-}
-
-func TestCompiledCodeBytes(t *testing.T) {
-	m := method(100)
-	if CompiledCodeBytes(m, TierOpt) >= CompiledCodeBytes(m, TierBaseline) {
-		t.Fatal("optimized code should be denser")
 	}
 }

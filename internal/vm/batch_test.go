@@ -12,7 +12,6 @@ import (
 	"jvmpower/internal/component"
 	"jvmpower/internal/heap"
 	"jvmpower/internal/heap/heaptest"
-	"jvmpower/internal/isa"
 	"jvmpower/internal/units"
 )
 
@@ -45,19 +44,17 @@ func smallProgram() *classfile.Program {
 	for i := 0; i < 12; i++ {
 		name := "Sys" + string(rune('A'+i))
 		c := b.AddClass(classfile.ClassSpec{Name: name, Super: "Object", System: true, FileBytes: 2000})
-		b.AddMethod(classfile.MethodSpec{Class: c, Name: "m",
-			Code: classfile.Asm(classfile.I(isa.NOP), classfile.I(isa.RETURN))})
+		b.AddMethod(classfile.MethodSpec{Class: c, Name: "m", Bytecodes: 2})
 	}
 	for i := 0; i < 12; i++ {
 		name := "App" + string(rune('A'+i))
 		c := b.AddClass(classfile.ClassSpec{Name: name, Super: "Object", FileBytes: 3000})
 		for j := 0; j < 3; j++ {
-			b.AddMethod(classfile.MethodSpec{Class: c, Name: "m" + string(rune('0'+j)),
-				Code: classfile.Asm(classfile.I(isa.NOP), classfile.I(isa.NOP), classfile.I(isa.RETURN))})
+			b.AddMethod(classfile.MethodSpec{Class: c, Name: "m" + string(rune('0'+j)), Bytecodes: 3})
 		}
 	}
 	mainC := b.AddClass(classfile.ClassSpec{Name: "Main", Super: "Object", FileBytes: 1000})
-	m := b.AddMethod(classfile.MethodSpec{Class: mainC, Name: "main", Code: classfile.Asm(classfile.I(isa.HALT))})
+	m := b.AddMethod(classfile.MethodSpec{Class: mainC, Name: "main", Bytecodes: 1})
 	b.SetEntry(m)
 	return b.MustBuild()
 }

@@ -407,7 +407,7 @@ func (v *VM) compile(m classfile.MethodID, tier jit.Tier) {
 		panic(fmt.Sprintf("vm: compile at tier %s", tier))
 	}
 	// Compiler working state (IR, tables) spans well beyond the method.
-	ws := units.ByteSize(method.Size() * 160)
+	ws := units.ByteSize(method.Bytecodes * 160)
 	if ws < 128*units.KB {
 		ws = 128 * units.KB
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jvmpower/internal/classfile"
-	"jvmpower/internal/isa"
 	"jvmpower/internal/units"
 )
 
@@ -12,6 +11,14 @@ import (
 // (the java.* classes both VMs ship); application classes are generated to
 // the benchmark's Structure. Generation is deterministic, so runs are
 // reproducible bit-for-bit.
+//
+// A program is only its sizes (package classfile), yet the random stream
+// keeps draws whose values no size reads: two per library or application
+// class (skipFields) and, per method, those of a bytecode body of its
+// length (bodyLen). They stay because every later draw depends on them:
+// each class's super, file size and method sizes. Dropping one renames
+// all 16 programs and moves every figure (TestProgramShapes and the
+// figure digests fail).
 
 // The shared system library's shape: both JVMs carry a couple hundred
 // runtime classes that Kaffe loads lazily and Jikes bakes into its boot
@@ -35,27 +42,22 @@ func buildProgram(b *Benchmark) *classfile.Program {
 		System:    true,
 		FileBytes: 1200,
 	})
-	bld.AddMethod(classfile.MethodSpec{
-		Class: object, Name: "init", RefArgs: []bool{true},
-		Code: bodyOf(6, rng),
-	})
+	bld.AddMethod(classfile.MethodSpec{Class: object, Name: "init", Bytecodes: bodyLen(6, rng)})
 
 	// System library.
 	for i := 1; i < systemClasses; i++ {
-		spec := classfile.ClassSpec{
+		skipFields(rng)
+		cid := bld.AddClass(classfile.ClassSpec{
 			Name:      fmt.Sprintf("java.rt.S%03d", i),
 			Super:     "java.lang.Object",
-			Fields:    genFields(rng, 3, 1),
 			System:    true,
 			FileBytes: units.ByteSize(vary(rng, systemAvgFileBytes)),
-		}
-		cid := bld.AddClass(spec)
+		})
 		for m := 0; m < systemMethodsPerClass; m++ {
 			bld.AddMethod(classfile.MethodSpec{
-				Class:   cid,
-				Name:    fmt.Sprintf("m%d", m),
-				RefArgs: []bool{true},
-				Code:    bodyOf(vary(rng, systemAvgMethodBC), rng),
+				Class:     cid,
+				Name:      fmt.Sprintf("m%d", m),
+				Bytecodes: bodyLen(vary(rng, systemAvgMethodBC), rng),
 			})
 		}
 	}
@@ -67,21 +69,18 @@ func buildProgram(b *Benchmark) *classfile.Program {
 		if i > 0 && rng.float() < 0.35 {
 			super = fmt.Sprintf("%s.C%04d", b.Name, int(rng.next()%uint64(i)))
 		}
+		skipFields(rng)
 		cid := bld.AddClass(classfile.ClassSpec{
 			Name:       fmt.Sprintf("%s.C%04d", b.Name, i),
 			Super:      super,
-			Fields:     genFields(rng, 5, 2),
-			StaticInts: 2,
 			StaticRefs: 1,
 			FileBytes:  units.ByteSize(vary(rng, s.AvgClassFileBytes)),
 		})
 		for m := 0; m < s.MethodsPerClass; m++ {
 			bld.AddMethod(classfile.MethodSpec{
-				Class:      cid,
-				Name:       fmt.Sprintf("m%d", m),
-				RefArgs:    []bool{true},
-				ExtraSlots: 2,
-				Code:       bodyOf(vary(rng, s.AvgMethodBytecodes), rng),
+				Class:     cid,
+				Name:      fmt.Sprintf("m%d", m),
+				Bytecodes: bodyLen(vary(rng, s.AvgMethodBytecodes), rng),
 			})
 		}
 	}
@@ -92,92 +91,40 @@ func buildProgram(b *Benchmark) *classfile.Program {
 		Super:     "java.lang.Object",
 		FileBytes: 2048,
 	})
-	entry := bld.AddMethod(classfile.MethodSpec{
-		Class: mainClass, Name: "main",
-		ExtraSlots: 2,
-		Code:       append(bodyOf(20, rng)[:19], classfile.I(isa.HALT)),
-	})
+	entry := bld.AddMethod(classfile.MethodSpec{Class: mainClass, Name: "main", Bytecodes: bodyLen(20, rng)})
 	bld.SetEntry(entry)
 	return bld.MustBuild()
 }
 
-// genFields produces a deterministic field list: up to maxInt int fields
-// and maxRef reference fields.
-func genFields(rng *rand, maxInt, maxRef int) []classfile.Field {
-	var fs []classfile.Field
-	ni := 1 + int(rng.next()%uint64(maxInt))
-	nr := int(rng.next() % uint64(maxRef+1))
-	for i := 0; i < ni; i++ {
-		fs = append(fs, classfile.Field{Name: fmt.Sprintf("i%d", i), Kind: classfile.IntField})
-	}
-	for i := 0; i < nr; i++ {
-		fs = append(fs, classfile.Field{Name: fmt.Sprintf("r%d", i), Kind: classfile.RefField})
-	}
-	return fs
+// skipFields takes a class's two field-list draws: its int and reference
+// field counts.
+func skipFields(rng *rand) {
+	rng.next()
+	rng.next()
 }
 
-// bodyOf generates a structurally valid method body of approximately n
-// bytecodes: stack-balanced arithmetic blocks closed by a RETURN. Bodies
-// exist to give the loader and compilers realistically sized inputs; the
-// batch engine never executes them.
-func bodyOf(n int, rng *rand) []isa.Instr {
+// bodyLen returns the length of a method body of n bytecodes (at least
+// 2) and takes the draws that generate such a body: one block kind per
+// block, plus the block's constants, until n-1 bytecodes are filled (the
+// last is the return).
+func bodyLen(n int, rng *rand) int {
 	if n < 2 {
 		n = 2
 	}
-	code := make([]isa.Instr, 0, n)
-	for len(code) < n-1 {
+	for filled := 0; filled < n-1; {
 		switch rng.next() % 3 {
-		case 0:
-			code = append(code,
-				classfile.I(isa.ICONST, int32(rng.next()%100)),
-				classfile.I(isa.ICONST, int32(rng.next()%100)),
-				classfile.I(isa.IADD),
-				classfile.I(isa.POP))
-		case 1:
-			code = append(code,
-				classfile.I(isa.ICONST, int32(rng.next()%64)),
-				classfile.I(isa.INEG),
-				classfile.I(isa.POP))
-		default:
-			code = append(code, classfile.I(isa.NOP))
+		case 0: // iconst, iconst, iadd, pop
+			rng.next()
+			rng.next()
+			filled += 4
+		case 1: // iconst, ineg, pop
+			rng.next()
+			filled += 3
+		default: // nop
+			filled++
 		}
 	}
-	code = code[:n-1]
-	// Re-balance: count pushes/pops to keep the tail valid. The blocks
-	// above are balanced, but truncation can split one; pad with NOPs to
-	// the same length instead of risking imbalance.
-	code = rebalance(code)
-	return append(code, classfile.I(isa.RETURN))
-}
-
-// rebalance rewrites any truncated partial block so the body never
-// underflows the operand stack under linear execution. Values left on the
-// stack at RETURN are harmless (the frame is discarded).
-func rebalance(code []isa.Instr) []isa.Instr {
-	depth := 0
-	for i, in := range code {
-		switch in.Op {
-		case isa.ICONST:
-			depth++
-		case isa.IADD:
-			if depth < 2 {
-				code[i] = classfile.I(isa.NOP)
-				continue
-			}
-			depth--
-		case isa.INEG:
-			if depth < 1 {
-				code[i] = classfile.I(isa.NOP)
-			}
-		case isa.POP:
-			if depth < 1 {
-				code[i] = classfile.I(isa.NOP)
-				continue
-			}
-			depth--
-		}
-	}
-	return code
+	return n
 }
 
 // vary returns a deterministic value in [0.5×avg, 1.5×avg).

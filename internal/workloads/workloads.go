@@ -1,9 +1,9 @@
 // Package workloads defines the benchmark suite of the study (Figure 5):
 // analogs of the seven SpecJVM98 applications, five DaCapo applications,
 // and four Java Grande Forum kernels the paper measures. Each benchmark
-// carries (a) a generated program — real classes and methods in the mini
-// ISA, sized like its namesake, which drive class loading and compilation —
-// and (b) a behavior profile for the batch execution engine, calibrated to
+// carries (a) a generated program — classes and methods sized like its
+// namesake's, which drive class loading and compilation — and (b) a
+// behavior profile for the batch execution engine, calibrated to
 // the published characteristics of the original: allocation volume and
 // object demographics (GC pressure), pointer-store rate (write-barrier and
 // remembered-set traffic), locality and working set (cache and power
