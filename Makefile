@@ -197,10 +197,12 @@ bench-gate:
 	$(GO) run ./cmd/benchgate diff bench-gate-a.json bench-gate-b.json -budget 5
 
 # bench-smoke is the CI-sized benchmark run: one repetition of the Fig. 7
-# benchmark and of each BenchmarkSemiSpaceSweep sub-benchmark (per-point
-# and lockstep), so the lockstep hot path shows in the profile too. It is
-# a does-it-run check, not a timing claim. The CPU profile lands in
-# bench-smoke.prof (with the test binary kept alongside for
-# `go tool pprof`) and CI uploads both as an artifact.
+# benchmark and of each sub-benchmark (per-point and lockstep) of
+# BenchmarkSemiSpaceSweep (one lane per heap) and BenchmarkMeterVariants
+# (one lane per DVFS operating point, one heap fanned out to six meters),
+# so both lockstep hot paths show in the profile too. It is a does-it-run
+# check, not a timing claim. The CPU profile lands in bench-smoke.prof
+# (with the test binary kept alongside for `go tool pprof`) and CI uploads
+# both as an artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^(BenchmarkFig7EDP|BenchmarkSemiSpaceSweep)$$' -benchtime 1x -benchmem -count=1 -cpuprofile bench-smoke.prof .
+	$(GO) test -run '^$$' -bench '^(BenchmarkFig7EDP|BenchmarkSemiSpaceSweep|BenchmarkMeterVariants)$$' -benchtime 1x -benchmem -count=1 -cpuprofile bench-smoke.prof .

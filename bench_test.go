@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"jvmpower/internal/component"
 	"jvmpower/internal/core"
 	"jvmpower/internal/cpu"
 	"jvmpower/internal/experiments"
@@ -296,8 +297,8 @@ func BenchmarkCharacterizeJavac(b *testing.B) {
 // BenchmarkSemiSpaceSweep measures the batch engine on one benchmark's
 // heap sweep: quick _213_javac under SemiSpace at the seven Fig. 6 heaps,
 // as seven core.Characterize runs (per-point) and as one
-// core.CharacterizeSweep, whose lockstep run shares one mutator among the
-// seven (lockstep).
+// core.CharacterizeSweep of a lane per heap, whose lockstep run shares one
+// mutator among the seven (lockstep).
 func BenchmarkSemiSpaceSweep(b *testing.B) {
 	bench, err := workloads.ByName("_213_javac")
 	if err != nil {
@@ -310,17 +311,52 @@ func BenchmarkSemiSpaceSweep(b *testing.B) {
 		Profile:  bench.Profile.Scale(0.25),
 		FanOn:    true,
 	}
-	var heaps []units.ByteSize
+	var lanes []core.RunConfig
 	for _, mb := range experiments.NewRunner(io.Discard).JikesHeapsMB(bench.Suite) {
-		heaps = append(heaps, units.ByteSize(mb)*units.MB)
+		lane := cfg
+		lane.VM.HeapSize = units.ByteSize(mb) * units.MB
+		lanes = append(lanes, lane)
 	}
+	benchLanes(b, lanes)
+}
+
+// BenchmarkMeterVariants measures one VM run priced through several
+// meters: quick _213_javac under GenCopy at 64 MB at the Pentium M's six
+// operating points, the dvfs figure's static sweep, as six
+// core.Characterize runs (per-point) and as one core.CharacterizeSweep of
+// a lane per operating point, whose one heap fans every slice out to the
+// six meters (lockstep).
+func BenchmarkMeterVariants(b *testing.B) {
+	bench, err := workloads.ByName("_213_javac")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.RunConfig{
+		Platform: platform.P6(),
+		VM:       vm.Config{Flavor: vm.Jikes, Collector: "GenCopy", HeapSize: 64 * units.MB, Seed: 1},
+		Program:  bench.Program(),
+		Profile:  bench.Profile.Scale(0.25),
+		FanOn:    true,
+	}
+	var lanes []core.RunConfig
+	for _, p := range cfg.Platform.DVFS.Points {
+		lane := cfg
+		if op := p.FreqScale; op != 1.0 {
+			lane.DVFSPolicy = func(component.ID) float64 { return op }
+		}
+		lanes = append(lanes, lane)
+	}
+	benchLanes(b, lanes)
+}
+
+// benchLanes times lanes as one core.Characterize per lane (per-point) and
+// as one core.CharacterizeSweep (lockstep).
+func benchLanes(b *testing.B, lanes []core.RunConfig) {
 	b.Run("per-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			for _, h := range heaps {
-				one := cfg
-				one.VM.HeapSize = h
-				if _, err := core.Characterize(one); err != nil {
+			for _, lane := range lanes {
+				if _, err := core.Characterize(lane); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -330,7 +366,7 @@ func BenchmarkSemiSpaceSweep(b *testing.B) {
 	b.Run("lockstep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			_, errs := core.CharacterizeSweep(cfg, heaps)
+			_, errs := core.CharacterizeSweep(lanes)
 			for _, err := range errs {
 				if err != nil {
 					b.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"jvmpower/internal/core"
 	"jvmpower/internal/jobqueue"
 	"jvmpower/internal/metrics"
-	"jvmpower/internal/units"
 )
 
 // fig6Reference renders the reference output a daemon job must match.
@@ -454,11 +453,11 @@ func TestSharedClaimsPerMember(t *testing.T) {
 	group := javacSweep(t, 32, 64, 128)
 	var pairs atomic.Int64 // lockstep runs of two heaps
 	orig := characterizeSweep
-	characterizeSweep = func(cfg core.RunConfig, heaps []units.ByteSize) ([]core.Result, []error) {
-		if len(heaps) == 2 {
+	characterizeSweep = func(lanes []core.RunConfig) ([]core.Result, []error) {
+		if len(lanes) == 2 {
 			pairs.Add(1)
 		}
-		return orig(cfg, heaps)
+		return orig(lanes)
 	}
 	t.Cleanup(func() { characterizeSweep = orig })
 	for _, cancelled := range []bool{false, true} {

@@ -13,7 +13,6 @@ import (
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/platform"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -43,11 +42,11 @@ func samePoint(t *testing.T, tag string, a, b *core.Result) {
 func TestRunAllMatchesSerial(t *testing.T) {
 	var sweeps atomic.Int64
 	orig := characterizeSweep
-	characterizeSweep = func(cfg core.RunConfig, heaps []units.ByteSize) ([]core.Result, []error) {
-		if len(heaps) > 1 {
+	characterizeSweep = func(lanes []core.RunConfig) ([]core.Result, []error) {
+		if len(lanes) > 1 {
 			sweeps.Add(1)
 		}
-		return orig(cfg, heaps)
+		return orig(lanes)
 	}
 	t.Cleanup(func() { characterizeSweep = orig })
 
@@ -150,7 +149,7 @@ func TestRunAllStopsOnError(t *testing.T) {
 		// Point 0 fails abortively 50 ms in; point 1 is invalid and fails
 		// at once on the other worker.
 		orig := characterizeSweep
-		characterizeSweep = func(core.RunConfig, []units.ByteSize) ([]core.Result, []error) {
+		characterizeSweep = func([]core.RunConfig) ([]core.Result, []error) {
 			time.Sleep(50 * time.Millisecond)
 			return []core.Result{{}}, []error{fmt.Errorf("point cancelled mid-run: %w", context.Canceled)}
 		}

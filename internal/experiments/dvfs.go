@@ -36,45 +36,49 @@ func (r *Runner) DVFS() error {
 		{"GC @ 1.0 GHz", core.GCLowFrequencyPolicy(0.625)},
 		{"GC @ 600 MHz", core.GCLowFrequencyPolicy(0.375)},
 	}
+	var govPolicies []func(component.ID) float64
+	for _, gov := range governors {
+		govPolicies = append(govPolicies, gov.policy)
+	}
 	p6 := platform.P6()
+	var static []func(component.ID) float64
+	for _, p := range p6.DVFS.Points {
+		var policy func(component.ID) float64
+		if op := p.FreqScale; op != 1.0 {
+			policy = func(component.ID) float64 { return op }
+		}
+		static = append(static, policy)
+	}
 
-	// One batch: the static sweep's runs first, benchmark-major, then the
+	// One VM run per benchmark of each study, priced through one meter per
+	// policy, and each run one job: the static sweep's first, then the
 	// governor study's.
-	type run struct {
-		bench     string
-		collector string
-		heapMB    int
-		policy    func(component.ID) float64
-	}
-	var runs []run
-	for _, name := range benches {
-		for _, p := range p6.DVFS.Points {
-			var policy func(component.ID) float64
-			if op := p.FreqScale; op != 1.0 {
-				policy = func(component.ID) float64 { return op }
-			}
-			runs = append(runs, run{name, "GenCopy", 64, policy})
-		}
-	}
-	sweep := len(runs)
-	for _, name := range governed {
-		for _, gov := range governors {
-			runs = append(runs, run{name, "SemiSpace", 32, gov.policy})
-		}
-	}
-	decs := make([]analysis.Decomposition, len(runs))
-	err := r.dispatch(len(runs), func(i int) error {
-		bench, err := workloads.ByName(runs[i].bench)
+	var groups [][]core.RunConfig
+	add := func(name, collector string, heapMB int, policies []func(component.ID) float64) error {
+		bench, err := workloads.ByName(name)
 		if err != nil {
 			return err
 		}
-		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: runs[i].collector,
-			HeapMB: runs[i].heapMB, Platform: p6})
-		cfg.DVFSPolicy = runs[i].policy
-		res, err := core.Characterize(cfg)
-		decs[i] = res.Decomposition
-		return err
-	})
+		cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: collector, HeapMB: heapMB, Platform: p6})
+		lanes := make([]core.RunConfig, len(policies))
+		for i, policy := range policies {
+			lanes[i] = cfg
+			lanes[i].DVFSPolicy = policy
+		}
+		groups = append(groups, lanes)
+		return nil
+	}
+	for _, name := range benches {
+		if err := add(name, "GenCopy", 64, static); err != nil {
+			return err
+		}
+	}
+	for _, name := range governed {
+		if err := add(name, "SemiSpace", 32, govPolicies); err != nil {
+			return err
+		}
+	}
+	results, err := r.characterizeLanes(groups)
 	if err != nil {
 		return err
 	}
@@ -85,7 +89,7 @@ func (r *Runner) DVFS() error {
 	for b, name := range benches {
 		var base float64
 		for j, p := range p6.DVFS.Points {
-			d := &decs[b*len(p6.DVFS.Points)+j]
+			d := &results[b][j].Decomposition
 			edp := float64(d.EDP)
 			if p.FreqScale == 1.0 {
 				base = edp
@@ -110,7 +114,7 @@ func (r *Runner) DVFS() error {
 	gt := analysis.NewTable("Benchmark", "Governor", "Time", "Energy", "EDP", "GC power")
 	for b, name := range governed {
 		for j, gov := range governors {
-			d := &decs[sweep+b*len(governors)+j]
+			d := &results[len(benches)+b][j].Decomposition
 			gt.AddRow(name, gov.label,
 				d.TotalTime.Round(1e6).String(),
 				d.TotalEnergy.String(),

@@ -121,7 +121,10 @@ func TestDirectFiguresHonourCancel(t *testing.T) {
 	t.Run("cancelled mid-dvfs", func(t *testing.T) {
 		check := leakCheck(t)
 		var buf strings.Builder
-		r := quickRunner(&buf)
+		// Full scale: the cancel lands 20 ms in, plus however late a busy
+		// runtime fires its timer, so the figure needs a runtime far
+		// above that for a fifth of it to measure the stop.
+		r := NewRunner(&buf)
 		t0 := time.Now()
 		if err := r.RunFigure("dvfs"); err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"jvmpower/internal/core"
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -21,7 +20,7 @@ import (
 func withPanickingCharacterize(t *testing.T) {
 	t.Helper()
 	orig := characterizeSweep
-	characterizeSweep = func(core.RunConfig, []units.ByteSize) ([]core.Result, []error) {
+	characterizeSweep = func([]core.RunConfig) ([]core.Result, []error) {
 		panic("injected simulator bug")
 	}
 	t.Cleanup(func() { characterizeSweep = orig })

@@ -8,7 +8,6 @@ import (
 
 	"jvmpower/internal/core"
 	"jvmpower/internal/faultinject"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 )
 
@@ -22,9 +21,32 @@ import (
 // the same way: in-process, on an executor, and under the daemon's shared
 // flights.
 
-// characterizeSweep indirects core.CharacterizeSweep so tests can inject
-// failure modes.
+// characterizeSweep indirects core.CharacterizeSweep, which attempt and
+// characterizeLanes call, so tests can inject failure modes and count
+// runs and lanes.
 var characterizeSweep = core.CharacterizeSweep
+
+// characterizeLanes runs each group of lanes as one characterizeSweep, and
+// the groups as jobs on r.dispatch. It serves the figures that price one
+// VM run through several meters (a DVFS policy, a DAQ period or an MLP
+// setting per lane), whose lanes differ only in what a meter reads. It
+// returns every lane's result, by group and lane, or the error of the
+// first lane that failed in that order, the one a loop of core.Characterize
+// calls would meet first.
+func (r *Runner) characterizeLanes(groups [][]core.RunConfig) ([][]core.Result, error) {
+	results := make([][]core.Result, len(groups))
+	err := r.dispatch(len(groups), func(g int) error {
+		res, errs := characterizeSweep(groups[g])
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		results[g] = res
+		return nil
+	})
+	return results, err
+}
 
 // sweepJobs splits points into RunAll's jobs, in order: each run of
 // consecutive points that can share a lockstep run is one job, and every
@@ -270,20 +292,20 @@ func (r *Runner) attempt(pts []Point) (out []computed) {
 			r.Metrics.Counter("experiments.points.retries").Inc()
 		}
 	}
-	cfg := r.runConfig(pts[0])
-	cfg.Metrics, cfg.Faults = r.Metrics, r.Faults
+	runCtx := ctx
 	var deadline time.Time
 	if r.PointTimeout > 0 {
 		deadline = time.Now().Add(r.PointTimeout)
 		var cancel context.CancelFunc
-		cfg.Ctx, cancel = context.WithDeadline(ctx, deadline)
+		runCtx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	heaps := make([]units.ByteSize, len(pts))
+	lanes := make([]core.RunConfig, len(pts))
 	for i, p := range pts {
-		heaps[i] = units.ByteSize(p.HeapMB) * units.MB
+		lanes[i] = r.runConfig(p)
+		lanes[i].Metrics, lanes[i].Faults, lanes[i].Ctx = r.Metrics, r.Faults, runCtx
 	}
-	results, errs := characterizeSweep(cfg, heaps)
+	results, errs := characterizeSweep(lanes)
 	if err := ctx.Err(); err != nil {
 		return fail(func(Point) error { return err })
 	}

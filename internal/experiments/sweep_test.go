@@ -6,6 +6,7 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"jvmpower/internal/metrics"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/supervisor"
-	"jvmpower/internal/units"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
 )
@@ -156,7 +156,7 @@ func TestSweepPanicReachesEveryWaiter(t *testing.T) {
 	check := leakCheck(t)
 	started, release := make(chan struct{}), make(chan struct{})
 	orig := characterizeSweep
-	characterizeSweep = func(core.RunConfig, []units.ByteSize) ([]core.Result, []error) {
+	characterizeSweep = func([]core.RunConfig) ([]core.Result, []error) {
 		close(started)
 		<-release
 		panic("injected simulator bug")
@@ -240,4 +240,43 @@ func TestSweepCancelled(t *testing.T) {
 		t.Fatalf("RunAll cancelled mid-sweep returned %v, want context.Canceled", err)
 	}
 	check()
+}
+
+// TestVariantFiguresShareOneRun pins how the figures that vary only what a
+// meter reads characterize: dvfs makes one run per benchmark of each study
+// (three static sweeps of the six operating points, two governor runs of
+// three policies), and each ablation one run with a lane per setting. A
+// change that forks them back into one run per variant fails here.
+func TestVariantFiguresShareOneRun(t *testing.T) {
+	var mu sync.Mutex
+	var calls []int // lanes per call
+	orig := characterizeSweep
+	characterizeSweep = func(lanes []core.RunConfig) ([]core.Result, []error) {
+		mu.Lock()
+		calls = append(calls, len(lanes))
+		mu.Unlock()
+		return orig(lanes)
+	}
+	t.Cleanup(func() { characterizeSweep = orig })
+	for _, c := range []struct {
+		fig          string
+		calls, lanes int
+	}{
+		{"dvfs", 5, 24},
+		{"ablation-sampling", 1, 4},
+		{"ablation-mlp", 1, 3},
+	} {
+		calls = nil
+		var buf strings.Builder
+		if err := quickRunner(&buf).RunFigure(c.fig); err != nil {
+			t.Fatal(err)
+		}
+		lanes := 0
+		for _, n := range calls {
+			lanes += n
+		}
+		if len(calls) != c.calls || lanes != c.lanes {
+			t.Errorf("%s: %d calls carrying %d lanes (%v), want %d carrying %d", c.fig, len(calls), lanes, calls, c.calls, c.lanes)
+		}
+	}
 }

@@ -229,8 +229,9 @@ func (h *Heap) spillRefs(n int) uint32 {
 // allocator) is responsible for having reserved addr..addr+size in a space.
 // More than math.MaxUint16 references panics, since the count is 16 bits.
 // No count comes from a class: the VM draws an application object's from 0
-// to 2×RefsPerObject of its behavior profile and gives each mature mutation
-// table 4. This panic is the only guard.
+// to 2×RefsPerObject of its behavior profile, which
+// vm.BehaviorProfile.Validate keeps in range, and gives each mature
+// mutation table 4. The panic guards the callers' arithmetic.
 func (h *Heap) NewObject(size uint32, nrefs int, addr uint64) Ref {
 	if uint(nrefs) > math.MaxUint16 {
 		panic("heap: object reference count out of range")

@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -364,5 +365,40 @@ func TestOOMSurfacesBenchmarkContext(t *testing.T) {
 func TestFlavorString(t *testing.T) {
 	if Jikes.String() != "JikesRVM" || Kaffe.String() != "Kaffe" {
 		t.Fatal("flavor names wrong")
+	}
+}
+
+// TestValidateRejectsUnrunnableRefCounts: an object draws 0..2×RefsPerObject
+// references and holds at most 65,535, so a negative mean or one whose
+// double passes that is an error from Validate and RunProfile, not a panic
+// inside the run. 40000 and −3 used to panic in heap.NewObject, and −0.5
+// divided by zero drawing a count. TestAllProfilesValidate
+// (internal/workloads) checks that the 16 shipped profiles still pass.
+func TestValidateRejectsUnrunnableRefCounts(t *testing.T) {
+	for _, c := range []struct {
+		refs float64
+		ok   bool
+	}{
+		{40000, false},
+		{-3, false},
+		{-0.5, false},
+		{math.NaN(), false},
+		{32768, false},
+		{32767.5, true},
+		{0, true},
+		{1.5, true},
+	} {
+		p := smallProfile()
+		p.RefsPerObject = c.refs
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("RefsPerObject %v: Validate returned %v, want ok=%v", c.refs, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		v, _ := newTestVM(t, smallProgram(), Jikes, "GenCopy", 8*units.MB)
+		if err := v.RunProfile(p); err == nil {
+			t.Errorf("RefsPerObject %v: RunProfile accepted the profile", c.refs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"jvmpower/internal/units"
 )
@@ -68,6 +69,11 @@ func (p *BehaviorProfile) Validate() error {
 	}
 	if p.AllocBytes < 0 || p.AvgObjectBytes <= 0 {
 		return fmt.Errorf("vm: profile %q: bad allocation parameters", p.Name)
+	}
+	// An object draws 0..int(2×RefsPerObject) references, and a heap object
+	// holds at most math.MaxUint16 (heap.NewObject).
+	if !(p.RefsPerObject >= 0 && 2*p.RefsPerObject < math.MaxUint16+1) {
+		return fmt.Errorf("vm: profile %q: RefsPerObject %v out of [0,%d)", p.Name, p.RefsPerObject, (math.MaxUint16+1)/2)
 	}
 	if p.LongLivedFrac < 0 || p.LongLivedFrac > 1 {
 		return fmt.Errorf("vm: profile %q: LongLivedFrac %v out of [0,1]", p.Name, p.LongLivedFrac)
