@@ -118,12 +118,13 @@ examples-smoke:
 
 # fleet-smoke is the shell-level distributed smoke and the lockstep ≡
 # per-point gate: the real binary runs quick Figure 6 and Figure 7
-# campaigns three ways — in-process, in-process under `-point-timeout 10m`
-# (which keeps every point to its own run), and across two loopback
-# `-serve-node` executors — and diffs both others against the first
-# (byte-identical or fail). In-process and on the nodes, each benchmark's
-# SemiSpace heaps are one lockstep run, one task on a node. The in-repo
-# twin, TestFleetByteIdentical, adds shuffled completion and an injected
+# campaigns and quick `-all` (every figure's work in one dispatch) three
+# ways — in-process, in-process under `-point-timeout 10m` (which keeps
+# every point to its own run), and across two loopback `-serve-node`
+# executors — and diffs both others against the first (byte-identical or
+# fail). In-process and on the nodes, each benchmark's SemiSpace heaps are
+# one lockstep run, one task on a node. The in-repo twin,
+# TestFleetByteIdentical, adds shuffled completion and an injected
 # disconnect on top.
 fleet-smoke:
 	./scripts/fleet_smoke.sh

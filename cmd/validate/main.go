@@ -32,24 +32,63 @@ func main() {
 	}
 }
 
+// gcAnchorBenches are the benchmarks whose GenCopy 48 MB runs the Fig. 8
+// counter and power anchors average over.
+var gcAnchorBenches = []string{"_213_javac", "_209_db", "_227_mtrt"}
+
 func run(out io.Writer, quick bool) error {
 	start := time.Now()
 	r := experiments.NewRunner(io.Discard)
 	r.Quick = quick
 	p6 := platform.P6()
 
-	get := func(bench, col string, heap int) (*analysis.Decomposition, error) {
+	point := func(bench, col string, heap int) (experiments.Point, error) {
 		b, err := workloads.ByName(bench)
+		if err != nil {
+			return experiments.Point{}, err
+		}
+		return experiments.Point{Bench: b, Flavor: vm.Jikes, Collector: col, HeapMB: heap, Platform: p6}, nil
+	}
+	get := func(bench, col string, heap int) (*analysis.Decomposition, error) {
+		p, err := point(bench, col, heap)
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.Run(experiments.Point{
-			Bench: b, Flavor: vm.Jikes, Collector: col, HeapMB: heap, Platform: p6,
-		})
+		res, err := r.Run(p)
 		if err != nil {
 			return nil, err
 		}
 		return &res.Decomposition, nil
+	}
+
+	// Every anchor point, computed in parallel before the checks below read
+	// them through get. javac's three SemiSpace heaps are adjacent, so they
+	// share one lockstep run.
+	type anchor struct {
+		bench, col string
+		heap       int
+	}
+	anchors := []anchor{
+		{"_213_javac", "SemiSpace", 32}, {"_213_javac", "SemiSpace", 48}, {"_213_javac", "SemiSpace", 128},
+		{"_213_javac", "GenMS", 32}, {"fop", "SemiSpace", 48}, {"_222_mpegaudio", "SemiSpace", 32},
+		{"_209_db", "SemiSpace", 128},
+	}
+	for _, h := range r.JikesHeapsMB(workloads.SuiteSpecJVM98) {
+		anchors = append(anchors, anchor{"_209_db", "GenCopy", h})
+	}
+	for _, bn := range gcAnchorBenches {
+		anchors = append(anchors, anchor{bn, "GenCopy", 48})
+	}
+	var pts []experiments.Point
+	for _, a := range anchors {
+		p, err := point(a.bench, a.col, a.heap)
+		if err != nil {
+			return err
+		}
+		pts = append(pts, p)
+	}
+	if err := r.RunAll(pts); err != nil {
+		return err
 	}
 
 	type check struct {
@@ -126,7 +165,7 @@ func run(out io.Writer, quick bool) error {
 
 	// --- Figure 8 / Section VI-C anchors ---
 	var gcPow, gcIPC, gcL2, appIPC, appL2 stats.Running
-	for _, bn := range []string{"_213_javac", "_209_db", "_227_mtrt"} {
+	for _, bn := range gcAnchorBenches {
 		d, err := get(bn, "GenCopy", 48)
 		if err != nil {
 			return err

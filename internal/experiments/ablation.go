@@ -20,10 +20,12 @@ import (
 // per period on one VM run, and reports each component's energy error
 // against the simulator's ground-truth ledger — the validation a physical
 // rig cannot perform.
-func (r *Runner) AblationSampling() error {
+func (r *Runner) AblationSampling() error { return r.RunFigure("ablation-sampling") }
+
+func (r *Runner) ablationSamplingPlan() (*figurePlan, error) {
 	bench, err := workloads.ByName("_213_javac")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	periods := []units.Duration{
 		40 * time.Microsecond, 200 * time.Microsecond,
@@ -36,12 +38,16 @@ func (r *Runner) AblationSampling() error {
 		lanes[i] = cfg
 		lanes[i].Platform.DAQPeriod = period
 	}
-	results, err := r.characterizeLanes([][]core.RunConfig{lanes})
-	if err != nil {
-		return err
-	}
+	var results []core.Result
+	return &figurePlan{
+		jobs:   []func() error{laneJob(lanes, &results)},
+		render: func() error { return r.ablationSamplingRender(periods, results) },
+	}, nil
+}
+
+func (r *Runner) ablationSamplingRender(periods []units.Duration, results []core.Result) error {
 	t := analysis.NewTable("Period", "Samples", "GC err", "CL err", "Base err", "App err", "Total err")
-	for i, res := range results[0] {
+	for i, res := range results {
 		errFor := func(id component.ID) string {
 			truth := float64(res.Meter.TrueCPUEnergy(id))
 			if truth == 0 {
@@ -74,10 +80,12 @@ func (r *Runner) AblationSampling() error {
 // — demonstrating why the model needs the dimension to reproduce the
 // paper's component power ordering. Each setting is one meter on one VM
 // run: the timing model prices slices, and the VM never reads it.
-func (r *Runner) AblationMLP() error {
+func (r *Runner) AblationMLP() error { return r.RunFigure("ablation-mlp") }
+
+func (r *Runner) ablationMLPPlan() (*figurePlan, error) {
 	bench, err := workloads.ByName("_213_javac")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mlps := []float64{1.0, 0.5, 0.0}
 	cfg := r.runConfig(Point{Bench: bench, Flavor: vm.Jikes, Collector: "SemiSpace", HeapMB: 32, Platform: platform.P6()})
@@ -86,12 +94,16 @@ func (r *Runner) AblationMLP() error {
 		lanes[i] = cfg
 		lanes[i].Platform.CPU.MLPSupport = mlp
 	}
-	results, err := r.characterizeLanes([][]core.RunConfig{lanes})
-	if err != nil {
-		return err
-	}
+	var results []core.Result
+	return &figurePlan{
+		jobs:   []func() error{laneJob(lanes, &results)},
+		render: func() error { return r.ablationMLPRender(mlps, results) },
+	}, nil
+}
+
+func (r *Runner) ablationMLPRender(mlps []float64, results []core.Result) error {
 	t := analysis.NewTable("MLPSupport", "GC IPC", "GC power", "App IPC", "App power", "GC share")
-	for i, res := range results[0] {
+	for i, res := range results {
 		d := &res.Decomposition
 		t.AddRow(fmt.Sprintf("%.1f", mlps[i]),
 			fmt.Sprintf("%.2f", d.IPC(component.GC)),

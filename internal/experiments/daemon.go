@@ -438,13 +438,11 @@ func (d *Daemon) execute(ctx context.Context, j *jobqueue.Job) error {
 		d.record(dj, JobEvent{Event: "job", Job: dj.id, State: "point", Point: &ev})
 	}
 	d.logf("job %s started: figures=%v seed=%d client=%s", dj.id, dj.spec.Figures, dj.spec.Seed, j.Client)
-	for _, fig := range dj.spec.Figures {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := r.RunFigure(fig); err != nil {
-			return fmt.Errorf("figure %s: %w", fig, err)
-		}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if fig, err := r.runFigures(dj.spec.Figures); err != nil {
+		return fmt.Errorf("figure %s: %w", fig, err)
 	}
 	return nil
 }

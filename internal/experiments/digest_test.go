@@ -44,16 +44,18 @@ var figureDigests = map[string]string{
 }
 
 // TestFigureDigests pins every figure's bytes: one quick Runner per seed
-// runs the registry in order, as -all does (later figures reuse earlier
-// figures' points), and each figure's output is hashed on its own. A
-// refactor that claims byte identity passes unchanged; a change that moves
-// a figure fails here until its digest is updated.
+// runs the registry in order, one RunFigure at a time (later figures reuse
+// earlier figures' points), and each figure's output is hashed on its own.
+// A refactor that claims byte identity passes unchanged; a change that
+// moves a figure fails here until its digest is updated. RunEverything on
+// a fresh Runner, which dispatches every figure's work at once, must print
+// exactly those figures one after another.
 func TestFigureDigests(t *testing.T) {
 	if n, want := len(figureDigests), 2*len(figures); n != want {
 		t.Errorf("%d recorded digests, want %d (two seeds per registry figure)", n, want)
 	}
 	for _, seed := range []uint64{1, 2} {
-		var out strings.Builder
+		var out, figs strings.Builder
 		r := quickRunner(&out)
 		r.Seed = seed
 		for _, f := range figures {
@@ -61,6 +63,7 @@ func TestFigureDigests(t *testing.T) {
 			if err := r.RunFigure(f.name); err != nil {
 				t.Fatalf("%s at seed %d: %v", f.name, seed, err)
 			}
+			figs.WriteString(out.String())
 			sum := sha256.Sum256([]byte(out.String()))
 			key := fmt.Sprintf("%s/%d", f.name, seed)
 			if got, want := hex.EncodeToString(sum[:]), figureDigests[key]; got != want {
@@ -68,6 +71,16 @@ func TestFigureDigests(t *testing.T) {
 					"A change that means to move this figure updates its digest in figureDigests and says so in CHANGES.md.",
 					f.name, seed, got, want)
 			}
+		}
+		var all strings.Builder
+		r = quickRunner(&all)
+		r.Seed = seed
+		if err := r.RunEverything(); err != nil {
+			t.Fatalf("RunEverything at seed %d: %v", seed, err)
+		}
+		if all.String() != figs.String() {
+			t.Errorf("RunEverything at seed %d printed %d bytes that differ from its %d figures' %d, one at a time",
+				seed, all.Len(), len(figures), figs.Len())
 		}
 	}
 }

@@ -25,19 +25,28 @@ import (
 //  2. A component-aware governor: run only the garbage collector at a low
 //     operating point (GC is the stall-heavy, lowest-IPC component of
 //     Section VI-C) and leave the application at nominal speed.
-func (r *Runner) DVFS() error {
-	benches := []string{"_222_mpegaudio", "_209_db", "_213_javac"}
-	governed := []string{"_213_javac", "_209_db"}
-	governors := []struct {
-		label  string
-		policy func(component.ID) float64
-	}{
-		{"nominal", nil},
-		{"GC @ 1.0 GHz", core.GCLowFrequencyPolicy(0.625)},
-		{"GC @ 600 MHz", core.GCLowFrequencyPolicy(0.375)},
-	}
+func (r *Runner) DVFS() error { return r.RunFigure("dvfs") }
+
+// dvfsBenches are the static sweep's benchmarks, and dvfsGoverned the
+// governor study's.
+var (
+	dvfsBenches  = []string{"_222_mpegaudio", "_209_db", "_213_javac"}
+	dvfsGoverned = []string{"_213_javac", "_209_db"}
+)
+
+// dvfsGovernors are the governor study's policies.
+var dvfsGovernors = []struct {
+	label  string
+	policy func(component.ID) float64
+}{
+	{"nominal", nil},
+	{"GC @ 1.0 GHz", core.GCLowFrequencyPolicy(0.625)},
+	{"GC @ 600 MHz", core.GCLowFrequencyPolicy(0.375)},
+}
+
+func (r *Runner) dvfsPlan() (*figurePlan, error) {
 	var govPolicies []func(component.ID) float64
-	for _, gov := range governors {
+	for _, gov := range dvfsGovernors {
 		govPolicies = append(govPolicies, gov.policy)
 	}
 	p6 := platform.P6()
@@ -68,25 +77,30 @@ func (r *Runner) DVFS() error {
 		groups = append(groups, lanes)
 		return nil
 	}
-	for _, name := range benches {
+	for _, name := range dvfsBenches {
 		if err := add(name, "GenCopy", 64, static); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, name := range governed {
+	for _, name := range dvfsGoverned {
 		if err := add(name, "SemiSpace", 32, govPolicies); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	results, err := r.characterizeLanes(groups)
-	if err != nil {
-		return err
+	results := make([][]core.Result, len(groups))
+	jobs := make([]func() error, len(groups))
+	for g, lanes := range groups {
+		jobs[g] = laneJob(lanes, &results[g])
 	}
+	return &figurePlan{jobs: jobs, render: func() error { return r.dvfsRender(results) }}, nil
+}
 
+func (r *Runner) dvfsRender(results [][]core.Result) error {
+	p6 := platform.P6()
 	r.printf("\n== Extension (Sec. VII): DVFS on the Pentium M ==\n")
 	r.printf("\nStatic frequency sweep (Jikes + GenCopy, 64 MB):\n\n")
 	t := analysis.NewTable("Benchmark", "Point", "Time", "Energy", "EDP", "vs nominal EDP")
-	for b, name := range benches {
+	for b, name := range dvfsBenches {
 		var base float64
 		for j, p := range p6.DVFS.Points {
 			d := &results[b][j].Decomposition
@@ -112,9 +126,9 @@ func (r *Runner) DVFS() error {
 
 	r.printf("\nComponent-aware governor: GC at a reduced point, application at nominal\n(_213_javac and _209_db, 32 MB, where GC is a large energy share):\n\n")
 	gt := analysis.NewTable("Benchmark", "Governor", "Time", "Energy", "EDP", "GC power")
-	for b, name := range governed {
-		for j, gov := range governors {
-			d := &results[len(benches)+b][j].Decomposition
+	for b, name := range dvfsGoverned {
+		for j, gov := range dvfsGovernors {
+			d := &results[len(dvfsBenches)+b][j].Decomposition
 			gt.AddRow(name, gov.label,
 				d.TotalTime.Round(1e6).String(),
 				d.TotalEnergy.String(),

@@ -19,36 +19,44 @@ import (
 // duration is hundreds of micro-seconds on our P6 system and milliseconds
 // on our PXA255 system, [so] our sampling fidelity accurately captures all
 // important behavior."
-func (r *Runner) Dwell() error {
+func (r *Runner) Dwell() error { return r.RunFigure("dwell") }
+
+// dwellRun is one of the dwell study's runs and the label its rows print.
+type dwellRun struct {
+	label string
+	point Point
+}
+
+func (r *Runner) dwellPlan() (*figurePlan, error) {
 	bench, err := workloads.ByName("_213_javac")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	runs := []struct {
-		label string
-		point Point
-	}{
+	runs := []dwellRun{
 		{"P6/Jikes", Point{Bench: bench, Flavor: vm.Jikes, HeapMB: 64, Platform: platform.P6()}},
 		{"DBPXA255/Kaffe", Point{Bench: bench, Flavor: vm.Kaffe, HeapMB: 16, Platform: platform.DBPXA255(), S10: true}},
 	}
 	dwells := make([]*analysis.DwellRecorder, len(runs))
-	err = r.dispatch(len(runs), func(i int) error {
-		cfg := r.runConfig(runs[i].point)
-		// The recorder only observes: the run's own aggregator already
-		// receives every sample, so the recorder forwards to an empty sink.
-		dwell := analysis.NewDwellRecorder(daq.MultiSink{}, cfg.Platform.DAQPeriod)
-		cfg.TraceSink = dwell
-		if _, err := core.Characterize(cfg); err != nil {
-			return err
+	jobs := make([]func() error, len(runs))
+	for i, run := range runs {
+		jobs[i] = func() error {
+			cfg := r.runConfig(run.point)
+			// The recorder only observes: the run's own aggregator already
+			// receives every sample, so the recorder forwards to an empty sink.
+			dwell := analysis.NewDwellRecorder(daq.MultiSink{}, cfg.Platform.DAQPeriod)
+			cfg.TraceSink = dwell
+			if _, errs := characterizeSweep([]core.RunConfig{cfg}); errs[0] != nil {
+				return errs[0]
+			}
+			dwell.Flush()
+			dwells[i] = dwell
+			return nil
 		}
-		dwell.Flush()
-		dwells[i] = dwell
-		return nil
-	})
-	if err != nil {
-		return err
 	}
+	return &figurePlan{jobs: jobs, render: func() error { return r.dwellRender(runs, dwells) }}, nil
+}
 
+func (r *Runner) dwellRender(runs []dwellRun, dwells []*analysis.DwellRecorder) error {
 	r.printf("\n== Methodology check (Sec. IV-D): component dwell times ==\n")
 	t := analysis.NewTable("Platform/VM", "Component", "Mean dwell", "Max dwell", "Switches")
 	for i, d := range dwells {

@@ -236,38 +236,40 @@ func (r *Runner) runConfig(p Point) core.RunConfig {
 // error: in-flight jobs finish, but no new ones start. Tolerable failures
 // (injected faults, panics, timeouts) do not stop the sweep: their errors
 // stay cached and degrade into missing cells when a figure pulls them. A
-// job is one sweep group (see sweepJobs), which returns the first abortive
-// error among its members, in order.
+// job is one sweep group (see pointJobs).
 func (r *Runner) RunAll(points []Point) error {
+	_, err := r.runJobs(r.pointJobs(points))
+	return err
+}
+
+// runJobs runs jobs through one dispatch and returns what dispatch
+// returns. It alone feeds the workers.* and runall.* instruments, so a
+// RunAll and a RunFigures call each count as one runall call, and busy
+// time and wall time cover the same jobs.
+func (r *Runner) runJobs(jobs []func() error) (int, error) {
 	start := time.Now()
 	defer func() {
 		r.Metrics.Counter("experiments.runall.calls").Inc()
 		r.Metrics.Gauge("experiments.runall.wall_seconds").Add(time.Since(start).Seconds())
 	}()
-	if len(points) == 0 {
-		return nil
+	if len(jobs) == 0 {
+		return 0, nil
 	}
 	// Worker-utilization instruments, hoisted out of the dispatch loop
-	// (nil and free when Metrics is nil): utilization over a RunAll is
+	// (nil and free when Metrics is nil): utilization over a dispatch is
 	// busy_ns / (wall_seconds × workers.count).
 	activeG := r.Metrics.Gauge("experiments.workers.active")
 	busyC := r.Metrics.Counter("experiments.workers.busy_ns")
-	jobs := r.sweepJobs(points)
-	err := r.dispatch(len(jobs), func(i int) error {
+	failed, err := r.dispatch(len(jobs), func(i int) error {
 		activeG.Add(1)
 		t0 := time.Now()
-		flights, err := r.resolve(jobs[i])
-		for _, f := range flights {
-			if err == nil && f.err != nil && abortive(f.err) {
-				err = f.err
-			}
-		}
+		err := jobs[i]()
 		busyC.Add(int64(time.Since(t0)))
 		activeG.Add(-1)
 		return err
 	})
 	r.Metrics.Gauge("experiments.workers.count").Set(float64(poolSize(len(jobs))))
-	return err
+	return failed, err
 }
 
 // poolSize is the number of goroutines dispatch runs n jobs on.
@@ -279,11 +281,12 @@ func poolSize(n int) int {
 // indices out in order, and returns once every started job has returned.
 // A job's error or a cancelled r.Ctx stops the hand-out; jobs in flight
 // finish. Every index below a failing one was handed out first, so the
-// lowest-index error it returns is the one a serial loop would have hit.
-// A job that r.Ctx stopped mid-simulation fails with vm.ErrCancelled, and
-// dispatch reports it, like any job the cancellation kept from starting,
-// as the context's error.
-func (r *Runner) dispatch(n int, job func(i int) error) error {
+// lowest-index error it returns is the one a serial loop would have hit;
+// it returns that index with the error, or n and nil. A job that r.Ctx
+// stopped mid-simulation fails with vm.ErrCancelled, and dispatch reports
+// it, like any job the cancellation kept from starting, as the context's
+// error.
+func (r *Runner) dispatch(n int, job func(i int) error) (int, error) {
 	ctx := r.runCtx()
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -313,12 +316,12 @@ func (r *Runner) dispatch(n int, job func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // runCtx is r.Ctx, or a context that is never cancelled when r.Ctx is nil.
@@ -414,65 +417,136 @@ func FigureNames() []string {
 	return names
 }
 
-// figures is the figure registry, in presentation (paper) order:
-// RunEverything walks it, and RunFigure and CampaignSpec.normalize look
-// identifiers up in it.
-var figures = []struct {
-	name string
-	run  func(*Runner) error
-}{
-	{"fig1", (*Runner).Fig1Thermal},
-	{"fig5", (*Runner).Fig5Benchmarks},
-	{"fig6", (*Runner).Fig6EnergyDecomposition},
-	{"fig7", (*Runner).Fig7EDP},
-	{"fig8", (*Runner).Fig8Power},
-	{"mem", (*Runner).MemoryEnergy},
-	{"fig9", (*Runner).Fig9Kaffe},
-	{"fig10", (*Runner).Fig10KaffeEDP},
-	{"fig11", (*Runner).Fig11Embedded},
-	// Ablations of this reproduction's own design choices (not paper
-	// figures): sampling-period fidelity and the MLP timing dimension.
-	{"ablation-sampling", (*Runner).AblationSampling},
-	{"ablation-mlp", (*Runner).AblationMLP},
-	// Extensions from the paper's future-work section.
-	{"dvfs", (*Runner).DVFS},
-	{"thermal-gc", (*Runner).ThermalGC},
-	{"hpm-power", (*Runner).HPMPower},
-	{"dwell", (*Runner).Dwell},
+// figurePlan is a figure's plan and its render. The plan declares all of
+// the figure's work before any of it runs: the points its cells read
+// through cell and Run, and the VM runs it makes outside Run, as jobs that
+// each fill the figure's own index-addressed slots. The render reads only
+// that finished work and prints the figure, so the figures a RunFigures
+// call names share one dispatch and no figure waits for another.
+type figurePlan struct {
+	points []Point
+	jobs   []func() error
+	render func() error
 }
 
-// figure returns the runner of the named figure, or nil if there is none.
-func figure(name string) func(*Runner) error {
+// figures is the figure registry, in presentation (paper) order:
+// RunEverything renders it in this order, and RunFigures and
+// CampaignSpec.normalize look identifiers up in it.
+var figures = []struct {
+	name string
+	plan func(*Runner) (*figurePlan, error)
+}{
+	{"fig1", (*Runner).fig1Plan},
+	{"fig5", (*Runner).fig5Plan},
+	{"fig6", (*Runner).fig6Plan},
+	{"fig7", (*Runner).fig7Plan},
+	{"fig8", (*Runner).fig8Plan},
+	{"mem", (*Runner).memPlan},
+	{"fig9", (*Runner).fig9Plan},
+	{"fig10", (*Runner).fig10Plan},
+	{"fig11", (*Runner).fig11Plan},
+	// Ablations of this reproduction's own design choices (not paper
+	// figures): sampling-period fidelity and the MLP timing dimension.
+	{"ablation-sampling", (*Runner).ablationSamplingPlan},
+	{"ablation-mlp", (*Runner).ablationMLPPlan},
+	// Extensions from the paper's future-work section.
+	{"dvfs", (*Runner).dvfsPlan},
+	{"thermal-gc", (*Runner).thermalGCPlan},
+	{"hpm-power", (*Runner).hpmPowerPlan},
+	{"dwell", (*Runner).dwellPlan},
+}
+
+// figure returns the plan of the named figure, or nil if there is none.
+func figure(name string) func(*Runner) (*figurePlan, error) {
 	for _, f := range figures {
 		if f.name == name {
-			return f.run
+			return f.plan
 		}
 	}
 	return nil
 }
 
 // RunFigure regenerates one figure by identifier ("fig1".."fig11", "mem").
-func (r *Runner) RunFigure(name string) error {
-	fn := figure(name)
-	if fn == nil {
-		return fmt.Errorf("experiments: unknown figure %q (have %v)", name, FigureNames())
-	}
-	start := time.Now()
-	err := fn(r)
-	r.Metrics.Gauge("experiments.figure." + name + ".seconds").Set(time.Since(start).Seconds())
-	r.Metrics.Counter("experiments.figures.run").Inc()
-	if err != nil {
-		r.Metrics.Counter("experiments.figures.errors").Inc()
-	}
-	return err
-}
+func (r *Runner) RunFigure(name string) error { return r.RunFigures(name) }
 
 // RunEverything regenerates all figures in paper order.
 func (r *Runner) RunEverything() error {
-	for _, f := range figures {
-		if err := r.RunFigure(f.name); err != nil {
-			return err
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return r.RunFigures(names...)
+}
+
+// RunFigures regenerates the named figures, in the order given, through
+// one dispatch. It looks every name up before it builds any plan, runs the
+// work of every plan in one runJobs call, and then renders the figures in
+// order. The jobs go out figure by figure: the sweep groups of the points
+// no earlier figure declared, then the figure's own runs. So the
+// lowest-index failure dispatch reports is the one a loop rendering the
+// figures one at a time would meet first, and RunFigures stops where that
+// loop would: every figure before the failing one renders, the failing
+// one's plan, work or render error is returned, and no later figure
+// prints.
+func (r *Runner) RunFigures(names ...string) error {
+	_, err := r.runFigures(names)
+	return err
+}
+
+// runFigures is RunFigures, also naming the figure that failed.
+func (r *Runner) runFigures(names []string) (string, error) {
+	start := time.Now()
+	for _, name := range names {
+		if figure(name) == nil {
+			return name, fmt.Errorf("experiments: unknown figure %q (have %v)", name, FigureNames())
 		}
 	}
-	return nil
+	var plans []*figurePlan
+	var planErr error
+	for _, name := range names {
+		p, err := figure(name)(r)
+		if err != nil {
+			planErr = err
+			break
+		}
+		plans = append(plans, p)
+	}
+	var jobs []func() error
+	ends := make([]int, len(plans)) // figure i's jobs end at index ends[i]
+	planned := make(map[PointID]bool)
+	for i, p := range plans {
+		var fresh []Point
+		for _, pt := range p.points {
+			if id := pt.ID(); !planned[id] {
+				planned[id] = true
+				fresh = append(fresh, pt)
+			}
+		}
+		jobs = append(jobs, r.pointJobs(fresh)...)
+		jobs = append(jobs, p.jobs...)
+		ends[i] = len(jobs)
+	}
+	failed, workErr := r.runJobs(jobs)
+	finish := func(name string, err error) (string, error) {
+		r.Metrics.Gauge("experiments.figure." + name + ".seconds").Set(time.Since(start).Seconds())
+		r.Metrics.Counter("experiments.figures.run").Inc()
+		if err == nil {
+			return "", nil
+		}
+		r.Metrics.Counter("experiments.figures.errors").Inc()
+		return name, err
+	}
+	for i, p := range plans {
+		err := workErr
+		if failed >= ends[i] {
+			err = p.render()
+		}
+		if name, err := finish(names[i], err); err != nil {
+			return name, err
+		}
+	}
+	if planErr != nil {
+		return finish(names[len(plans)], planErr)
+	}
+	return "", nil
 }

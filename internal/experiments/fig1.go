@@ -21,13 +21,29 @@ import (
 // repetitions over seven minutes for both fan states — the thermal
 // trajectory depends on the power profile, not on re-simulating the VM for
 // every repetition.
-func (r *Runner) Fig1Thermal() error {
+func (r *Runner) Fig1Thermal() error { return r.RunFigure("fig1") }
+
+// thermalAnchor is the one run Fig. 1 and the thermal-GC extension read:
+// repetitive _222_mpegaudio under GenCopy on the Pentium M.
+func thermalAnchor() (Point, error) {
 	bench, err := workloads.ByName("_222_mpegaudio")
 	if err != nil {
-		return err
+		return Point{}, err
 	}
+	return Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 64, Platform: platform.P6()}, nil
+}
+
+func (r *Runner) fig1Plan() (*figurePlan, error) {
+	anchor, err := thermalAnchor()
+	if err != nil {
+		return nil, err
+	}
+	return &figurePlan{points: []Point{anchor}, render: func() error { return r.fig1Render(anchor) }}, nil
+}
+
+func (r *Runner) fig1Render(anchor Point) error {
 	p6 := platform.P6()
-	res, ok, err := r.cell("fig1", Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 64, Platform: p6})
+	res, ok, err := r.cell("fig1", anchor)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,9 @@ import (
 // and JIT average ≈5% each; and — unlike on the P6 — the GC is the most
 // power-hungry component (≈270 mW, ~7% above the application) while the
 // class loader has the lowest power (instruction-fetch stalls).
-func (r *Runner) Fig11Embedded() error {
+func (r *Runner) Fig11Embedded() error { return r.RunFigure("fig11") }
+
+func (r *Runner) fig11Plan() (*figurePlan, error) {
 	board := platform.DBPXA255()
 	var pts []Point
 	for _, b := range workloads.EmbeddedSet() {
@@ -28,10 +30,11 @@ func (r *Runner) Fig11Embedded() error {
 			pts = append(pts, Point{Bench: b, Flavor: vm.Kaffe, HeapMB: h, Platform: board, S10: true})
 		}
 	}
-	if err := r.RunAll(pts); err != nil {
-		return err
-	}
+	return &figurePlan{points: pts, render: r.fig11Render}, nil
+}
 
+func (r *Runner) fig11Render() error {
+	board := platform.DBPXA255()
 	r.printf("\n== Figure 11: Kaffe on the Intel PXA255 (s10 inputs) ==\n")
 	t := analysis.NewTable("Benchmark", "Heap", "JIT", "CL", "GC", "App")
 	var clFrac, gcFrac, jitFrac stats.Running

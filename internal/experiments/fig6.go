@@ -16,10 +16,13 @@ import (
 // paper's headline observations checked here: JVM energy reaches ~60% for
 // _213_javac at 32 MB; the GC averages 37% (SpecJVM98, 32 MB) falling to
 // 10% at 128 MB, and 32%→11% for DaCapo (48→128 MB).
-func (r *Runner) Fig6EnergyDecomposition() error {
-	if err := r.RunAll(r.jikesMatrix([]string{"SemiSpace"})); err != nil {
-		return err
-	}
+func (r *Runner) Fig6EnergyDecomposition() error { return r.RunFigure("fig6") }
+
+func (r *Runner) fig6Plan() (*figurePlan, error) {
+	return &figurePlan{points: r.jikesMatrix([]string{"SemiSpace"}), render: r.fig6Render}, nil
+}
+
+func (r *Runner) fig6Render() error {
 	p6 := platform.P6()
 	r.printf("\n== Figure 6: energy decomposition, Jikes RVM + SemiSpace ==\n")
 

@@ -22,10 +22,37 @@ import (
 //     ~5% (mutator locality vs write-barrier overhead);
 //   - SemiSpace's EDP falls steeply from 32→48 MB (56%/50%/27% for
 //     _213_javac/_227_mtrt/euler) where GenCopy's barely moves (20%/2%/3%).
-func (r *Runner) Fig7EDP() error {
-	if err := r.RunAll(r.jikesMatrix(gc.PlanNames())); err != nil {
-		return err
+func (r *Runner) Fig7EDP() error { return r.RunFigure("fig7") }
+
+// edpDropBenches are the benchmarks whose EDP drop from the first heap of
+// the sweep to the second the headline compares. _227_mtrt is outside the
+// quick set, so the plan adds these points to the matrix, SemiSpace's pair
+// first so that it shares one run. The headline's other comparisons read
+// _213_javac and _209_db, which every benchmark set has.
+var edpDropBenches = []string{"_213_javac", "_227_mtrt", "euler"}
+
+func (r *Runner) fig7Plan() (*figurePlan, error) {
+	p6 := platform.P6()
+	pts := r.jikesMatrix(gc.PlanNames())
+	for _, name := range edpDropBenches {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			continue
+		}
+		heaps := r.JikesHeapsMB(b.Suite)
+		if len(heaps) < 2 {
+			continue
+		}
+		for _, col := range []string{"SemiSpace", "GenCopy"} {
+			for _, h := range heaps[:2] {
+				pts = append(pts, Point{Bench: b, Flavor: vm.Jikes, Collector: col, HeapMB: h, Platform: p6})
+			}
+		}
 	}
+	return &figurePlan{points: pts, render: r.fig7Render}, nil
+}
+
+func (r *Runner) fig7Render() error {
 	p6 := platform.P6()
 	r.printf("\n== Figure 7: energy-delay product vs heap size (Jikes RVM, J·s) ==\n")
 
@@ -95,7 +122,7 @@ func (r *Runner) Fig7EDP() error {
 				big, analysis.Pct(1-ss/bestGC))
 		}
 	}
-	for _, name := range []string{"_213_javac", "_227_mtrt", "euler"} {
+	for _, name := range edpDropBenches {
 		b, err := workloads.ByName(name)
 		if err != nil {
 			continue

@@ -22,10 +22,15 @@ import (
 // application for most benchmarks, with _209_db the visible exception
 // (GC-driven peak, 17.5 W); GC runs at IPC ≈0.55 with ≈54% L2 misses while
 // the application runs at ≈0.8 IPC and ≈11% L2 misses.
-func (r *Runner) Fig8Power() error {
-	if err := r.RunAll(r.jikesMatrix([]string{"GenCopy"})); err != nil {
-		return err
-	}
+func (r *Runner) Fig8Power() error { return r.RunFigure("fig8") }
+
+// fig8Plan declares the whole Jikes matrix: the cross-collector table reads
+// all of it, and the GenCopy table a part.
+func (r *Runner) fig8Plan() (*figurePlan, error) {
+	return &figurePlan{points: r.jikesMatrix(gc.PlanNames()), render: r.fig8Render}, nil
+}
+
+func (r *Runner) fig8Render() error {
 	p6 := platform.P6()
 	r.printf("\n== Figure 8: average and peak power per component (Jikes RVM + GenCopy) ==\n")
 
@@ -84,11 +89,7 @@ func (r *Runner) Fig8Power() error {
 		units.Power(appPow.Mean()), appIPC.Mean(), analysis.Pct(appL2.Mean()))
 	r.printf("Class loader: avg power %v (paper: above GC, below application)\n", units.Power(clPow.Mean()))
 
-	// Cross-collector average GC power (needs the full Fig. 7 matrix; its
-	// points are cached if Fig7 ran first, computed here otherwise).
-	if err := r.RunAll(r.jikesMatrix(gc.PlanNames())); err != nil {
-		return err
-	}
+	// Cross-collector average GC power, over the full Fig. 7 matrix.
 	r.printf("\nAverage GC power by collector (paper: GenCopy 12.8 W, SemiSpace 12.3 W, GenMS 12.7 W, MarkSweep 11.7 W):\n")
 	ct := analysis.NewTable("Collector", "Avg GC power", "Avg GC IPC", "Avg GC L2 miss")
 	for _, col := range gc.PlanNames() {
@@ -121,10 +122,13 @@ func (r *Runner) Fig8Power() error {
 // memory contributes ≈7% (SpecJVM98), 5% (DaCapo) and 8% (JGF) of total
 // energy, and generational collectors consume less memory energy than
 // non-generational ones.
-func (r *Runner) MemoryEnergy() error {
-	if err := r.RunAll(r.jikesMatrix([]string{"SemiSpace", "GenCopy"})); err != nil {
-		return err
-	}
+func (r *Runner) MemoryEnergy() error { return r.RunFigure("mem") }
+
+func (r *Runner) memPlan() (*figurePlan, error) {
+	return &figurePlan{points: r.jikesMatrix([]string{"SemiSpace", "GenCopy"}), render: r.memRender}, nil
+}
+
+func (r *Runner) memRender() error {
 	p6 := platform.P6()
 	r.printf("\n== Section VI-B: main-memory energy share ==\n")
 	t := analysis.NewTable("Suite", "Mem share (SemiSpace)", "Mem share (GenCopy)", "Paper")

@@ -17,10 +17,13 @@ import (
 // JVM components are far less visible than under Jikes — GC averages 7%,
 // the class loader 1%, the JIT under 1%; Kaffe's mark-sweep collector
 // averages ≈12.8 W, below the other components.
-func (r *Runner) Fig9Kaffe() error {
-	if err := r.RunAll(r.kaffeMatrix()); err != nil {
-		return err
-	}
+func (r *Runner) Fig9Kaffe() error { return r.RunFigure("fig9") }
+
+func (r *Runner) fig9Plan() (*figurePlan, error) {
+	return &figurePlan{points: r.kaffeMatrix(), render: r.fig9Render}, nil
+}
+
+func (r *Runner) fig9Render() error {
 	p6 := platform.P6()
 	r.printf("\n== Figure 9: Kaffe energy distribution (P6) ==\n")
 	t := analysis.NewTable("Benchmark", "Heap", "JIT", "CL", "GC", "App")
@@ -75,10 +78,13 @@ func (r *Runner) Fig9Kaffe() error {
 // Fig10KaffeEDP reproduces Figure 10: Kaffe's energy-delay product on the
 // P6 changes little with heap size — a consequence of the small
 // performance gains Kaffe realizes from larger heaps.
-func (r *Runner) Fig10KaffeEDP() error {
-	if err := r.RunAll(r.kaffeMatrix()); err != nil {
-		return err
-	}
+func (r *Runner) Fig10KaffeEDP() error { return r.RunFigure("fig10") }
+
+func (r *Runner) fig10Plan() (*figurePlan, error) {
+	return &figurePlan{points: r.kaffeMatrix(), render: r.fig10Render}, nil
+}
+
+func (r *Runner) fig10Render() error {
 	p6 := platform.P6()
 	r.printf("\n== Figure 10: Kaffe energy-delay product vs heap size (P6, J·s) ==\n")
 	for _, b := range r.Benchmarks() {

@@ -24,7 +24,9 @@ import (
 // alone. If the model transfers, a deployed VM can estimate component
 // power with no measurement hardware at all — the premise of power-aware
 // scheduling.
-func (r *Runner) HPMPower() error {
+func (r *Runner) HPMPower() error { return r.RunFigure("hpm-power") }
+
+func (r *Runner) hpmPowerPlan() (*figurePlan, error) {
 	// gather builds its meter and VM by hand, the one place in this package
 	// that does, because the fit needs every slice through
 	// Meter.SetSliceObserver, which core.Characterize does not expose. The
@@ -73,17 +75,21 @@ func (r *Runner) HPMPower() error {
 	names := []string{"_213_javac", "_209_db", "_222_mpegaudio", "_227_mtrt"}
 	var train []analysis.PowerSample
 	decs := make([]*analysis.Decomposition, len(names))
-	err := r.dispatch(len(names), func(i int) error {
-		samples, dec, err := gather(names[i])
-		if i == 0 {
-			train = samples
+	jobs := make([]func() error, len(names))
+	for i, name := range names {
+		jobs[i] = func() error {
+			samples, dec, err := gather(name)
+			if i == 0 {
+				train = samples
+			}
+			decs[i] = dec
+			return err
 		}
-		decs[i] = dec
-		return err
-	})
-	if err != nil {
-		return err
 	}
+	return &figurePlan{jobs: jobs, render: func() error { return r.hpmPowerRender(names, train, decs) }}, nil
+}
+
+func (r *Runner) hpmPowerRender(names []string, train []analysis.PowerSample, decs []*analysis.Decomposition) error {
 	model, err := analysis.FitPowerModel(train)
 	if err != nil {
 		return err

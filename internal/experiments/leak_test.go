@@ -103,8 +103,10 @@ var directFigures = []string{"ablation-sampling", "ablation-mlp", "dvfs", "hpm-p
 // the figures that characterize outside Run: they ignored r.Ctx, so an
 // interrupted -all rendered every remaining figure and exited 0. On an
 // already-cancelled context each must fail with context.Canceled; cancelled
-// 20 ms into dvfs, the figure must stop its in-flight simulations within a
-// small fraction of its full time and leave no goroutine behind.
+// 20 ms into dvfs, or into a quick RunEverything, whose one dispatch
+// carries every figure's work, the call must stop its in-flight
+// simulations within a small fraction of its full time and leave no
+// goroutine behind.
 func TestDirectFiguresHonourCancel(t *testing.T) {
 	t.Run("already cancelled", func(t *testing.T) {
 		var buf strings.Builder
@@ -144,6 +146,33 @@ func TestDirectFiguresHonourCancel(t *testing.T) {
 		}
 		if cancelled*5 > full {
 			t.Fatalf("cancelled dvfs took %v of a %v figure: cancellation is not stopping the simulations", cancelled, full)
+		}
+		check()
+	})
+	t.Run("cancelled mid-all", func(t *testing.T) {
+		check := leakCheck(t)
+		var buf strings.Builder
+		t0 := time.Now()
+		if err := quickRunner(&buf).RunEverything(); err != nil {
+			t.Fatal(err)
+		}
+		full := time.Since(t0)
+
+		// A fresh Runner: the first one serves every point from its flights.
+		r := quickRunner(&buf)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		r.Ctx = ctx
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		defer timer.Stop()
+		t0 = time.Now()
+		err := r.RunEverything()
+		cancelled := time.Since(t0)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunEverything cancelled mid-run returned %v, want context.Canceled", err)
+		}
+		if cancelled*5 > full {
+			t.Fatalf("cancelled RunEverything took %v of a %v run: cancellation is not stopping the simulations", cancelled, full)
 		}
 		check()
 	})

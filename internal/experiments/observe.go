@@ -25,13 +25,23 @@ import "time"
 //	points.completed / points.errors          counter  unique points
 //	point.seconds                             histogram point latency
 //	workers.active                            gauge    live worker count
-//	workers.count                             gauge    RunAll pool size
-//	workers.busy_ns                           counter  summed point time;
-//	                                                   utilization =
+//	workers.count                             gauge    the last dispatch's
+//	                                                   pool size
+//	workers.busy_ns                           counter  summed job time: sweep
+//	                                                   groups and the runs
+//	                                                   figures make outside
+//	                                                   Run; utilization =
 //	                                                   busy_ns/(wall×count)
-//	runall.calls / runall.wall_seconds        counter/gauge
+//	runall.calls                              counter  dispatches, one per
+//	                                                   RunAll or RunFigures
+//	                                                   call
+//	runall.wall_seconds                       gauge    the dispatches'
+//	                                                   summed wall time
 //	figures.run / figures.errors              counter
-//	figure.<name>.seconds                     gauge    per-figure wall time
+//	figure.<name>.seconds                     gauge    wall time from the
+//	                                                   RunFigures call's
+//	                                                   start to the end of
+//	                                                   the figure's render
 //	diskcache.corrupt                         counter  cache entries that
 //	                                                   failed envelope
 //	                                                   verification and were

@@ -89,7 +89,7 @@ func TestRunPanicRecovered(t *testing.T) {
 
 // TestFigureOrderMatchesRegistry asserts that the order RunEverything
 // walks and the lookup RunFigure uses agree: every registry entry is
-// listed once and figure(name) resolves to that entry's own runner. A
+// listed once and figure(name) resolves to that entry's own plan. A
 // second entry under a taken name would be unreachable by RunFigure
 // while RunEverything ran the first one twice.
 func TestFigureOrderMatchesRegistry(t *testing.T) {
@@ -103,8 +103,8 @@ func TestFigureOrderMatchesRegistry(t *testing.T) {
 		if got == nil {
 			t.Fatalf("figure(%q) = nil for a registered figure", f.name)
 		}
-		if reflect.ValueOf(got).Pointer() != reflect.ValueOf(f.run).Pointer() {
-			t.Errorf("figure(%q) does not resolve to the runner registered under it", f.name)
+		if reflect.ValueOf(got).Pointer() != reflect.ValueOf(f.plan).Pointer() {
+			t.Errorf("figure(%q) does not resolve to the plan registered under it", f.name)
 		}
 	}
 	if names := FigureNames(); len(names) != len(figures) {

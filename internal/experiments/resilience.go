@@ -144,9 +144,8 @@ func (r *Runner) WriteFaultReport(w *os.File) {
 // Under isolation each figure also has a circuit breaker fed by worker
 // deaths: once the figure has lost supervisor.TripThreshold
 // consecutive cells to crashed workers, its remaining cells degrade
-// immediately instead of feeding more points to a pool that is dying on
-// every one — the looping-forever failure mode that kills week-long
-// campaigns.
+// immediately. A render reads finished work, so the figure's points were
+// all dispatched with its plan before the breaker saw any of them.
 func (r *Runner) cell(fig string, p Point) (*core.Result, bool, error) {
 	b := r.breaker(fig)
 	if !b.Allow() {

@@ -15,40 +15,57 @@ import (
 // every heap size of a sweep, and under SemiSpace the mutator does the
 // same work at each of them: one run of core.CharacterizeSweep drives them
 // all at once and gives every heap the result its own run would (see
-// gc.Lanes for why this holds for SemiSpace alone). RunAll therefore makes
-// one job of each run of consecutive SemiSpace points that differ only in
-// heap size, and Run is the one-member group. Every route resolves a group
+// gc.Lanes for why this holds for SemiSpace alone). RunAll and RunFigures
+// therefore make one job of each run of consecutive SemiSpace points that
+// differ only in heap size, and Run is the one-member group. Every route resolves a group
 // the same way: in-process, on an executor, and under the daemon's shared
 // flights.
 
 // characterizeSweep indirects core.CharacterizeSweep, which attempt and
-// characterizeLanes call, so tests can inject failure modes and count
-// runs and lanes.
+// the figures that characterize outside Run call, so tests can inject
+// failure modes and count runs and lanes.
 var characterizeSweep = core.CharacterizeSweep
 
-// characterizeLanes runs each group of lanes as one characterizeSweep, and
-// the groups as jobs on r.dispatch. It serves the figures that price one
-// VM run through several meters (a DVFS policy, a DAQ period or an MLP
-// setting per lane), whose lanes differ only in what a meter reads. It
-// returns every lane's result, by group and lane, or the error of the
-// first lane that failed in that order, the one a loop of core.Characterize
-// calls would meet first.
-func (r *Runner) characterizeLanes(groups [][]core.RunConfig) ([][]core.Result, error) {
-	results := make([][]core.Result, len(groups))
-	err := r.dispatch(len(groups), func(g int) error {
-		res, errs := characterizeSweep(groups[g])
+// laneJob is a job that runs lanes as one characterizeSweep and stores
+// every lane's result in *out, or returns the error of the first lane that
+// failed, the one a loop of core.Characterize calls would meet first. It
+// serves the figures that price one VM run through several meters (a DVFS
+// policy, a DAQ period or an MLP setting per lane), whose lanes differ
+// only in what a meter reads.
+func laneJob(lanes []core.RunConfig, out *[]core.Result) func() error {
+	return func() error {
+		res, errs := characterizeSweep(lanes)
 		for _, err := range errs {
 			if err != nil {
 				return err
 			}
 		}
-		results[g] = res
+		*out = res
 		return nil
-	})
-	return results, err
+	}
 }
 
-// sweepJobs splits points into RunAll's jobs, in order: each run of
+// pointJobs makes a job of each sweep group of points (see sweepJobs),
+// which resolves the group and returns the first abortive error among its
+// members, in order. Tolerable errors stay in the members' flights.
+func (r *Runner) pointJobs(points []Point) []func() error {
+	groups := r.sweepJobs(points)
+	jobs := make([]func() error, len(groups))
+	for i, g := range groups {
+		jobs[i] = func() error {
+			flights, err := r.resolve(g)
+			for _, f := range flights {
+				if err == nil && f.err != nil && abortive(f.err) {
+					err = f.err
+				}
+			}
+			return err
+		}
+	}
+	return jobs
+}
+
+// sweepJobs splits points into sweep groups, in order: each run of
 // consecutive points that can share a lockstep run is one job, and every
 // other point a job of its own. Points share a run when they are valid
 // Jikes SemiSpace points whose identities differ only in heap size, and

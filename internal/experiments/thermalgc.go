@@ -6,8 +6,6 @@ import (
 	"jvmpower/internal/component"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/units"
-	"jvmpower/internal/vm"
-	"jvmpower/internal/workloads"
 )
 
 // ThermalGC evaluates the thermal-management idea the paper floats in
@@ -31,13 +29,19 @@ import (
 // scheduled GC is work the program must eventually do anyway — so trading
 // hot application phases for cool collector phases can deliver more
 // application progress per wall-clock second under a failed fan.
-func (r *Runner) ThermalGC() error {
-	bench, err := workloads.ByName("_222_mpegaudio")
+func (r *Runner) ThermalGC() error { return r.RunFigure("thermal-gc") }
+
+func (r *Runner) thermalGCPlan() (*figurePlan, error) {
+	anchor, err := thermalAnchor()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &figurePlan{points: []Point{anchor}, render: func() error { return r.thermalGCRender(anchor) }}, nil
+}
+
+func (r *Runner) thermalGCRender(anchor Point) error {
 	p6 := platform.P6()
-	res, ok, err := r.cell("thermal-gc", Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenCopy", HeapMB: 64, Platform: p6})
+	res, ok, err := r.cell("thermal-gc", anchor)
 	if err != nil {
 		return err
 	}
